@@ -2,14 +2,13 @@
 and machine-verified on first load.
 
 Every entry is checked against its declared kind predicate before it is ever
-served.  A failing entry is reported in full, a single-coordinate repair is
-attempted, and if that fails too the entry is quarantined: pipelines that
-need it will fail loudly rather than build on bad data.
+served.  A failing entry is quarantined with the predicate's diagnosis:
+pipelines that need it fail loudly with a CatalogError rather than build on
+bad data.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import groups as G
@@ -272,7 +271,7 @@ class CatalogError(RuntimeError):
     pass
 
 
-def _verify_entry(eid, obj):
+def _verify_entry(obj):
     if isinstance(obj, DifferenceMatrix):
         rep = dm_check(obj)
         if not rep["valid"]:
@@ -289,39 +288,11 @@ def _verify_entry(eid, obj):
     return None if d else str(d)
 
 
-def _attempt_repair(obj):
-    """Single-coordinate repair search over the blocks of a family."""
-    g = obj.group
-    coord_ranges = [r for a in g.atoms for r in a.coord_lists()]
-    for bi, blk in enumerate(obj.blocks):
-        for xi, x in enumerate(blk):
-            for slot, rng in enumerate(coord_ranges):
-                for val in rng:
-                    if val == x[slot]:
-                        continue
-                    cand = x[:slot] + (val,) + x[slot + 1:]
-                    blocks = [list(b) for b in obj.blocks]
-                    blocks[bi][xi] = cand
-                    trial = FamilyWitness(g, blocks, obj.kind, obj.relative,
-                                          j=obj.j, a=obj.a, b=obj.b,
-                                          translates=obj.translates,
-                                          lam=obj.lam)
-                    if _verify_entry("repair", trial) is None:
-                        return trial
-    return None
-
-
 @lru_cache(maxsize=None)
 def _load(eid):
     obj = _BUILDERS[eid]()
-    problem = _verify_entry(eid, obj)
+    problem = _verify_entry(obj)
     if problem is not None:
-        if isinstance(obj, FamilyWitness):
-            repaired = _attempt_repair(obj)
-            if repaired is not None:
-                raise CatalogError(
-                    f"catalog entry {eid!r} failed verification ({problem}) "
-                    f"but a single-coordinate repair exists; refusing to guess")
         raise CatalogError(f"catalog entry {eid!r} quarantined: {problem}")
     if isinstance(obj, FamilyWitness) and obj.kind == "PRDF":
         # prefer the ordered pair whose coset subgroup is the canonical

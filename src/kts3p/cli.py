@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 verification failure, 3 malformed input,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -26,6 +27,8 @@ def _encode_point(group, p):
 
 
 def _decode_point(group, s):
+    if not isinstance(s, str):
+        raise ValueError(f"point {s!r} is not a string")
     if s in ("inf1", "inf2", "inf3"):
         return ("inf", int(s[3]))
     return G.parse_element(group, s)
@@ -46,17 +49,29 @@ def system_to_json(system, with_trace=False):
     return data
 
 
+def _decode_block(group, b):
+    if len(b) != 3:
+        raise ValueError(f"block {b!r} does not have 3 points")
+    return tuple(_decode_point(group, s) for s in b)
+
+
 def system_from_json(data):
+    """Decode a system file; raises ValueError unless every point is a
+    listed string label and every block a triple of such points."""
     try:
         g = group_from_labels(data["group"])
         points = [_decode_point(g, s) for s in data["points"]]
-        blocks = [tuple(_decode_point(g, s) for s in b)
-                  for b in data["blocks"]]
-        resolution = [[tuple(_decode_point(g, s) for s in b) for b in cls]
+        blocks = [_decode_block(g, b) for b in data["blocks"]]
+        resolution = [[_decode_block(g, b) for b in cls]
                       for cls in data["resolution"]]
         order = int(data["order"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"malformed system file: {exc}") from exc
+    known = set(points)
+    for b in itertools.chain(blocks, *resolution):
+        if not known.issuperset(b):
+            raise ValueError(f"malformed system file: block {b} has a point "
+                             "missing from the point list")
     return pipeline.KirkmanSystem(order=order, group=g, points=points,
                                   blocks=blocks, resolution=resolution)
 

@@ -13,7 +13,7 @@ from .designkit import (DifferenceMatrix, FamilyWitness, dm_check,
                         is_df, is_doubly_disjoint, is_j_resolvable)
 
 
-def chain_union(families, label="chain"):
+def chain_union(families):
     """Union of J-resolvable relative DFs along a subgroup chain, all already
     embedded in a common ambient group.  Sorted innermost-first; the result is
     resolvable relative to the innermost subgroup and inherits the outermost
@@ -43,11 +43,11 @@ def chain_union(families, label="chain"):
                         multipliers=families[-1].multipliers)
     d = is_j_resolvable(out)
     if not d:
-        raise AssertionError(f"{label}: union is not resolvable: {d}")
+        raise AssertionError(f"chain: union is not resolvable: {d}")
     return out
 
 
-def pertinent_union(outer, inner, label="union"):
+def pertinent_union(outer, inner):
     """Glue a (G, H)-RDF with an (H, {2^3,3})-RDF already embedded in G."""
     g = outer.group
     if inner.group != g:
@@ -62,7 +62,7 @@ def pertinent_union(outer, inner, label="union"):
                         multipliers=outer.multipliers)
     d = is_j_resolvable(out)
     if not d:
-        raise AssertionError(f"{label}: glued family is not resolvable: {d}")
+        raise AssertionError(f"union: glued family is not resolvable: {d}")
     return out
 
 
@@ -260,12 +260,6 @@ def homogeneous_dm(group):
     return dm
 
 
-def fixed_splittable_dm(which):
-    from . import catalog
-    return catalog.get({"G1": "dm:G1", "Z2xZ6": "dm:Z2xZ6",
-                        "Z4xZ4": "dm:Z4xZ4"}[which])
-
-
 # ---------------------------------------------------------------------------
 # DF x DM composition
 
@@ -300,7 +294,7 @@ def _mult_orbit_blocks(fam, mult):
 
 
 def df_compose_dm(group, h_view, proj, section, fam, dm, embed_h,
-                  mode="plain", j=None, label="compose", multipliers=None):
+                  mode="plain", j=None, multipliers=None):
     """Compose a relative DF over the quotient model with a DM over H.
 
     group: ambient G; h_view: H as a (normal) subgroup of G.
@@ -381,12 +375,12 @@ def df_compose_dm(group, h_view, proj, section, fam, dm, embed_h,
         out = FamilyWitness(group, blocks, "RDF" if mode != "plain" else "DF",
                             rel, j=j, multipliers=multipliers)
         if len(out.blocks) != len(fam.blocks) * h:
-            raise AssertionError(f"{label}: size bookkeeping failed")
+            raise AssertionError("compose: size bookkeeping failed")
 
     if mode == "plain":
         d = is_df(out)
     else:
         d = is_j_resolvable(out)
     if not d:
-        raise AssertionError(f"{label}: composition fails its predicate: {d}")
+        raise AssertionError(f"compose: composition fails its predicate: {d}")
     return out

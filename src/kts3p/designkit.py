@@ -103,7 +103,7 @@ class Spread:
 class FamilyWitness:
     """A difference family plus everything needed to check its kind.
 
-    kind: "DF" | "RDF" | "PRDF" | "DDDF" | "SDF"
+    kind: "DF" | "RDF" | "PRDF" | "DDDF"
     relative: SubgroupView (possibly trivial) or Spread
     j: resolving involution (J = {0, j}); a, b: the Definition-of-resolvable
     elements in the spread case; translates: per-block twin translates for
@@ -169,7 +169,7 @@ def _coset_rep_check(group, reps, j, universe):
     return _compare_multisets(group, covered, expected, "coset cover")
 
 
-def is_j_resolvable(witness, search_ab=True):
+def is_j_resolvable(witness):
     g = witness.group
     base = is_df(witness)
     if not base:
@@ -202,8 +202,6 @@ def is_j_resolvable(witness, search_ab=True):
 
     if witness.a is not None and witness.b is not None:
         return full_check(witness.a, witness.b)
-    if not search_ab:
-        return _fail("no (a, b) recorded")
 
     # the flatten plus 0 hits all J-cosets but two; a and b live there
     hit = set()
@@ -273,29 +271,6 @@ def is_doubly_disjoint(witness):
     return _compare_multisets(g, tiles, expected, "tiling")
 
 
-def is_resolvable_sdf(group, blocks, lam, j=None):
-    if lam % 2 != 0:
-        return _fail("lambda must be even")
-    actual = delta_family(group, blocks)
-    expected = Counter({x: lam for x in group.element_list})
-    d = _compare_multisets(group, actual, expected, "sdf delta")
-    if not d:
-        return d
-    if j is None:
-        return Diagnosis(True)
-    if group.add(j, j) != group.zero or j == group.zero:
-        return _fail("J generator must be an involution")
-    per_coset = Counter()
-    for r in flatten(blocks):
-        per_coset[frozenset((r, group.add(r, j)))] += 1
-    bad = [c for c, k in per_coset.items() if k != lam]
-    n_cosets = group.order // 2
-    if len(per_coset) != n_cosets or bad:
-        return _fail(f"flatten does not hit every J-coset exactly {lam} times "
-                     f"({len(bad)} uneven of {len(per_coset)} hit, want {n_cosets})")
-    return Diagnosis(True)
-
-
 # ---------------------------------------------------------------------------
 # difference matrices
 
@@ -342,38 +317,6 @@ def dm_check(dm):
         splittable = [j for j in candidates if splits_with(j)]
     return {"valid": valid, "homogeneous": homogeneous,
             "splittable": splittable, "problems": problems}
-
-
-# ---------------------------------------------------------------------------
-# moving witnesses between groups
-
-def map_witness(witness, fn, new_group, new_relative=None):
-    """Push a witness through an injective homomorphism fn: G -> new_group."""
-    if new_relative is None:
-        if isinstance(witness.relative, Spread):
-            new_relative = Spread(new_group, fn(witness.relative.x))
-        else:
-            new_relative = G.SubgroupView(
-                new_group, [fn(h) for h in witness.relative.carrier])
-    conv = lambda x: None if x is None else fn(x)
-    return FamilyWitness(
-        new_group,
-        [[fn(x) for x in b] for b in witness.blocks],
-        witness.kind, new_relative,
-        j=conv(witness.j), a=conv(witness.a), b=conv(witness.b),
-        translates=None if witness.translates is None
-        else [fn(t) for t in witness.translates],
-        lam=witness.lam, multipliers=witness.multipliers,
-        trace=witness.trace)
-
-
-def rehome(witness, new_group):
-    """Re-interpret a witness over a group with the same flat-slot arithmetic
-    but a different atom grouping (only abelian V slots may be regrouped)."""
-    if G.slot_signature(witness.group) != G.slot_signature(new_group):
-        raise ValueError(
-            f"cannot rehome: slot signatures differ ({witness.group!r} vs {new_group!r})")
-    return map_witness(witness, lambda x: x, new_group)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ lowest degree first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
 
@@ -328,24 +329,19 @@ def build_ring(n):
     return RingDescriptor(n)
 
 
-def squares(ring, index):
-    """Nonzero squares of the index-th component field."""
-    return ring.fields[index].squares
-
-
-def halving(ring, choice=min):
+def halving(ring):
     """A halving S of F_n^*: |S| = (n-1)/2 and {x,y}S = F_n^* whenever every
     x_i*y_i is a nonsquare (property used by all the square-based liftings)."""
-    return _orbit_union(ring, lambda j: ring.fields[j].squares, choice)
+    return _orbit_union(ring, lambda j: ring.fields[j].squares)
 
 
-def _orbit_union(ring, center_set, choice):
+def _orbit_union(ring, center_set):
     w = ring.omega
     out = set()
     idx = range(w)
     for r in range(1, w + 1):
         for I in itertools.combinations(idx, r):
-            c = choice(I)
+            c = min(I)
             slots = []
             for j in idx:
                 if j not in I:
@@ -371,9 +367,12 @@ class UnitOrbitSystem:
     T_generators: tuple  # one generator per component, independent
     S: frozenset
 
-    @property
-    def T_order(self):
-        return len(self.T)
+
+def coprime_part(n, lam):
+    """The largest divisor of n coprime to lam."""
+    while (g := math.gcd(n, lam)) > 1:
+        n //= g
+    return n
 
 
 def _subgroup_of_order(f, order):
@@ -424,14 +423,10 @@ def semiregular_system(ring, lam, unit_override=None):
         if not ring.is_unit(ring.sub(U[j], ring.one)):
             raise ValueError(f"u^{j} - 1 is not a unit")
 
-    t_orders = []
     T_sets = []
     T_gens = []
     for i, f in enumerate(ring.fields):
-        t = f.q - 1
-        while (g := _gcd(t, lam)) > 1:
-            t //= g
-        t_orders.append(t)
+        t = coprime_part(f.q - 1, lam)
         sub = _subgroup_of_order(f, t)
         T_sets.append(sub)
         gen = _least_generator(f, sub, t)
@@ -440,7 +435,6 @@ def semiregular_system(ring, lam, unit_override=None):
 
     # Per component: coset representatives of T_i U_i in F_q^*, then S is glued
     # from the same index-set blocks as a halving, with Sigma_j T_j at the center.
-    TU_sets = []
     sigma_T = []
     for i, f in enumerate(ring.fields):
         ui = u[i]
@@ -450,7 +444,6 @@ def semiregular_system(ring, lam, unit_override=None):
             Ui.add(y)
             y = f.mul(y, ui)
         TU = {f.mul(t, v) for t in T_sets[i] for v in Ui}
-        TU_sets.append(TU)
         reps = []
         seen = set()
         for x in range(1, f.q):
@@ -459,28 +452,17 @@ def semiregular_system(ring, lam, unit_override=None):
                 seen.update(f.mul(x, z) for z in TU)
         sigma_T.append(sorted({f.mul(r, t) for r in reps for t in T_sets[i]}))
 
-    S = _orbit_union(ring, lambda j: sigma_T[j], min)
+    S = _orbit_union(ring, lambda j: sigma_T[j])
 
     sys = UnitOrbitSystem(ring, lam, u, tuple(U), T, tuple(T_gens), S)
     _check_system(sys)
     return sys
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _check_system(sys):
     ring = sys.ring
     lam = sys.lam
-    expect = 1
-    for f in ring.fields:
-        ti = f.q - 1
-        while (g := _gcd(ti, lam)) > 1:
-            ti //= g
-        expect *= ti
+    expect = math.prod(coprime_part(f.q - 1, lam) for f in ring.fields)
     if len(sys.T) != expect:
         raise AssertionError("T has the wrong order")
     for t_elt in sys.T:

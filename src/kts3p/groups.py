@@ -17,12 +17,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .finring import build_ring, factorize
+import numpy as np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency in practice
-    _np = None
+from .finring import build_ring
 
 
 class DAtom:
@@ -232,10 +229,6 @@ class GroupDescriptor:
     def __hash__(self):
         return hash(self.atoms)
 
-    def _slices(self, x):
-        for a, off in zip(self.atoms, self.offsets):
-            yield a, x[off:off + a.width]
-
     def add(self, x, y):
         out = []
         for a, off in zip(self.atoms, self.offsets):
@@ -266,9 +259,6 @@ class GroupDescriptor:
     @cached_property
     def element_index(self):
         return {e: i for i, e in enumerate(self.element_list)}
-
-    def elements(self):
-        return iter(self.element_list)
 
     @cached_property
     def involutions(self):
@@ -327,10 +317,6 @@ class GroupDescriptor:
         return tuple(units)
 
 
-def product(*atoms):
-    return GroupDescriptor(atoms)
-
-
 # ---------------------------------------------------------------------------
 # pertinent orders
 
@@ -368,7 +354,7 @@ def pertinent_witness(n):
 
 
 # ---------------------------------------------------------------------------
-# subgroups / quotients
+# subgroups
 
 class SubgroupView:
     def __init__(self, ambient, carrier, check=True):
@@ -406,122 +392,9 @@ class SubgroupView:
         return all(G.conj(g, h) in self.carrier
                    for g in G.element_list for h in self.carrier)
 
-    def sorted_carrier(self):
-        return sorted(self.carrier)
-
-
-def coordinate_subgroup(group, atom_sets):
-    """Subgroup that is a product of per-atom subsets.
-
-    atom_sets: one entry per atom - "full", "zero", or an iterable of that
-    atom's coordinate tuples (which must form a subgroup of the atom).
-    """
-    parts = []
-    for a, spec in zip(group.atoms, atom_sets):
-        if spec == "full":
-            parts.append([tuple(c) for c in itertools.product(*a.coord_lists())])
-        elif spec == "zero":
-            parts.append([a.zero])
-        else:
-            parts.append([tuple(s) for s in spec])
-    carrier = [sum(p, ()) for p in itertools.product(*parts)]
-    return SubgroupView(group, carrier)
-
-
-def left_cosets(view):
-    """Partition of the ambient group into left cosets g + H."""
-    G = view.ambient
-    seen = set()
-    out = []
-    for g in G.element_list:
-        if g in seen:
-            continue
-        coset = frozenset(G.add(g, h) for h in view.carrier)
-        seen.update(coset)
-        out.append(coset)
-    return out
-
-
-class QuotientView:
-    """G/H for a normal subgroup H, with the canonical epimorphism and the
-    minimum-representative section."""
-
-    def __init__(self, ambient, sub):
-        if not sub.is_normal():
-            raise ValueError("subgroup is not normal")
-        self.ambient = ambient
-        self.sub = sub
-        self.cosets = left_cosets(sub)
-        self.reps = [min(c) for c in self.cosets]
-        self._coset_of = {}
-        for rep, c in zip(self.reps, self.cosets):
-            for x in c:
-                self._coset_of[x] = rep
-
-    def epi(self, x):
-        """x -> the canonical (minimum) representative of x + H."""
-        return self._coset_of[x]
-
-    def section(self, rep):
-        return rep
-
-    @property
-    def order(self):
-        return len(self.cosets)
-
 
 # ---------------------------------------------------------------------------
 # element maps between groups
-
-def atom_injection(src, dst, assignment):
-    """Build an injective homomorphism src -> dst from per-destination-atom specs.
-
-    assignment: a list over dst atoms; each entry is None (that atom is sent 0)
-    or (src_atom_index, fn) where fn maps a src-atom coordinate tuple to a
-    dst-atom coordinate tuple.
-    """
-    src_slices = [(a, off) for a, off in zip(src.atoms, src.offsets)]
-
-    def apply(x):
-        out = []
-        for (dst_atom, spec) in zip(dst.atoms, assignment):
-            if spec is None:
-                out.extend(dst_atom.zero)
-            else:
-                i, fn = spec
-                a, off = src_slices[i]
-                out.extend(fn(x[off:off + a.width]))
-        return tuple(out)
-
-    return apply
-
-
-def zero_pad_embedding(src, dst):
-    """Embed src into dst by matching equal atoms in order, zero elsewhere."""
-    assignment = []
-    next_src = 0
-    for dst_atom in dst.atoms:
-        if next_src < len(src.atoms) and src.atoms[next_src] == dst_atom:
-            assignment.append((next_src, lambda c: c))
-            next_src += 1
-        else:
-            assignment.append(None)
-    if next_src != len(src.atoms):
-        raise ValueError(f"cannot embed {src!r} into {dst!r} by atom matching")
-    return atom_injection(src, dst, assignment)
-
-
-def slot_signature(group):
-    """Per-slot algebra signature; equal signatures mean identical flat-tuple
-    arithmetic, regardless of how abelian V slots are grouped into atoms."""
-    sig = []
-    for a in group.atoms:
-        if isinstance(a, VAtom):
-            sig.extend(("V", f.signature) for f in a.ring.fields)
-        else:
-            sig.append(("atom", repr(a)))
-    return tuple(sig)
-
 
 def g_chain_embedding(alpha_src, alpha_dst):
     """The injection G_{alpha_src} -> G_{alpha_dst}: (a,b,c) -> (a, 2^i b, 2^i c)."""
@@ -579,8 +452,6 @@ class GroupIndex:
     come out as numpy permutation arrays in O(|G|) after setup."""
 
     def __init__(self, group):
-        if _np is None:
-            raise RuntimeError("numpy is required for GroupIndex")
         self.group = group
         self.n = group.order
         atoms = group.atoms
@@ -599,14 +470,11 @@ class GroupIndex:
         for a, loc in zip(atoms, self.local_lists):
             idx = {e: i for i, e in enumerate(loc)}
             k = len(loc)
-            t = _np.empty((k, k), dtype=_np.int64)
+            t = np.empty((k, k), dtype=np.int64)
             for i, x in enumerate(loc):
                 for j, y in enumerate(loc):
                     t[i, j] = idx[a.add(x, y)]
             self.tables.append(t)
-
-    def id_of(self, element):
-        return self.group.element_index[element]
 
     def translation(self, g):
         """Permutation perm with perm[i] = id(element_i + g)."""
@@ -618,7 +486,7 @@ class GroupIndex:
             digits.append({e: i for i, e in enumerate(loc)}[coords] if loc != [()] else 0)
             off += a.width
         n = self.n
-        perm = _np.zeros(n, dtype=_np.int64)
+        perm = np.zeros(n, dtype=np.int64)
         shape = [len(loc) for loc in self.local_lists]
         grid = perm.reshape(shape) if shape else perm
         for k, (t, s) in enumerate(zip(self.tables, self.strides)):

@@ -21,7 +21,7 @@ from .designkit import FamilyWitness, Spread, is_j_resolvable
 from .directcon import (_mu, construct_9mod24, construct_15mod24,
                         construct_15mod24bis, construct_dddf, lift_prdf,
                         verify_multiplier_action)
-from .finring import build_ring
+from .finring import build_ring, factorize
 
 INF = (("inf", 1), ("inf", 2), ("inf", 3))
 
@@ -44,22 +44,9 @@ class Classification:
     reason: str
 
 
-def _factor(k):
-    out = {}
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            out[d] = out.get(d, 0) + 1
-            k //= d
-        d += 1
-    if k > 1:
-        out[k] = out.get(k, 0) + 1
-    return out
-
-
 def sum_of_two_squares(k):
     """True iff every prime ≡ 3 (mod 4) divides k to an even power."""
-    return all(e % 2 == 0 for p, e in _factor(k).items() if p % 4 == 3)
+    return all(e % 2 == 0 for p, e in factorize(k).items() if p % 4 == 3)
 
 
 def classify_order(v):
@@ -264,6 +251,31 @@ def _wstep(op, w=None, **extra):
     return step
 
 
+def _compose(amb, fam, steps=None, homogeneous=None, splittable=None,
+             embed=None, **extra):
+    """Compose fam, a resolvable family over a quotient model of amb, with a
+    difference matrix over the kernel, resolved by amb's canonical
+    involution.  The matrix is either built homogeneous over the group
+    `homogeneous` (mode i) or the catalog's splittable matrix `splittable`
+    (mode ii); it enters amb through `embed`, by default the canonical
+    monomorphism.  The step is recorded in `steps` when given."""
+    proj, section, hv = _quotient(amb, fam.group)
+    if homogeneous is not None:
+        dm = compose.homogeneous_dm(homogeneous)
+        mode, op = "i", "compose-homogeneous"
+        extra["h"] = f"V{homogeneous.order}"
+    else:
+        dm = catalog.get(splittable)
+        mode, op = "ii", "compose-splittable"
+        extra["dm"] = splittable
+    out = compose.df_compose_dm(
+        amb, hv, proj, section, fam, dm, embed or _place_fn(dm.group, amb),
+        mode=mode, j=_canonical(amb), multipliers=fam.multipliers)
+    if steps is not None:
+        steps.append(_wstep(op, out, **extra))
+    return out
+
+
 def _close(pieces, inner_id, amb, steps):
     """Chain the subgroup-relative pieces and glue the small spread family."""
     entry = catalog.get(inner_id)
@@ -328,12 +340,8 @@ def _sub1_pieces(N, steps):
         lifted = lift_prdf(catalog.get(prdf_id), P)
         steps.append(_wstep("lift", lifted, base=prdf_id, n=P))
         if Q > 1:
-            proj, section, hv = _quotient(amb, lifted.group)
-            dm = compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(Q)]))
-            piece = compose.df_compose_dm(
-                amb, hv, proj, section, lifted, dm, _place_fn(dm.group, amb),
-                mode="i", j=_canonical(amb), multipliers=lifted.multipliers)
-            steps.append(_wstep("compose-homogeneous", piece, h=f"V{Q}"))
+            piece = _compose(amb, lifted, steps,
+                             homogeneous=G.GroupDescriptor([G.VAtom(Q)]))
         else:
             piece = align(lifted, amb)
         pieces.append(piece)
@@ -347,12 +355,7 @@ def _sub1_pieces(N, steps):
             local = G.GroupDescriptor([G.GAtom(1), G.VAtom(3), G.VAtom(Q)])
             F = construct_dddf(Q)
             steps.append(_wstep("doubly-disjoint", F, n=Q))
-            proj, section, hv = _quotient(local, F.group)
-            dm = catalog.get("dm:G1")
-            piece = compose.df_compose_dm(
-                local, hv, proj, section, F, dm, _place_fn(dm.group, local),
-                mode="ii", j=_canonical(local))
-            steps.append(_wstep("compose-splittable", piece, dm="dm:G1"))
+            piece = _compose(local, F, steps, splittable="dm:G1")
             pieces.append(align(piece, amb))
         inner_id = "rdf:G1xV3"
     return amb, pieces, inner_id
@@ -385,12 +388,8 @@ def construct_case_ii(n):
             amb = G.GroupDescriptor([G.GAtom(1), G.VAtom(P), G.VAtom(Q)])
             outer = construct_15mod24(Q)
             steps.append(_wstep("15mod24", outer, n=Q))
-            proj, section, hv = _quotient(amb, outer.group)
-            dm = compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(P)]))
-            top = compose.df_compose_dm(
-                amb, hv, proj, section, outer, dm, _place_fn(dm.group, amb),
-                mode="i", j=_canonical(amb), multipliers=outer.multipliers)
-            steps.append(_wstep("compose-homogeneous", top, h=f"V{P}"))
+            top = _compose(amb, outer, steps,
+                           homogeneous=G.GroupDescriptor([G.VAtom(P)]))
             bis = construct_15mod24bis(P)
             steps.append(_wstep("15mod24bis", bis, n=P))
             pieces = [top, align(bis, amb)]
@@ -410,11 +409,7 @@ def _g_step_rdf(alpha):
         return catalog.get("rdf:G3:rel-G2")
     amb = G.GroupDescriptor([G.GAtom(alpha)])
     F = compose.as_doubly_disjoint(_g_step_rdf(alpha - 2))
-    proj, section, hv = _quotient(amb, F.group)
-    dm = catalog.get("dm:Z4xZ4")
-    return compose.df_compose_dm(amb, hv, proj, section, F, dm,
-                                 _embed_z4z4(alpha), mode="ii",
-                                 j=_canonical(amb))
+    return _compose(amb, F, splittable="dm:Z4xZ4", embed=_embed_z4z4(alpha))
 
 
 def _g_tower(alpha, amb):
@@ -446,21 +441,11 @@ def _fourth_case_pieces(n, steps):
         if P > 1:
             lifted = lift_prdf(catalog.get("prdf:G2"), P)
             steps.append(_wstep("lift", lifted, base="prdf:G2", n=P))
-            proj, section, hv = _quotient(amb, lifted.group)
-            dm = compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(Q)]))
-            piece = compose.df_compose_dm(
-                amb, hv, proj, section, lifted, dm, _place_fn(dm.group, amb),
-                mode="i", j=_canonical(amb), multipliers=lifted.multipliers)
-            steps.append(_wstep("compose-homogeneous", piece, h=f"V{Q}"))
-            pieces.append(piece)
+            pieces.append(_compose(
+                amb, lifted, steps, homogeneous=G.GroupDescriptor([G.VAtom(Q)])))
         local = G.GroupDescriptor([G.GAtom(2), G.VAtom(Q)])
-        F = _g_step_rdf(2)
-        proj, section, hv = _quotient(local, F.group)
-        dm = compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(Q)]))
-        p48 = compose.df_compose_dm(
-            local, hv, proj, section, F, dm, _place_fn(dm.group, local),
-            mode="i", j=_canonical(local))
-        steps.append(_wstep("compose-homogeneous", p48, h=f"V{Q}"))
+        p48 = _compose(local, _g_step_rdf(2), steps,
+                       homogeneous=G.GroupDescriptor([G.VAtom(Q)]))
         pieces.append(align(p48, amb))
         mid = construct_15mod24(Q)
         steps.append(_wstep("15mod24", mid, n=Q))
@@ -486,26 +471,16 @@ def construct_case_iii(e, n):
         for beta in range(3, alpha + 1):
             local = G.GroupDescriptor([G.GAtom(beta), G.VAtom(3)])
             F = compose.as_doubly_disjoint(_g_step_rdf(beta - 1))
-            proj, section, hv = _quotient(local, F.group)
-            dm = catalog.get("dm:Z2xZ6")
-            piece = compose.df_compose_dm(
-                local, hv, proj, section, F, dm, _embed_klein_v3(beta),
-                mode="ii", j=_canonical(local))
-            steps.append(_wstep("compose-splittable", piece, dm="dm:Z2xZ6",
-                                beta=beta))
+            piece = _compose(local, F, steps, splittable="dm:Z2xZ6",
+                             embed=_embed_klein_v3(beta), beta=beta)
             pieces.append(align(piece, amb))
         final = _close(pieces, "rdf:G1xV3", amb, steps)
     elif n % 3 == 0:
         sub_amb, sub_pieces, inner_id = _sub1_pieces(n, steps)
         odd_atoms = list(sub_amb.atoms[1:])
         amb = G.GroupDescriptor([G.GAtom(alpha)] + odd_atoms)
-        F = _g_full_rdf(alpha)
-        proj, section, hv = _quotient(amb, F.group)
-        dm = compose.homogeneous_dm(G.GroupDescriptor(odd_atoms))
-        top = compose.df_compose_dm(
-            amb, hv, proj, section, F, dm, _place_fn(dm.group, amb),
-            mode="i", j=_canonical(amb))
-        steps.append(_wstep("compose-homogeneous", top, h=f"V{n}"))
+        top = _compose(amb, _g_full_rdf(alpha), steps,
+                       homogeneous=G.GroupDescriptor(odd_atoms))
         pieces = [top] + [align(p, amb) for p in sub_pieces]
         final = _close(pieces, inner_id, amb, steps)
     elif alpha == 2:
@@ -518,14 +493,9 @@ def construct_case_iii(e, n):
         pieces = []
         for beta in range(3, alpha + 1):
             local = G.GroupDescriptor([G.GAtom(beta)] + odd_atoms)
-            F = _g_step_rdf(beta)
-            proj, section, hv = _quotient(local, F.group)
-            dm = compose.homogeneous_dm(G.GroupDescriptor(odd_atoms))
-            piece = compose.df_compose_dm(
-                local, hv, proj, section, F, dm, _place_fn(dm.group, local),
-                mode="i", j=_canonical(local))
-            steps.append(_wstep("compose-homogeneous", piece, h=f"V{n}",
-                                beta=beta))
+            piece = _compose(local, _g_step_rdf(beta), steps,
+                             homogeneous=G.GroupDescriptor(odd_atoms),
+                             beta=beta)
             pieces.append(align(piece, amb))
         pieces += [align(p, amb) for p in pieces4]
         final = _close(pieces, "rdf:G1", amb, steps)

@@ -14,6 +14,10 @@ from . import groups as G
 from .designkit import delta_family
 
 MAX_PROBLEMS = 10
+# verify_full re-derives base blocks only for groups up to this order
+BASE_BLOCK_CAP = 360
+# verify_automorphisms stops enumerating the generated group past this size
+CLOSURE_CAP = 200_000
 
 
 def _index(system):
@@ -23,6 +27,11 @@ def _index(system):
 def _block_array(system, idx):
     return np.array([[idx[p] for p in b] for b in system.blocks],
                     dtype=np.int32)
+
+
+def _class_arrays(system, idx):
+    return [np.array([[idx[p] for p in b] for b in cls], dtype=np.int32)
+            for cls in system.resolution]
 
 
 def _report(problems, **counts):
@@ -72,8 +81,7 @@ def verify_resolution(system):
             f"{len(system.resolution)} classes, expected {want}")
     idx = _index(system)
     pool = _sorted_rows(_block_array(system, idx))
-    used_rows = [np.array([[idx[p] for p in b] for b in cls], dtype=np.int32)
-                 for cls in system.resolution]
+    used_rows = _class_arrays(system, idx)
     if used_rows:
         used = _sorted_rows(np.concatenate(used_rows))
         if used.shape != pool.shape or not np.array_equal(used, pool):
@@ -95,11 +103,6 @@ def _sorted_rows(arr):
 def _perm_preserves(perm, arr, base_sorted):
     mapped = _sorted_rows(perm[arr])
     return np.array_equal(mapped, base_sorted)
-
-
-def _class_arrays(system, idx):
-    return [np.array([[idx[p] for p in b] for b in cls], dtype=np.int32)
-            for cls in system.resolution]
 
 
 def _class_keys(class_arrays, perm=None):
@@ -165,9 +168,9 @@ def verify_3pyramidal(system):
     return _report(problems, group=repr(g), generators=len(gens))
 
 
-def verify_automorphisms(system, generators, closure_cap=200_000):
+def verify_automorphisms(system, generators):
     """Check explicit permutation witnesses and measure the group they
-    generate (up to closure_cap elements)."""
+    generate (up to CLOSURE_CAP elements)."""
     problems = []
     idx = _index(system)
     arr = _block_array(system, idx)
@@ -192,7 +195,7 @@ def verify_automorphisms(system, generators, closure_cap=200_000):
     if not problems:
         members = {tuple(range(v))}
         frontier = list(members)
-        while frontier and len(members) <= closure_cap:
+        while frontier and len(members) <= CLOSURE_CAP:
             p = frontier.pop()
             for q in perms:
                 r = tuple(q[i] for i in p)
@@ -255,7 +258,7 @@ def check_base_blocks(system):
     return _report(problems, orbits=len(reps))
 
 
-def verify_full(system, base_block_cap=360):
+def verify_full(system):
     """Aggregate report; the base-block re-derivation runs when the group is
     small enough for the orbit sweep to stay cheap."""
     parts = {
@@ -263,6 +266,6 @@ def verify_full(system, base_block_cap=360):
         "resolution": verify_resolution(system),
         "pyramidal": verify_3pyramidal(system),
     }
-    if system.witness is not None and system.group.order <= base_block_cap:
+    if system.witness is not None and system.group.order <= BASE_BLOCK_CAP:
         parts["base_blocks"] = check_base_blocks(system)
     return {"ok": all(p["ok"] for p in parts.values()), **parts}

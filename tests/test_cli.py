@@ -107,3 +107,32 @@ def test_coverage(capsys):
     assert rows[21][2] == "admissible"
     assert rows[27][2] == "impossible"
     assert rows[129][2] == "admissible"
+
+
+def _non_string_point(data):
+    data["blocks"][5][1] = 7
+
+
+def _dropped_point(data):
+    del data["points"][10]
+
+
+def _one_point_class_block(data):
+    cls = data["resolution"][3]
+    cls[2] = cls[2][:1]
+
+
+def _two_point_block(data):
+    data["blocks"][4] = data["blocks"][4][:2]
+
+
+@pytest.mark.parametrize("corrupt", [_non_string_point, _dropped_point,
+                                     _one_point_class_block, _two_point_block])
+def test_verify_malformed_structure_exits_cleanly(tmp_path, capsys, corrupt):
+    path = tmp_path / "s.json"
+    run(capsys, "construct", "--order", "39", "--out", str(path))
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    code, _, _ = run(capsys, "verify", "--input", str(path))
+    assert code in (2, 3)

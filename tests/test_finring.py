@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kts3p.finring import (build_ring, components, factorize, field_for,
-                           halving, semiregular_system, squares)
+                           halving, semiregular_system)
 
 # frozen [DERIVED]: recomputed with an independent sieve before freezing
 SQUARES = {
@@ -130,12 +130,6 @@ def test_semiregular_unit_override():
     assert sr.u == (3,)
     with pytest.raises(ValueError):
         semiregular_system(r, 4, unit_override=(4,))  # order 2, not 4
-
-
-def test_squares_helper():
-    r = build_ring(45)
-    assert squares(r, 0) == field_for(5).squares
-    assert squares(r, 1) == field_for(9).squares
 
 
 def test_semiregular_rejects_bad_component():

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from conftest import naive_pair_cover
-from kts3p import catalog
+from kts3p import catalog, cli
 from kts3p import groups as G
 from kts3p import pipeline as P
 
@@ -178,3 +180,35 @@ def test_automorphism_lower_bound_structure():
         assert sorted(perm) == list(range(n))
         # the three extra points are preserved setwise
         assert set(perm[:3]) == {0, 1, 2}
+
+
+# sha256 of `kts3p construct --order v --trace --out f`, frozen from an
+# earlier build of the same routes; together these orders reach every trace
+# op and six of the nine DF x DM composition sites
+GOLDEN_DIGESTS = {
+    9: "1cf8dad7fdfffeda19b6ad4ca41a2ddc6edb10435f5a2d926946508610f738b8",
+    15: "4b72eddf3305fb31be50f4be893b1adb1c405d095aecfb4709a9e701af2cc26e",
+    33: "8d87720dff6db54f0b8f11906f8854cf44ae8346a011c801d8e03500133edf05",
+    39: "865151e1bae9e56a21fc1519332179b2c9a4ce0835897347b5794b2d116ef9a1",
+    51: "1a747ebced1f558f8b954671e407d349cc2e4fb3952f13f7b5670814d3cb0a78",
+    63: "c12a7e756e1e17aef9ee8cf2e5de87e1812be4dea282a016d467d8db84302cde",
+    87: "1be899fd89748b1bd24e6a35e69b53a41859243b0877f4fa3035d0008e06d8c6",
+    147: "ca9a4f493a55c1ec1d0d2750f75a9104f8180105b3b28f71e0480a2ad64b1903",
+    183: "b4ab7429054f22fad2647bce2b06ce356e47e13567451b680c9f13fcbca64e03",
+    195: "a8df7d6eb7faaf11be2886a06359f2adb1207e2063c02f21f94e7a4860a243e5",
+    243: "8f6c4b2a2b38810ae0aa29a3a9e976b626326cd6f2a3ecaef83d2075c5b2b1d2",
+    255: "f51317352abccff56dc62e5f0fba51f8600eaae4d2756ac774370976769b4a0a",
+    339: "8cfeaa9b2dcf28f407be0a5363c8ef946cfcac4a86ee0008a5b115d66698aa96",
+    423: "35dc6cc383eaa91a022a5e9cd3a70f3a9e37f1536c9f3ebed81d5d44eb20fe2d",
+    435: "fa37051f0b2c066483a62c97ba1a11d9d840d5857506bdd1a0829105b7dfb6ca",
+    579: "c45e5e679cdc7babb5df8421ff83aec505bcadd4004c6e7abde3bd785d83faf5",
+    771: "d19be9d8635547da51e198dbc1a33087695d50925db42bf4c3fbc8b43822e983",
+}
+
+
+@pytest.mark.parametrize("v", sorted(GOLDEN_DIGESTS))
+def test_construct_output_digest_frozen(v, tmp_path):
+    out = tmp_path / f"kts{v}.json"
+    assert cli.main(["construct", "--order", str(v), "--trace",
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_DIGESTS[v]
