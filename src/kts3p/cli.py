@@ -8,9 +8,10 @@ Exit codes: 0 success, 2 verification failure, 3 malformed input,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
+
+import numpy as np
 
 from . import catalog, pipeline, verify
 from . import groups as G
@@ -36,42 +37,47 @@ def _decode_point(group, s):
 
 def system_to_json(system, with_trace=False):
     g = system.group
+    labels = np.array([_encode_point(g, p) for p in system.points],
+                      dtype=object)
     data = {
         "order": system.order,
         "group": group_labels(g),
-        "points": [_encode_point(g, p) for p in system.points],
-        "blocks": [[_encode_point(g, p) for p in b] for b in system.blocks],
-        "resolution": [[[_encode_point(g, p) for p in b] for b in cls]
-                       for cls in system.resolution],
+        "points": labels.tolist(),
+        "blocks": labels[system.blocks].tolist(),
+        "resolution": [labels[cls].tolist() for cls in system.resolution],
     }
     if with_trace and system.trace is not None:
         data["trace"] = system.trace
     return data
 
 
-def _decode_block(group, b):
-    if len(b) != 3:
-        raise ValueError(f"block {b!r} does not have 3 points")
-    return tuple(_decode_point(group, s) for s in b)
+def _id_rows(ids, blocks):
+    """Map label triples to an int32 (k, 3) array of point ids; a label
+    missing from `ids` raises KeyError."""
+    rows = [[ids[s] for s in b] for b in blocks]
+    if any(len(b) != 3 for b in rows):
+        raise ValueError("a block does not have 3 points")
+    return np.array(rows, dtype=np.int32).reshape(-1, 3)
 
 
 def system_from_json(data):
-    """Decode a system file; raises ValueError unless every point is a
-    listed string label and every block a triple of such points."""
+    """Decode a system file; raises ValueError unless the group order fits
+    the point count, every point is a string label and every block a triple
+    of listed points."""
     try:
         g = group_from_labels(data["group"])
-        points = [_decode_point(g, s) for s in data["points"]]
-        blocks = [_decode_block(g, b) for b in data["blocks"]]
-        resolution = [[_decode_block(g, b) for b in cls]
-                      for cls in data["resolution"]]
+        labels = data["points"]
+        if g.order != len(labels) - 3:
+            raise ValueError(f"{len(labels)} points for a group of order "
+                             f"{g.order}")
+        points = [_decode_point(g, s) for s in labels]
+        ids = {s: i for i, s in enumerate(labels)}
+        blocks = _id_rows(ids, data["blocks"])
+        resolution = [_id_rows(ids, cls) for cls in data["resolution"]]
         order = int(data["order"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError,
+            AttributeError) as exc:
         raise ValueError(f"malformed system file: {exc}") from exc
-    known = set(points)
-    for b in itertools.chain(blocks, *resolution):
-        if not known.issuperset(b):
-            raise ValueError(f"malformed system file: block {b} has a point "
-                             "missing from the point list")
     return pipeline.KirkmanSystem(order=order, group=g, points=points,
                                   blocks=blocks, resolution=resolution)
 

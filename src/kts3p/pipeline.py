@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import catalog, compose
 from . import groups as G
 from .designkit import FamilyWitness, Spread, is_j_resolvable
@@ -508,10 +510,13 @@ def construct_case_iii(e, n):
 
 @dataclass
 class KirkmanSystem:
+    """A resolved system: `points` holds the labels, `blocks` is an int32
+    (b, 3) array of indices into `points`, and `resolution` is a list of
+    int32 (k, 3) arrays, one per parallel class."""
     order: int
     group: G.GroupDescriptor
     points: list
-    blocks: list
+    blocks: np.ndarray
     resolution: list
     witness: FamilyWitness | None = None
     trace: dict | None = None
@@ -525,29 +530,12 @@ def build_kts(rdf, trace=None):
     if not d:
         raise AssertionError(f"family is not resolvable: {d}")
     g = rdf.group
-    spread = rdf.spread()
     j1, a, b = rdf.j, rdf.a, rdf.b
     if a is None or b is None:
         a, b = d.solutions[0]
     points = list(INF) + list(g.element_list)
     index = {p: i for i, p in enumerate(points)}
-
-    def canon_block(blk):
-        return tuple(sorted(blk, key=index.__getitem__))
-
-    def canon_class(cls):
-        return sorted((canon_block(blk) for blk in cls),
-                      key=lambda blk: [index[p] for p in blk])
-
-    pclass = [tuple(INF)]
-    seen = set()
-    for t in g.element_list:
-        if t in seen:
-            continue
-        coset = [g.add(x, t) for x in spread.order3]
-        seen.update(coset)
-        pclass.append(tuple(coset))
-
+    v = len(points)
     q0 = [(INF[0], g.zero, j1),
           (INF[1], a, g.add(a, j1)),
           (INF[2], b, g.add(b, j1))]
@@ -555,34 +543,30 @@ def build_kts(rdf, trace=None):
         q0.append(tuple(blk))
         q0.append(tuple(g.add(x, j1) for x in blk))
 
-    # develop the moving class by right translation through an index view
-    import numpy as np
+    # develop the spread and the moving class by right translation through
+    # an index view; each class becomes one row of its sorted, flattened blocks
     gi = G.GroupIndex(g)
-    q0_arr = np.array([[index[x] for x in blk] for blk in q0], dtype=np.int64)
-
-    classes = [canon_class(pclass)]
-    seen_keys = set()
-    for t in g.element_list:
-        pperm = np.concatenate((np.arange(3, dtype=np.int64),
-                                gi.translation(t) + 3))
-        rows = np.sort(pperm[q0_arr], axis=1)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        key = rows.tobytes()
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        classes.append([tuple(points[int(i)] for i in row) for row in rows])
+    q0_ids = np.array([[index[x] for x in blk] for blk in q0])
+    spread_ids = [index[x] for x in rdf.spread().order3]
+    moving = np.empty((g.order, v), dtype=np.int32)
+    cosets = np.empty((g.order, 3), dtype=np.int32)
+    for k, t in enumerate(g.element_list):
+        pperm = np.concatenate((np.arange(3), gi.translation(t) + 3))
+        rows = np.sort(pperm[q0_ids], axis=1)
+        moving[k] = rows[np.lexsort(rows.T[::-1])].ravel()
+        cosets[k] = pperm[spread_ids]
+    cosets = np.unique(np.sort(cosets, axis=1), axis=0)
+    fixed = np.concatenate((np.arange(3, dtype=np.int32), cosets.ravel()))
+    classes = np.unique(np.vstack((fixed, moving)), axis=0)
     if len(classes) != g.order // 2 + 1:
         raise AssertionError("resolution has the wrong number of classes")
-    classes.sort(key=lambda cls: [[index[p] for p in blk] for blk in cls])
+    classes = classes.reshape(len(classes), v // 3, 3)
 
-    blocks = sorted({blk for cls in classes for blk in cls},
-                    key=lambda blk: [index[p] for p in blk])
-    v = g.order + 3
+    blocks = np.unique(classes.reshape(-1, 3), axis=0)
     if len(blocks) != v * (v - 1) // 6:
         raise AssertionError("developed design has the wrong block count")
     return KirkmanSystem(order=v, group=g, points=points, blocks=blocks,
-                         resolution=classes, witness=rdf, trace=trace)
+                         resolution=list(classes), witness=rdf, trace=trace)
 
 
 def construct(v):

@@ -18,24 +18,15 @@ MAX_PROBLEMS = 10
 BASE_BLOCK_CAP = 360
 # verify_automorphisms stops enumerating the generated group past this size
 CLOSURE_CAP = 200_000
-
-
-def _index(system):
-    return {p: i for i, p in enumerate(system.points)}
-
-
-def _block_array(system, idx):
-    return np.array([[idx[p] for p in b] for b in system.blocks],
-                    dtype=np.int32)
-
-
-def _class_arrays(system, idx):
-    return [np.array([[idx[p] for p in b] for b in cls], dtype=np.int32)
-            for cls in system.resolution]
+INF = (("inf", 1), ("inf", 2), ("inf", 3))
 
 
 def _report(problems, **counts):
     return {"ok": not problems, **counts, "problems": problems[:MAX_PROBLEMS]}
+
+
+def _labels(system, row):
+    return tuple(system.points[i] for i in row)
 
 
 def verify_sts(system):
@@ -46,15 +37,14 @@ def verify_sts(system):
         problems.append(f"order says {system.order} but there are {v} points")
     if len(set(system.points)) != v:
         problems.append("points are not distinct")
-    idx = _index(system)
-    stray = {p for b in system.blocks for p in b if p not in idx}
+    arr = system.blocks
+    stray = sorted(set(arr[(arr < 0) | (arr >= v)].tolist()))
     if stray:
-        problems.append(f"blocks mention unknown points: {sorted(stray)[:3]}")
-        return _report(problems, v=v, blocks=len(system.blocks))
-    arr = _block_array(system, idx)
-    for b in system.blocks:
-        if len(set(b)) != 3:
-            problems.append(f"degenerate block {b}")
+        problems.append(f"blocks mention unknown point ids: {stray[:3]}")
+        return _report(problems, v=v, blocks=len(arr))
+    repeats = (arr[:, [0, 0, 1]] == arr[:, [1, 2, 2]]).any(axis=1)
+    for row in arr[repeats][:MAX_PROBLEMS]:
+        problems.append(f"degenerate block {_labels(system, row)}")
     pair = np.zeros((v, v), dtype=np.int32)
     for i, jj in ((0, 1), (0, 2), (1, 2)):
         np.add.at(pair, (arr[:, i], arr[:, jj]), 1)
@@ -68,7 +58,7 @@ def verify_sts(system):
                 f"covered {pair[r, c]} times")
     if np.any(np.diag(pair)):
         problems.append("some block repeats a point")
-    return _report(problems, v=v, blocks=len(system.blocks))
+    return _report(problems, v=v, blocks=len(arr))
 
 
 def verify_resolution(system):
@@ -79,14 +69,12 @@ def verify_resolution(system):
     if len(system.resolution) != want:
         problems.append(
             f"{len(system.resolution)} classes, expected {want}")
-    idx = _index(system)
-    pool = _sorted_rows(_block_array(system, idx))
-    used_rows = _class_arrays(system, idx)
-    if used_rows:
-        used = _sorted_rows(np.concatenate(used_rows))
+    pool = _sorted_rows(system.blocks)
+    if system.resolution:
+        used = _sorted_rows(np.concatenate(system.resolution))
         if used.shape != pool.shape or not np.array_equal(used, pool):
             problems.append("classes do not partition the block set")
-    for k, rows in enumerate(used_rows):
+    for k, rows in enumerate(system.resolution):
         hit = np.bincount(rows.ravel(), minlength=v)
         if rows.size != v or not np.all(hit == 1):
             problems.append(f"class {k} is not a partition of the points")
@@ -100,69 +88,76 @@ def _sorted_rows(arr):
     return arr[np.lexsort(arr.T[::-1])]
 
 
-def _perm_preserves(perm, arr, base_sorted):
-    mapped = _sorted_rows(perm[arr])
-    return np.array_equal(mapped, base_sorted)
-
-
 def _class_keys(class_arrays, perm=None):
-    keys = set()
-    for rows in class_arrays:
-        if perm is not None:
-            rows = perm[rows]
-        keys.add(_sorted_rows(rows).tobytes())
-    return keys
+    return {_sorted_rows(rows if perm is None else perm[rows]).tobytes()
+            for rows in class_arrays}
+
+
+def _translations(system, idx, shifts):
+    """For each shift s, the permutation of point ids that the right
+    translation x -> x + s induces through the point labels; the extra
+    points stay fixed."""
+    g = system.group
+    perms = []
+    for s in shifts:
+        perm = np.arange(len(system.points), dtype=np.int32)
+        for x in g.element_list:
+            perm[idx[x]] = idx[g.add(x, s)]
+        perms.append(perm)
+    return perms
+
+
+def _closure(seed, key, moves):
+    """Everything reachable from seed by applying moves (`move[x]`), one
+    item per key."""
+    found = {key(seed): seed}
+    frontier = [seed]
+    while frontier:
+        x = frontier.pop()
+        for move in moves:
+            y = move[x]
+            if key(y) not in found:
+                found[key(y)] = y
+                frontier.append(y)
+    return found
 
 
 def verify_3pyramidal(system):
     """The recorded group acts sharply transitively on the non-extra points,
     fixes the three extra ones, and preserves blocks and classes.  Checked on
-    generators; preservation by generators extends to the whole group."""
+    generators; preservation by generators extends to the whole group.  The
+    action goes through the point labels, wherever they sit in `points`."""
     g = system.group
     problems = []
     if len(system.points) != g.order + 3:
         return _report([f"expected {g.order} + 3 points"], group=repr(g))
-    if set(system.points[:3]) != {("inf", 1), ("inf", 2), ("inf", 3)}:
-        problems.append("the three extra points are missing or misplaced")
-    idx = _index(system)
-    arr = _block_array(system, idx)
-    base_sorted = _sorted_rows(arr)
-    class_arrays = _class_arrays(system, idx)
-    base_classes = _class_keys(class_arrays)
+    if set(system.points) != set(INF) | set(g.element_list):
+        return _report(["points are not the three extra points and the "
+                        "group elements"], group=repr(g))
+    idx = {p: i for i, p in enumerate(system.points)}
+    inf_ids = {idx[p] for p in INF}
+    base_sorted = _sorted_rows(system.blocks)
+    base_classes = _class_keys(system.resolution)
 
-    elements = list(g.element_list)
-    pos = {x: k for k, x in enumerate(elements)}
     gens = list(g.generators())
-    perms = []
-    for gen in gens:
-        perm = np.arange(len(system.points), dtype=np.int32)
-        for x in elements:
-            perm[3 + pos[x]] = 3 + pos[g.add(x, gen)]
-        perms.append(perm)
+    perms = _translations(system, idx, gens)
+    for gen, perm in zip(gens, perms):
         name = G.encode_element(g, gen)
-        if not _perm_preserves(perm, arr, base_sorted):
+        if not np.array_equal(_sorted_rows(perm[system.blocks]), base_sorted):
             problems.append(f"translation by {name} does not preserve blocks")
-        if _class_keys(class_arrays, perm) != base_classes:
+        if _class_keys(system.resolution, perm) != base_classes:
             problems.append(f"translation by {name} does not preserve classes")
-        fixed = int(np.sum(perm == np.arange(len(perm), dtype=np.int32)))
-        if gen != g.zero and fixed != 3:
-            problems.append(f"translation by {name} fixes {fixed} points")
+        fixed = set(np.flatnonzero(perm == np.arange(len(perm))).tolist())
+        if gen != g.zero and fixed != inf_ids:
+            problems.append(f"translation by {name} fixes {len(fixed)} points")
 
-    # transitivity: the generator orbit of the first group point is everything
-    seen = {3}
-    frontier = [3]
-    while frontier:
-        p = frontier.pop()
-        for perm in perms:
-            q = int(perm[p])
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    if len(seen) != g.order:
+    # transitivity: the generator orbit of the zero element is everything
+    orbit = _closure(idx[g.zero], int, perms)
+    if len(orbit) != g.order:
         problems.append(
-            f"generator orbit has size {len(seen)}, expected {g.order}")
+            f"generator orbit has size {len(orbit)}, expected {g.order}")
     # sharpness: only the identity translation fixes the base point
-    stab = [x for x in elements if g.add(g.zero, x) == g.zero]
+    stab = [x for x in g.element_list if g.add(g.zero, x) == g.zero]
     if stab != [g.zero]:
         problems.append("the action is not sharply transitive")
     return _report(problems, group=repr(g), generators=len(gens))
@@ -172,11 +167,8 @@ def verify_automorphisms(system, generators):
     """Check explicit permutation witnesses and measure the group they
     generate (up to CLOSURE_CAP elements)."""
     problems = []
-    idx = _index(system)
-    arr = _block_array(system, idx)
-    base_sorted = _sorted_rows(arr)
-    class_arrays = _class_arrays(system, idx)
-    base_classes = _class_keys(class_arrays)
+    base_sorted = _sorted_rows(system.blocks)
+    base_classes = _class_keys(system.resolution)
     v = len(system.points)
     perms = []
     for name, perm in generators:
@@ -184,9 +176,9 @@ def verify_automorphisms(system, generators):
         if sorted(perm.tolist()) != list(range(v)):
             problems.append(f"{name}: not a permutation")
             continue
-        if not _perm_preserves(perm, arr, base_sorted):
+        if not np.array_equal(_sorted_rows(perm[system.blocks]), base_sorted):
             problems.append(f"{name}: does not preserve blocks")
-        if _class_keys(class_arrays, perm) != base_classes:
+        if _class_keys(system.resolution, perm) != base_classes:
             problems.append(f"{name}: does not preserve classes")
         perms.append(tuple(perm.tolist()))
 
@@ -213,25 +205,42 @@ def verify_automorphisms(system, generators):
 def extract_base_blocks(system):
     """Re-derive base blocks by orbit decomposition of the blocks avoiding the
     extra points.  Full-length orbits (size |G|) come from the difference
-    family; the single short orbit (size |G|/3) is the developed spread."""
+    family; the single short orbit (size |G|/3) is the developed spread.
+    Representatives come back as label triples."""
     g = system.group
-    noinf = {tuple(sorted(b)) for b in system.blocks
-             if not any(isinstance(p[0], str) for p in b)}
+    v = len(system.points)
+    idx = {p: i for i, p in enumerate(system.points)}
+    is_inf = np.array([isinstance(p[0], str) for p in system.points])
+    rows = np.sort(system.blocks, axis=1)
+    rows = rows[~is_inf[rows].any(axis=1)]
+
+    def keys(r):
+        return (r[:, 0].astype(np.int64) * v + r[:, 1]) * v + r[:, 2]
+
+    noinf, first = np.unique(keys(rows), return_index=True)
+    rows = rows[first]
+    # every right translation, closed from the generators' permutations
+    zero = idx[g.zero]
+    shifts = np.stack(list(_closure(
+        np.arange(v, dtype=np.int32), lambda p: int(p[zero]),
+        _translations(system, idx, g.generators())).values()))
+    seen = np.zeros(len(noinf), dtype=bool)
     reps, short = [], []
-    seen = set()
-    for b in sorted(noinf):
-        if b in seen:
-            continue
-        orbit = {tuple(sorted(g.add(x, t) for x in b)) for t in g.element_list}
-        if not orbit <= noinf:
-            raise AssertionError(f"orbit of {b} leaves the block set")
-        seen |= orbit
+    while not seen.all():
+        k = int(np.argmin(seen))
+        rep = _labels(system, rows[k])
+        orbit = np.unique(keys(np.sort(shifts[:, rows[k]], axis=1)))
+        pos = np.searchsorted(noinf, orbit).clip(max=len(noinf) - 1)
+        if not np.array_equal(noinf[pos], orbit):
+            raise AssertionError(f"orbit of {rep} leaves the block set")
+        seen[pos] = True
         if len(orbit) == g.order:
-            reps.append(b)
+            reps.append(rep)
         elif 3 * len(orbit) == g.order:
-            short.append(b)
+            short.append(rep)
         else:
-            raise AssertionError(f"orbit of {b} has impossible length {len(orbit)}")
+            raise AssertionError(
+                f"orbit of {rep} has impossible length {len(orbit)}")
     if len(short) != 1:
         raise AssertionError(f"expected one short orbit, found {len(short)}")
     return reps, short[0]

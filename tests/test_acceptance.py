@@ -1,16 +1,13 @@
 """Acceptance battery: one test (and one printed pass/fail line) per
 criterion.  Each test is self-contained and uses only public surfaces."""
 
-import itertools
 import random
 import time
-
-import pytest
 
 from kts3p import catalog, compose, verify
 from kts3p import groups as G
 from kts3p import pipeline as P
-from kts3p.designkit import delta_family, is_doubly_disjoint
+from kts3p.designkit import is_doubly_disjoint
 from kts3p.finring import build_ring, semiregular_system
 
 I1, I2, I3 = P.INF
@@ -43,7 +40,9 @@ KTS9_CLASSES = [
 
 
 def _classes(system):
-    return {frozenset(frozenset(b) for b in cls) for cls in system.resolution}
+    return {frozenset(frozenset(system.points[i] for i in b)
+                      for b in cls.tolist())
+            for cls in system.resolution}
 
 
 def test_criterion_1_golden_reproduction():

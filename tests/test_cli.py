@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import random
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kts3p import cli
+from kts3p import cli, pipeline
 
 
 def run(capsys, *argv):
@@ -126,8 +132,13 @@ def _two_point_block(data):
     data["blocks"][4] = data["blocks"][4][:2]
 
 
+def _non_string_group_label(data):
+    data["group"][0] = 5
+
+
 @pytest.mark.parametrize("corrupt", [_non_string_point, _dropped_point,
-                                     _one_point_class_block, _two_point_block])
+                                     _one_point_class_block, _two_point_block,
+                                     _non_string_group_label])
 def test_verify_malformed_structure_exits_cleanly(tmp_path, capsys, corrupt):
     path = tmp_path / "s.json"
     run(capsys, "construct", "--order", "39", "--out", str(path))
@@ -136,3 +147,113 @@ def test_verify_malformed_structure_exits_cleanly(tmp_path, capsys, corrupt):
     path.write_text(json.dumps(data))
     code, _, _ = run(capsys, "verify", "--input", str(path))
     assert code in (2, 3)
+
+
+def _system15():
+    return cli.system_to_json(pipeline.construct(15))
+
+
+def _verify_data(tmp_path, capsys, data):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    return code, (json.loads(out) if out else None)
+
+
+def test_verify_accepts_reordered_points(tmp_path, capsys):
+    # the point list is a label table: its order carries no meaning
+    data = _system15()
+    random.Random(1).shuffle(data["points"])
+    code, report = _verify_data(tmp_path, capsys, data)
+    assert code == 0 and report["ok"], report
+
+
+def test_verify_rejects_relabelled_points(tmp_path, capsys):
+    # a consistent relabelling of the group points keeps the design intact
+    # but breaks the group action the labels claim
+    data = _system15()
+    group_points = data["points"][3:]
+    shuffled = group_points[:]
+    random.Random(2).shuffle(shuffled)
+    sigma = dict(zip(group_points, shuffled))
+
+    def relabel(b):
+        return [sigma.get(p, p) for p in b]
+
+    data["points"] = relabel(data["points"])
+    data["blocks"] = [relabel(b) for b in data["blocks"]]
+    data["resolution"] = [[relabel(b) for b in cls]
+                          for cls in data["resolution"]]
+    code, report = _verify_data(tmp_path, capsys, data)
+    assert code == 2
+    assert report["sts"]["ok"] and report["resolution"]["ok"]
+    assert not report["pyramidal"]["ok"]
+
+
+def test_verify_rejects_inflated_group_label_fast(tmp_path, capsys):
+    # G12 has 5e7 elements; the point count must reject it before any label
+    # is parsed against the group
+    path = tmp_path / "s.json"
+    run(capsys, "construct", "--order", "51", "--out", str(path))
+    path.write_text(path.read_text().replace("G2", "G12"))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "verify", "--input", str(path))
+    assert code == 3 and "order" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+SECTIONS = ("points", "blocks", "resolution")
+JUNK = st.one_of(
+    st.sampled_from([None, 7, -1, 1.5, True, "", "inf4", "G1:(9,9,9)",
+                     "G1:(0,0,0)", "inf1"]),
+    st.lists(st.sampled_from(["inf2", "G1:(1,0,1)", 3]), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def _lists(node):
+    """Every list inside a JSON value, the value itself first."""
+    if isinstance(node, list):
+        yield node
+        for x in node:
+            yield from _lists(x)
+
+
+def _mutate(doc, draw):
+    """Swap, drop or retype one item of the point, block or class lists, or
+    retype a whole section."""
+    op = draw(st.sampled_from(("swap", "drop", "retype", "section")))
+    if op == "section":
+        doc[draw(st.sampled_from(SECTIONS))] = draw(JUNK)
+        return
+    lists = [lst for key in SECTIONS for lst in _lists(doc[key]) if lst]
+    if not lists:
+        return
+    target = draw(st.sampled_from(lists))
+    i = draw(st.integers(0, len(target) - 1))
+    if op == "swap":
+        j = draw(st.integers(0, len(target) - 1))
+        target[i], target[j] = target[j], target[i]
+    elif op == "drop":
+        del target[i]
+    else:
+        target[i] = draw(JUNK)
+
+
+@pytest.fixture(scope="module")
+def clean15_text():
+    return json.dumps(_system15())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_verify_fuzzed_file_never_raises(clean15_text, tmp_path, data):
+    doc = json.loads(clean15_text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", "--input", str(path)])
+    assert code in (0, 2, 3)

@@ -1,5 +1,3 @@
-import pytest
-
 from conftest import naive_delta
 from kts3p import catalog
 from kts3p import groups as G

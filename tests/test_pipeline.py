@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from conftest import naive_pair_cover
@@ -50,7 +51,9 @@ def test_classify_rejects_wrong_residue():
 
 
 def _classes(system):
-    return {frozenset(frozenset(b) for b in cls) for cls in system.resolution}
+    return {frozenset(frozenset(system.points[i] for i in b)
+                      for b in cls.tolist())
+            for cls in system.resolution}
 
 
 def test_golden_kts9():
@@ -108,23 +111,30 @@ def test_construct_counts(v):
     system = P.construct(v)
     assert system.order == v
     assert len(system.points) == v
-    assert len(system.blocks) == v * (v - 1) // 6
+    assert system.blocks.dtype == np.int32
+    assert system.blocks.shape == (v * (v - 1) // 6, 3)
     assert len(system.resolution) == (v - 1) // 2
     for cls in system.resolution:
-        covered = [x for b in cls for x in b]
+        assert cls.dtype == np.int32 and cls.shape == (v // 3, 3)
+        covered = [system.points[i] for i in cls.ravel()]
         assert len(covered) == v and set(covered) == set(system.points)
 
 
 def test_construct_pair_cover_small_oracle():
     system = P.construct(15)
-    assert naive_pair_cover(system.points, system.blocks)
+    labelled = [[system.points[i] for i in b] for b in system.blocks.tolist()]
+    cover = naive_pair_cover(system.points, labelled)
+    assert len(cover) == 15 * 14 // 2
+    assert set(cover.values()) == {1}
 
 
 def test_construct_deterministic():
     a = P.construct(51)
     b = P.construct(51)
-    assert a.blocks == b.blocks
-    assert a.resolution == b.resolution
+    assert np.array_equal(a.blocks, b.blocks)
+    assert len(a.resolution) == len(b.resolution)
+    assert all(np.array_equal(x, y)
+               for x, y in zip(a.resolution, b.resolution))
 
 
 def test_trace_names_route():

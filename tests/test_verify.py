@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from kts3p import pipeline as P
@@ -34,13 +35,30 @@ def test_sts_catches_removed_block(sys15):
 
 
 def test_sts_catches_swapped_point(sys15):
-    blocks = [list(b) for b in sys15.blocks]
+    blocks = sys15.blocks.tolist()
     # swap one point between two disjoint blocks: pair coverage breaks
     donor = next(i for i, b in enumerate(blocks)
                  if not set(b) & set(blocks[0]))
     blocks[0][0], blocks[donor][0] = blocks[donor][0], blocks[0][0]
-    bad = _with(sys15, blocks=[tuple(b) for b in blocks])
+    bad = _with(sys15, blocks=np.array(blocks, dtype=np.int32))
     assert not V.verify_sts(bad)["ok"]
+
+
+def test_sts_catches_degenerate_block(sys15):
+    blocks = sys15.blocks.copy()
+    blocks[4, 2] = blocks[4, 0]
+    rep = V.verify_sts(_with(sys15, blocks=blocks))
+    assert not rep["ok"]
+    assert any(p.startswith("degenerate block") for p in rep["problems"])
+
+
+def test_sts_catches_unknown_point_id(sys15):
+    for stray in (-1, len(sys15.points)):
+        blocks = sys15.blocks.copy()
+        blocks[7, 1] = stray
+        rep = V.verify_sts(_with(sys15, blocks=blocks))
+        assert not rep["ok"]
+        assert any("unknown point ids" in p for p in rep["problems"])
 
 
 def test_sts_catches_duplicate_point():
@@ -50,14 +68,14 @@ def test_sts_catches_duplicate_point():
 
 
 def test_resolution_catches_merged_classes(sys15):
-    merged = [sys15.resolution[0] + sys15.resolution[1]] + \
+    merged = [np.concatenate(sys15.resolution[:2])] + \
         list(sys15.resolution[2:])
     bad = _with(sys15, resolution=merged)
     assert not V.verify_resolution(bad)["ok"]
 
 
 def test_resolution_catches_doubled_block(sys15):
-    cls = list(sys15.resolution[0])
+    cls = sys15.resolution[0].copy()
     cls[0] = cls[1]
     bad = _with(sys15, resolution=[cls] + list(sys15.resolution[1:]))
     assert not V.verify_resolution(bad)["ok"]
@@ -73,8 +91,9 @@ def test_pyramidal_catches_shuffled_group(sys15):
 
 
 def test_pyramidal_catches_broken_class(sys15):
-    res = [list(c) for c in sys15.resolution]
-    res[1], res[2] = res[1][:1] + res[2][1:], res[2][:1] + res[1][1:]
+    res = list(sys15.resolution)
+    res[1], res[2] = (np.concatenate((res[1][:1], res[2][1:])),
+                      np.concatenate((res[2][:1], res[1][1:])))
     bad = _with(sys15, resolution=res)
     rep = V.verify_3pyramidal(bad)
     assert not rep["ok"]
