@@ -60,16 +60,36 @@ def _id_rows(ids, blocks):
     return np.array(rows, dtype=np.int32).reshape(-1, 3)
 
 
+def _group_order(labels, limit):
+    """The order the atom labels name (D: 6, G_a: 3·4^a, Z_m: m, V_n: n),
+    computed without building any atom; an order above `limit` comes back
+    as limit + 1."""
+    order = 1
+    for lab in labels:
+        if lab == "D":
+            k = 6
+        else:
+            kind, n = lab[:1], int(lab[1:])
+            if kind not in ("G", "Z", "V") or n < 1:
+                raise ValueError(f"unknown atom label {lab!r}")
+            k = 3 * 4 ** min(n, limit.bit_length()) if kind == "G" else n
+        order *= k
+        if order > limit:
+            return limit + 1
+    return order
+
+
 def system_from_json(data):
-    """Decode a system file; raises ValueError unless the group order fits
-    the point count, every point is a string label and every block a triple
-    of listed points."""
+    """Decode a system file; raises ValueError unless the group labels name
+    an order that fits the point count, every point is a string label and
+    every block a triple of listed points."""
     try:
-        g = group_from_labels(data["group"])
         labels = data["points"]
-        if g.order != len(labels) - 3:
-            raise ValueError(f"{len(labels)} points for a group of order "
-                             f"{g.order}")
+        want = len(labels) - 3
+        if _group_order(data["group"], want) != want:
+            raise ValueError(f"{len(labels)} points, but the group labels "
+                             f"do not name a group of order {want}")
+        g = group_from_labels(data["group"])
         points = [_decode_point(g, s) for s in labels]
         ids = {s: i for i, s in enumerate(labels)}
         blocks = _id_rows(ids, data["blocks"])

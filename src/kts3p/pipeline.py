@@ -593,7 +593,8 @@ def construct(v):
 
 def automorphism_lower_bound(system):
     """m·|G| symmetries: translations plus the strong multiplier action,
-    returned with explicit point permutations as witnesses."""
+    returned with explicit point permutations as witnesses; the extra
+    points stay fixed wherever they sit in `points`."""
     g = system.group
     w = system.witness
     mult = w.multipliers if w is not None else None
@@ -601,8 +602,9 @@ def automorphism_lower_bound(system):
     index = {p: i for i, p in enumerate(system.points)}
 
     def perm_of(fn):
-        out = [0, 1, 2]
-        out += [index[fn(x)] for x in g.element_list]
+        out = list(range(len(system.points)))
+        for x in g.element_list:
+            out[index[x]] = index[fn(x)]
         return out
 
     gens = []

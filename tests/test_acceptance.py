@@ -4,6 +4,8 @@ criterion.  Each test is self-contained and uses only public surfaces."""
 import random
 import time
 
+import pytest
+
 from kts3p import catalog, compose, verify
 from kts3p import groups as G
 from kts3p import pipeline as P
@@ -11,6 +13,9 @@ from kts3p.designkit import is_doubly_disjoint
 from kts3p.finring import build_ring, semiregular_system
 
 I1, I2, I3 = P.INF
+
+# the battery takes minutes; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
 
 
 def _line(num, ok, detail=""):

@@ -202,6 +202,17 @@ def test_verify_rejects_inflated_group_label_fast(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_verify_rejects_huge_group_label_fast(tmp_path, capsys):
+    # building V1000000000000000003 would factorise its order by trial
+    # division; the order the labels name is checked before any atom is built
+    data = _system15()
+    data["group"] = ["V1000000000000000003"]
+    t0 = time.perf_counter()
+    code, _ = _verify_data(tmp_path, capsys, data)
+    assert code == 3
+    assert time.perf_counter() - t0 < 1.0
+
+
 SECTIONS = ("points", "blocks", "resolution")
 JUNK = st.one_of(
     st.sampled_from([None, 7, -1, 1.5, True, "", "inf4", "G1:(9,9,9)",

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import naive_pair_cover
 
 from kts3p import pipeline as P
 from kts3p import verify as V
@@ -81,6 +82,15 @@ def test_resolution_catches_doubled_block(sys15):
     assert not V.verify_resolution(bad)["ok"]
 
 
+def test_resolution_catches_unknown_point_id(sys15):
+    for stray in (-1, len(sys15.points)):
+        res = [c.copy() for c in sys15.resolution]
+        res[2][0, 0] = stray
+        rep = V.verify_resolution(_with(sys15, resolution=res))
+        assert rep["problems"] == ["classes do not partition the block set",
+                                   "class 2 is not a partition of the points"]
+
+
 def test_pyramidal_catches_shuffled_group(sys15):
     # develop over the right group but hand verification the wrong one
     from kts3p import groups as G
@@ -121,6 +131,86 @@ def test_automorphisms_translations(sys15):
     assert rep["ok"], rep
     assert rep["closure_order"] >= bound
     assert not rep["capped"]
+
+
+def _reordered(system, seed):
+    """The same system with its points listed in a shuffled order."""
+    order = np.random.default_rng(seed).permutation(len(system.points))
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(len(order))
+    return _with(system, points=[system.points[i] for i in order],
+                 blocks=new_id[system.blocks].astype(np.int32),
+                 resolution=[new_id[c].astype(np.int32)
+                             for c in system.resolution])
+
+
+def test_automorphisms_translations_reordered_points(sys15):
+    moved = _reordered(sys15, 3)
+    assert moved.points[:3] != list(P.INF)
+    assert V.verify_full(moved)["ok"]
+    bound, gens = P.automorphism_lower_bound(moved)
+    rep = V.verify_automorphisms(moved, gens)
+    assert rep["ok"], rep
+    assert rep["closure_order"] >= bound
+
+
+def test_regularity_check_on_hand_made_permutations():
+    # Z6 acting on itself by x -> x + 1 is regular
+    z6 = [np.roll(np.arange(6), -1)]
+    assert V._regularity_problems(z6, z6, 0, 6) == []
+    # S3 on 3 points is transitive, but of order 6, not the claimed 3: no
+    # transitive group of left maps commutes with it
+    s3 = [np.array([1, 0, 2]), np.array([1, 2, 0])]
+    assert V._regularity_problems(s3, s3, 0, 3)
+    assert V._regularity_problems(s3, s3[1:], 0, 3)
+
+
+def _swap(res, rng):
+    i, j = rng.choice(len(res), 2, replace=False)
+    p, q = rng.integers(len(res[i])), rng.integers(len(res[j]))
+    res[i][p], res[j][q] = res[j][q].copy(), res[i][p].copy()
+
+
+def _double(res, rng):
+    i, j = rng.choice(len(res), 2, replace=False)
+    res[i][rng.integers(len(res[i]))] = res[j][rng.integers(len(res[j]))]
+
+
+def _remove(res, rng):
+    i = rng.integers(len(res))
+    res[i] = np.delete(res[i], rng.integers(len(res[i])), axis=0)
+
+
+def _move(res, rng):
+    i, j = rng.choice(len(res), 2, replace=False)
+    p = rng.integers(len(res[i]))
+    res[j] = np.concatenate((res[j], res[i][p:p + 1]))
+    res[i] = np.delete(res[i], p, axis=0)
+
+
+def _merge(res, rng):
+    i, j = sorted(rng.choice(len(res), 2, replace=False))
+    res[i] = np.concatenate((res[i], res.pop(j)))
+
+
+UNEVEN = (_remove, _move, _merge)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("corrupt", (_swap, _double) + UNEVEN)
+@pytest.mark.parametrize("v", (15, 33))
+def test_checks_agree_with_oracle_on_corruptions(request, v, corrupt, seed):
+    system = request.getfixturevalue(f"sys{v}")
+    res = [c.copy() for c in system.resolution]
+    corrupt(res, np.random.default_rng(seed))
+    bad = _with(system, resolution=res, blocks=np.concatenate(res))
+    cover = naive_pair_cover(bad.points,
+                             [[bad.points[i] for i in b] for b in bad.blocks])
+    exact = len(cover) == v * (v - 1) // 2 and set(cover.values()) == {1}
+    assert V.verify_sts(bad)["ok"] == exact
+    assert not V.verify_resolution(bad)["ok"]
+    if corrupt in UNEVEN:
+        assert not V.verify_3pyramidal(bad)["ok"]
 
 
 def test_automorphisms_reject_bad_permutation(sys15):
