@@ -93,11 +93,14 @@ def _field_mult_pair(f):
     raise ValueError(f"field of order {f.q} admits no multiplier pair")
 
 
-# Pinned solutions of the pair search below, found offline and re-verified on
-# load.  Keyed by cell count; values are permutations of the sorted cell list
-# given by index.  No algebraic formula can replace these: every "affine per
-# coordinate" ansatz dies on a counting obstruction when one coordinate has
-# order 3, so the tables are genuinely search products.
+# Pinned orthomorphism pairs over Z3 x GF(q), keyed by the cell count 3q;
+# values are permutations of the sorted cell list given by index.  A pair
+# (sigma, rho) is a normalized (Z3 x GF(q), 4, 1) difference matrix with rows
+# 0, g, sigma(g), rho(g).  No algebraic formula can replace these: every
+# "affine per coordinate" ansatz dies on a counting obstruction when one
+# coordinate has order 3, so the tables are search products, found offline
+# and re-verified on use.  A cell count missing here has no matrix, and the
+# orders that need it are not covered until its pair is added.
 _PAIR_TABLE = {
     15: ([1, 3, 13, 12, 6, 2, 11, 5, 7, 10, 4, 9, 0, 8, 14],
          [11, 2, 1, 13, 9, 8, 0, 10, 14, 6, 4, 3, 12, 5, 7]),
@@ -122,120 +125,64 @@ _PAIR_TABLE = {
 }
 
 
-def _pinned_pair(order, sub):
-    entry = _PAIR_TABLE.get(len(order))
-    if entry is None:
-        return None
-    sidx, ridx = entry
+def _table_pair(cells):
+    """The pinned permutations sigma, rho of `cells`.  No multiplier pair
+    exists when 3 divides the order, so a count with no pinned pair has no
+    matrix here; homogeneous_dm re-verifies the rows a pinned pair gives."""
+    order = sorted(cells)
+    n = len(order)
+    if n not in _PAIR_TABLE:
+        raise ValueError(f"no orthomorphism pair is pinned for {n} cells")
+    sidx, ridx = _PAIR_TABLE[n]
     sigma = {g: order[sidx[i]] for i, g in enumerate(order)}
     rho = {g: order[ridx[i]] for i, g in enumerate(order)}
-    ident = {g: g for g in order}
-    for a, b in ((sigma, ident), (rho, ident), (rho, sigma)):
-        if len({sub(a[g], b[g]) for g in order}) != len(order):
-            return None
     return sigma, rho
 
 
-def _orthomorphism_pair(cells, add, sub):
-    """Permutations sigma, rho of `cells` with sigma, rho, sigma-id, rho-id,
-    rho-sigma all bijective.  No multiplier pair exists when 3 divides the
-    order, so this is a genuine search; the common cell counts come from the
-    pinned table, everything else falls back to a seeded randomized search
-    with restarts (deterministic, but slow beyond ~30 cells)."""
-    import random
-    n = len(cells)
-    order = sorted(cells)
+def _slots(group):
+    """The (coordinate, field) component slots of a pure V group of order
+    > 3, split into the slots that take multiplier rows and the order-3 slot
+    with the mate it is glued to (None when no component has order 3)."""
+    slots = []
+    for a, off in zip(group.atoms, group.offsets):
+        if not isinstance(a, G.VAtom):
+            raise ValueError("homogeneous_dm expects a pure V group")
+        slots.extend((off + i, f) for i, f in enumerate(a.ring.fields))
+    if group.order <= 3:
+        raise ValueError("no homogeneous difference matrix over orders <= 3")
+    three = [s for s in slots if s[1].q == 3]
+    assert len(three) <= 1, "components are coprime, so at most one has order 3"
+    plain = [s for s in slots if s[1].q != 3]
+    if not three:
+        return plain, None
+    # glue the order-3 slot to the smallest other component
+    mate = min(plain, key=lambda s: s[1].q)
+    return [s for s in plain if s is not mate], (three[0], mate)
 
-    pinned = _pinned_pair(order, sub)
-    if pinned is not None:
-        return pinned
 
-    def attempt(seed, budget):
-        rnd = random.Random(seed)
-        sigma, rho = {}, {}
-        used = {k: set() for k in ("s", "r", "sd", "rd", "rs")}
-        nodes = 0
-
-        def place(i):
-            nonlocal nodes
-            if i == n:
-                return True
-            nodes += 1
-            if nodes > budget:
-                raise TimeoutError
-            g = order[i]
-            svals = list(order)
-            rnd.shuffle(svals)
-            for sv in svals:
-                if sv in used["s"]:
-                    continue
-                sd = sub(sv, g)
-                if sd in used["sd"]:
-                    continue
-                rvals = list(order)
-                rnd.shuffle(rvals)
-                for rv in rvals:
-                    if rv in used["r"]:
-                        continue
-                    rd = sub(rv, g)
-                    rs = sub(rv, sv)
-                    if rd in used["rd"] or rs in used["rs"]:
-                        continue
-                    sigma[g], rho[g] = sv, rv
-                    for k, v in (("s", sv), ("r", rv), ("sd", sd),
-                                 ("rd", rd), ("rs", rs)):
-                        used[k].add(v)
-                    if place(i + 1):
-                        return True
-                    for k, v in (("s", sv), ("r", rv), ("sd", sd),
-                                 ("rd", rd), ("rs", rs)):
-                        used[k].remove(v)
-            return False
-
-        try:
-            return (sigma, rho) if place(0) else None
-        except TimeoutError:
-            return None
-
-    for seed in range(200):
-        found = attempt(seed, budget=50_000)
-        if found is not None:
-            return found
-    raise ValueError("no orthomorphism pair found")
+def missing_pair(group):
+    """Why homogeneous_dm(group) cannot be built for want of a pinned
+    orthomorphism pair, or "" when it can."""
+    _, glued = _slots(group)
+    q = glued[1][1].q if glued else 0
+    if q and 3 * q not in _PAIR_TABLE:
+        return (f"homogeneous difference matrix over {3 * q} cells "
+                f"(Z3 x GF({q})) is not pinned")
+    return ""
 
 
 def homogeneous_dm(group):
     """A homogeneous difference matrix over a product of V atoms of odd order
     > 3.  Components of order > 3 get multiplier rows (g, a g, b g); an order-3
-    component (there can be at most one) is paired with another component and
-    handled by an explicit orthomorphism search."""
-    slots = []  # (atom_index_offset, field)
-    for a, off in zip(group.atoms, group.offsets):
-        if not isinstance(a, G.VAtom):
-            raise ValueError("homogeneous_dm expects a pure V group")
-        for i, f in enumerate(a.ring.fields):
-            slots.append((off + i, f))
-    if group.order <= 3:
-        raise ValueError("no homogeneous difference matrix over orders <= 3")
-
-    three = [s for s in slots if s[1].q == 3]
-    assert len(three) <= 1, "components are coprime, so at most one has order 3"
-    plain = [s for s in slots if s[1].q != 3]
-
-    per_slot = {}
-    paired = None
-    if three:
-        # glue the order-3 slot to the smallest other component
-        mate = min(plain, key=lambda s: s[1].q)
-        plain = [s for s in plain if s is not mate]
-        f3, fm = three[0][1], mate[1]
-        cells = [(x, y) for x in range(3) for y in range(fm.q)]
-        add = lambda u, v: (f3.add(u[0], v[0]), fm.add(u[1], v[1]))
-        sub = lambda u, v: (f3.sub(u[0], v[0]), fm.sub(u[1], v[1]))
-        sigma, rho = _orthomorphism_pair(cells, add, sub)
-        paired = (three[0][0], mate[0], sigma, rho)
-    for off, f in plain:
-        per_slot[off] = _field_mult_pair(f)
+    component (there can be at most one) is glued to another component and
+    takes its rows from a pinned orthomorphism pair, so the matrix exists
+    here only when `missing_pair(group)` is empty."""
+    plain, glued = _slots(group)
+    per_slot = {off: _field_mult_pair(f) for off, f in plain}
+    if glued:
+        (o3, _), (om, fm) = glued
+        sigma, rho = _table_pair(
+            [(x, y) for x in range(3) for y in range(fm.q)])
 
     rows = [[], [], []]
     for g in group.element_list:
@@ -244,12 +191,10 @@ def homogeneous_dm(group):
             a, b = per_slot[off]
             e2[off] = f.mul(g[off], a)
             e3[off] = f.mul(g[off], b)
-        if paired:
-            o3, om, sigma, rho = paired
-            s = sigma[(g[o3], g[om])]
-            r = rho[(g[o3], g[om])]
-            e2[o3], e2[om] = s
-            e3[o3], e3[om] = r
+        if glued:
+            cell = (g[o3], g[om])
+            e2[o3], e2[om] = sigma[cell]
+            e3[o3], e3[om] = rho[cell]
         rows[0].append(tuple(e1))
         rows[1].append(tuple(e2))
         rows[2].append(tuple(e3))
@@ -306,76 +251,67 @@ def df_compose_dm(group, h_view, proj, section, fam, dm, embed_h,
     splittable by the preimage of j.
     """
     h = len(h_view)
-    if h == 1:
-        # degenerate composition: the model group IS the ambient group
-        mapped = [[section(x) for x in b] for b in fam.blocks]
-        rel = G.SubgroupView(group, [gg for gg in group.element_list
-                                     if proj(gg) in fam.relative.carrier],
-                             check=False)
-        out = FamilyWitness(group, mapped, "RDF" if j is not None else "DF",
-                            rel, j=j, multipliers=multipliers)
-    else:
-        if not h_view.is_normal():
-            raise ValueError("H must be normal in G")
-        if dm.group.order != h:
-            raise ValueError("difference matrix order must match |H|")
-        cols = [[embed_h(x) for x in col] for col in dm.columns]
-        for col in cols:
-            for x in col:
-                if x not in h_view.carrier:
-                    raise ValueError("embed_h does not land in H")
+    if not h_view.is_normal():
+        raise ValueError("H must be normal in G")
+    if dm.group.order != h:
+        raise ValueError("difference matrix order must match |H|")
+    cols = [[embed_h(x) for x in col] for col in dm.columns]
+    for col in cols:
+        for x in col:
+            if x not in h_view.carrier:
+                raise ValueError("embed_h does not land in H")
 
-        t_for = [group.zero] * len(fam.blocks)
-        rep = dm_check(dm)
-        if not rep["valid"]:
-            raise ValueError(f"difference matrix is broken: {rep['problems']}")
-        if mode == "ii":
-            if fam.translates is None:
-                raise ValueError("mode ii needs a doubly disjoint family with translates")
-            if j not in h_view.carrier:
-                raise ValueError("mode ii needs j inside H")
-            j_dm = next(x for x in dm.group.element_list if embed_h(x) == j)
-            if j_dm not in rep["splittable"]:
-                raise ValueError("matrix is not splittable by the involution")
-            for i, tau in enumerate(fam.translates):
-                tau_hat = section(tau)
-                ji = group.conj(tau_hat, j)
-                for hh in sorted(h_view.carrier):
-                    if group.conj(hh, ji) == j:
-                        t_for[i] = group.add(hh, tau_hat)
-                        break
-                else:
-                    raise AssertionError(
-                        "no conjugating element in H: H is not pertinent?")
-        elif mode == "i":
-            if j is None or j in h_view.carrier:
-                raise ValueError("mode i needs an involution outside H")
-            if not rep["homogeneous"]:
-                raise ValueError("mode i needs a homogeneous matrix")
+    t_for = [group.zero] * len(fam.blocks)
+    rep = dm_check(dm)
+    if not rep["valid"]:
+        raise ValueError(f"difference matrix is broken: {rep['problems']}")
+    if mode == "ii":
+        if fam.translates is None:
+            raise ValueError("mode ii needs a doubly disjoint family with translates")
+        if j not in h_view.carrier:
+            raise ValueError("mode ii needs j inside H")
+        j_dm = next(x for x in dm.group.element_list if embed_h(x) == j)
+        if j_dm not in rep["splittable"]:
+            raise ValueError("matrix is not splittable by the involution")
+        for i, tau in enumerate(fam.translates):
+            tau_hat = section(tau)
+            ji = group.conj(tau_hat, j)
+            for hh in sorted(h_view.carrier):
+                if group.conj(hh, ji) == j:
+                    t_for[i] = group.add(hh, tau_hat)
+                    break
+            else:
+                raise AssertionError(
+                    "no conjugating element in H: H is not pertinent?")
+    elif mode == "i":
+        if j is None or j in h_view.carrier:
+            raise ValueError("mode i needs an involution outside H")
+        if not rep["homogeneous"]:
+            raise ValueError("mode i needs a homogeneous matrix")
 
-        half = h // 2
-        base_blocks = fam.blocks
-        if multipliers is not None and mode == "i":
-            base_blocks = _mult_orbit_blocks(fam, multipliers)
-        blocks = []
-        for i, b in enumerate(base_blocks):
-            lifted = [section(x) for x in b]
-            for c, col in enumerate(cols):
-                blk = [group.add(x, m) for x, m in zip(lifted, col)]
-                if mode == "ii" and c >= half:
-                    plain_blk = list(blk)
-                    blk = [group.add(x, t_for[i]) for x in blk]
-                    # strong equivalence: the split composition is a blockwise
-                    # translate of the plain one
-                    assert blk == [group.add(x, t_for[i]) for x in plain_blk]
-                blocks.append(blk)
-        rel_carrier = [gg for gg in group.element_list
-                       if proj(gg) in fam.relative.carrier]
-        rel = G.SubgroupView(group, rel_carrier)
-        out = FamilyWitness(group, blocks, "RDF" if mode != "plain" else "DF",
-                            rel, j=j, multipliers=multipliers)
-        if len(out.blocks) != len(fam.blocks) * h:
-            raise AssertionError("compose: size bookkeeping failed")
+    half = h // 2
+    base_blocks = fam.blocks
+    if multipliers is not None and mode == "i":
+        base_blocks = _mult_orbit_blocks(fam, multipliers)
+    blocks = []
+    for i, b in enumerate(base_blocks):
+        lifted = [section(x) for x in b]
+        for c, col in enumerate(cols):
+            blk = [group.add(x, m) for x, m in zip(lifted, col)]
+            if mode == "ii" and c >= half:
+                plain_blk = list(blk)
+                blk = [group.add(x, t_for[i]) for x in blk]
+                # strong equivalence: the split composition is a blockwise
+                # translate of the plain one
+                assert blk == [group.add(x, t_for[i]) for x in plain_blk]
+            blocks.append(blk)
+    rel_carrier = [gg for gg in group.element_list
+                   if proj(gg) in fam.relative.carrier]
+    rel = G.SubgroupView(group, rel_carrier)
+    out = FamilyWitness(group, blocks, "RDF" if mode != "plain" else "DF",
+                        rel, j=j, multipliers=multipliers)
+    if len(out.blocks) != len(fam.blocks) * h:
+        raise AssertionError("compose: size bookkeeping failed")
 
     if mode == "plain":
         d = is_df(out)

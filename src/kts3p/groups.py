@@ -357,19 +357,18 @@ def pertinent_witness(n):
 # subgroups
 
 class SubgroupView:
-    def __init__(self, ambient, carrier, check=True):
+    def __init__(self, ambient, carrier):
         self.ambient = ambient
         self.carrier = frozenset(carrier)
-        if check:
-            self._verify()
+        self._verify()
 
     def _verify(self):
+        # a finite set that contains 0 and is closed under + is a subgroup:
+        # -x is a multiple of x
         G = self.ambient
         if G.zero not in self.carrier:
             raise ValueError("subgroup must contain 0")
         for x in self.carrier:
-            if G.neg(x) not in self.carrier:
-                raise ValueError(f"subgroup not closed under negation at {x}")
             for y in self.carrier:
                 if G.add(x, y) not in self.carrier:
                     raise ValueError(f"subgroup not closed under + at {x},{y}")

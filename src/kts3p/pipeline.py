@@ -42,7 +42,7 @@ class Classification:
     case: str      # "24n+9" | "24n+15" | "24n+21" | "48n+3" | "not-3-pyramidal"
     params: tuple
     admissible: bool   # a sharply transitive pertinent action can exist at all
-    covered: bool      # a construction route is implemented
+    covered: bool      # the route can build every matrix it needs
     reason: str
 
 
@@ -82,7 +82,9 @@ def classify_order(v):
     if t % 2 == 0 and odd % 3 == 0:
         e = t // 2 - 2
         n = odd // 3
-        return Classification(v, "48n+3", (e, n), True, True, "")
+        gap = (compose.missing_pair(_odd_part(n))
+               if n % 3 == 0 and n != 3 else "")
+        return Classification(v, "48n+3", (e, n), True, not gap, gap)
     return Classification(v, "not-3-pyramidal", (), False, False,
                           f"{m} = 2^{t}·{odd} admits no group with exactly "
                           "three pairwise conjugate involutions")
@@ -321,9 +323,10 @@ def construct_case_i(n):
     return final
 
 
-def _sub1_pieces(N, steps):
-    """The (G_1 x V_N, G_1 x V_i) chain for 3 | N: returns the ambient group,
-    its subgroup-relative pieces and the id of the closing spread family."""
+def _sub1_shape(N):
+    """For 3 | N: e (2 when 9 exactly divides N, else 1), the split
+    N / 3^e = Q·P with P the product of the components that are 3 (mod 4),
+    and the odd atoms V(3^e), V(Q), V(P) of the chain's ambient group."""
     t = 0
     M = N
     while M % 3 == 0:
@@ -334,8 +337,20 @@ def _sub1_pieces(N, steps):
     comps = build_ring(M).components
     P = math.prod([q for q in comps if q % 4 == 3])
     Q = M // P
-    amb = G.GroupDescriptor([G.GAtom(1), G.VAtom(3 ** e),
-                             G.VAtom(Q), G.VAtom(P)])
+    return e, Q, P, [G.VAtom(3 ** e), G.VAtom(Q), G.VAtom(P)]
+
+
+def _odd_part(n):
+    """The odd part that construct_case_iii composes the head tower with
+    when 3 | n and n != 3: the odd atoms of _sub1_pieces(n)'s ambient group."""
+    return G.GroupDescriptor(_sub1_shape(n)[3])
+
+
+def _sub1_pieces(N, steps):
+    """The (G_1 x V_N, G_1 x V_i) chain for 3 | N: returns the ambient group,
+    its subgroup-relative pieces and the id of the closing spread family."""
+    e, Q, P, odd_atoms = _sub1_shape(N)
+    amb = G.GroupDescriptor([G.GAtom(1)] + odd_atoms)
     pieces = []
     if P > 1:
         prdf_id = "prdf:G1xV9" if e == 2 else "prdf:G1xV3"

@@ -363,9 +363,10 @@ def check_base_blocks(system):
             f"{len(reps)} full orbits vs {len(w.blocks)} witness blocks")
     if delta_family(g, reps) != delta_family(g, w.blocks):
         problems.append("difference multisets disagree")
-    spread = list(w.spread().order3)
-    cosets = {frozenset(g.add(x, t) for x in spread) for t in g.element_list}
-    if frozenset(short) not in cosets:
+    # the spread holds 0, so a coset spread + t equal to the short orbit
+    # has its t in the short orbit
+    spread = w.spread().order3
+    if not any({g.add(x, t) for x in spread} == set(short) for t in short):
         problems.append("short orbit is not the developed spread")
     return _report(problems, orbits=len(reps))
 

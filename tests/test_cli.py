@@ -43,6 +43,15 @@ def test_construct_unsupported_order(capsys):
     assert "not covered" in err
 
 
+def test_construct_unpinned_pair_exits_fast(capsys):
+    # 2451 needs an orthomorphism pair over 51 cells, which is not pinned
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "construct", "--order", "2451")
+    assert code == 4
+    assert "51 cells" in err
+    assert time.perf_counter() - t0 < 2
+
+
 def test_construct_wrong_residue(capsys):
     code, _, err = run(capsys, "construct", "--order", "10")
     assert code == 4

@@ -16,11 +16,26 @@ def test_homogeneous_dm_valid(n):
 
 @pytest.mark.parametrize("n", [15, 33, 39])
 def test_homogeneous_dm_with_order3_component(n):
-    # a 3-component forces the paired orthomorphism search
+    # a 3-component takes its rows from a pinned orthomorphism pair
     dm = compose.homogeneous_dm(G.GroupDescriptor(
         [G.VAtom(3), G.VAtom(n // 3)]))
     rep = dm_check(dm)
     assert rep["valid"] and rep["homogeneous"]
+
+
+def test_homogeneous_dm_unpinned_pair_raises_at_once():
+    g = G.GroupDescriptor([G.VAtom(3), G.VAtom(17)])
+    assert "51 cells" in compose.missing_pair(g)
+    assert compose.missing_pair(G.GroupDescriptor([G.VAtom(3), G.VAtom(5)])) == ""
+    with pytest.raises(ValueError, match="51 cells"):
+        compose.homogeneous_dm(g)
+
+
+def test_pinned_pair_is_reverified(monkeypatch):
+    sidx, _ = compose._PAIR_TABLE[15]
+    monkeypatch.setitem(compose._PAIR_TABLE, 15, (sidx, list(range(15))))
+    with pytest.raises(AssertionError, match="failed"):
+        compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(3), G.VAtom(5)]))
 
 
 def test_homogeneous_dm_rejects_tiny():
@@ -41,13 +56,22 @@ def test_homogeneous_dm_row_oracle():
 
 
 def test_orthomorphism_pair_nonexistence():
-    # V_1-sized toy: no pair over Z2 x Z2? use the raw search on Z3 alone,
-    # where sigma - id cannot be bijective together with rho - sigma
+    # Z3 alone, where sigma - id cannot be bijective together with
+    # rho - sigma: no permutation pair works, and the table has none
+    from itertools import permutations
     from kts3p.finring import field_for
     f = field_for(3)
     cells = list(range(3))
+
+    def bijective(a, b):
+        return len({f.sub(a[g], b[g]) for g in cells}) == 3
+
+    perms = list(permutations(cells))
+    assert not [(s, r) for s in perms for r in perms
+                if bijective(s, cells) and bijective(r, cells)
+                and bijective(r, s)]
     with pytest.raises(ValueError):
-        compose._orthomorphism_pair(cells, f.add, f.sub)
+        compose._table_pair(cells)
 
 
 def test_chain_union_and_pertinent_union_kts51_shape():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import naive_pair_cover
-from kts3p import catalog, cli
+from kts3p import catalog, cli, compose
 from kts3p import groups as G
 from kts3p import pipeline as P
+from kts3p.designkit import dm_check
 
 I1, I2, I3 = P.INF
 
@@ -34,6 +35,34 @@ def test_classify_first_uncovered_sum_of_squares():
     assert c.case == "24n+9" and c.admissible and not c.covered
     with pytest.raises(P.UnsupportedOrder):
         P.construct(129)
+
+
+@pytest.mark.parametrize("v, cells", [(2451, 51), (2739, 57), (3891, 81),
+                                     (9795, 51)])
+def test_classify_unpinned_pair_not_covered(v, cells):
+    # [DERIVED] 48n+3 with 3 | n composes over Z3 x GF(q) x ...; no pair is
+    # pinned for 3q cells, so the order is admissible but not built
+    c = P.classify_order(v)
+    assert c.case == "48n+3" and c.admissible and not c.covered
+    assert f"over {cells} cells" in c.reason
+    with pytest.raises(P.UnsupportedOrder):
+        P.construct(v)
+
+
+def test_covered_order3_routes_build_their_matrix():
+    # every covered order whose route glues an order-3 component takes its
+    # homogeneous matrix from the pinned table
+    built = 0
+    for v in range(51, 20001, 6):
+        c = P.classify_order(v)
+        if c.case != "48n+3" or not c.covered:
+            continue
+        n = c.params[1]
+        if n % 3 == 0 and n != 3 and G.VAtom(3) in P._odd_part(n).atoms:
+            rep = dm_check(compose.homogeneous_dm(P._odd_part(n)))
+            assert rep["valid"] and rep["homogeneous"], v
+            built += 1
+    assert built == 27
 
 
 def test_classify_not_admissible_is_typed():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -6,6 +7,7 @@ from conftest import naive_pair_cover
 
 from kts3p import pipeline as P
 from kts3p import verify as V
+from kts3p.designkit import Spread
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +125,20 @@ def test_extract_base_blocks_roundtrip(sys33):
 def test_check_base_blocks_detects_foreign_witness(sys15, sys33):
     bad = _with(sys33, witness=sys15.witness)
     assert not V.check_base_blocks(bad)["ok"]
+
+
+def test_check_base_blocks_detects_wrong_spread():
+    # right blocks, but the witness names another order-3 subgroup of
+    # G1 x V3 as its spread, and no translate of it is the short orbit
+    s = P.construct(39)
+    g, w = s.group, s.witness
+    x = next(y for y in g.element_list
+             if y != g.zero and y not in w.spread().order3
+             and g.add(y, g.add(y, y)) == g.zero)
+    other = copy.copy(w)
+    other.relative = Spread(g, x)
+    rep = V.check_base_blocks(_with(s, witness=other))
+    assert rep["problems"] == ["short orbit is not the developed spread"]
 
 
 def test_automorphisms_translations(sys15):
