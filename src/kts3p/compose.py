@@ -299,11 +299,9 @@ def df_compose_dm(group, h_view, proj, section, fam, dm, embed_h,
         for c, col in enumerate(cols):
             blk = [group.add(x, m) for x, m in zip(lifted, col)]
             if mode == "ii" and c >= half:
-                plain_blk = list(blk)
-                blk = [group.add(x, t_for[i]) for x in blk]
                 # strong equivalence: the split composition is a blockwise
                 # translate of the plain one
-                assert blk == [group.add(x, t_for[i]) for x in plain_blk]
+                blk = [group.add(x, t_for[i]) for x in blk]
             blocks.append(blk)
     rel_carrier = [gg for gg in group.element_list
                    if proj(gg) in fam.relative.carrier]

@@ -357,21 +357,46 @@ def pertinent_witness(n):
 # subgroups
 
 class SubgroupView:
+    """A subset of an ambient group, checked on construction to be a subgroup.
+    `generators` holds the generating set the check found."""
+
     def __init__(self, ambient, carrier):
         self.ambient = ambient
         self.carrier = frozenset(carrier)
         self._verify()
 
     def _verify(self):
-        # a finite set that contains 0 and is closed under + is a subgroup:
-        # -x is a multiple of x
+        # Grow the span from 0, taking as generators the carrier's elements
+        # that are not yet spanned.  The span is closed once each of its
+        # elements has been added to each generator, and in a finite group the
+        # closure under + of a set is the subgroup it generates.  Each new
+        # generator at least doubles the span, so this costs at most
+        # |H|·log2|H| add calls.  The carrier is a subgroup exactly when no
+        # sum leaves it; the span then ends up equal to it.
         G = self.ambient
-        if G.zero not in self.carrier:
+        carrier = self.carrier
+        if G.zero not in carrier:
             raise ValueError("subgroup must contain 0")
-        for x in self.carrier:
-            for y in self.carrier:
-                if G.add(x, y) not in self.carrier:
-                    raise ValueError(f"subgroup not closed under + at {x},{y}")
+        gens = []
+        span = {G.zero}
+        for s in sorted(carrier):
+            if s in span:
+                continue
+            gens.append(s)
+            # old elements are closed under the old generators: add s only;
+            # new elements take every generator
+            todo = [(x, gens[-1:]) for x in span]
+            while todo:
+                x, by = todo.pop()
+                for t in by:
+                    y = G.add(x, t)
+                    if y not in carrier:
+                        raise ValueError(
+                            f"subgroup not closed under + at {x},{t}")
+                    if y not in span:
+                        span.add(y)
+                        todo.append((y, gens))
+        self.generators = gens
 
     def __len__(self):
         return len(self.carrier)
@@ -387,9 +412,12 @@ class SubgroupView:
         return hash((self.ambient, self.carrier))
 
     def is_normal(self):
+        # conjugation by g is an automorphism, so g<S>g⁻¹ = <gSg⁻¹> ⊆ H when
+        # gSg⁻¹ ⊆ H; it is then equal to H by size, and the g for which this
+        # holds form a subgroup, so checking G's generators covers G
         G = self.ambient
         return all(G.conj(g, h) in self.carrier
-                   for g in G.element_list for h in self.carrier)
+                   for g in G.generators() for h in self.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +494,10 @@ class GroupIndex:
             self.strides.append(stride)
             stride *= len(loc)
         self.strides.reverse()
+        self.local_index = []
         for a, loc in zip(atoms, self.local_lists):
             idx = {e: i for i, e in enumerate(loc)}
+            self.local_index.append(idx)
             k = len(loc)
             t = np.empty((k, k), dtype=np.int64)
             for i, x in enumerate(loc):
@@ -480,9 +510,8 @@ class GroupIndex:
         group = self.group
         digits = []
         off = 0
-        for a, loc in zip(group.atoms, self.local_lists):
-            coords = g[off:off + a.width]
-            digits.append({e: i for i, e in enumerate(loc)}[coords] if loc != [()] else 0)
+        for a, idx in zip(group.atoms, self.local_index):
+            digits.append(idx[g[off:off + a.width]])
             off += a.width
         n = self.n
         perm = np.zeros(n, dtype=np.int64)

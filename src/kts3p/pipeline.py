@@ -537,6 +537,28 @@ class KirkmanSystem:
     trace: dict | None = None
 
 
+def _codes(blocks, v):
+    """The int64 codes (a·v + b)·v + c of the rows (a, b, c) of `blocks`."""
+    a, b, c = blocks.T
+    code = a.astype(np.int64)
+    code *= v
+    code += b
+    code *= v
+    code += c
+    return code
+
+
+def _sorted_blocks(blocks, v):
+    """The distinct sorted blocks of an (n, 3) id array, in code order."""
+    codes = _codes(np.sort(blocks, axis=1), v)
+    codes.sort()
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    out = np.empty((len(codes), 3), dtype=np.int32)
+    codes, out[:, 2] = np.divmod(codes, v)
+    out[:, 0], out[:, 1] = np.divmod(codes, v)
+    return out
+
+
 def build_kts(rdf, trace=None):
     """Develop a spread-resolvable family into the full resolved system:
     one fixed class through the three extra points, and the half-orbit of
@@ -559,25 +581,39 @@ def build_kts(rdf, trace=None):
         q0.append(tuple(g.add(x, j1) for x in blk))
 
     # develop the spread and the moving class by right translation through
-    # an index view; each class becomes one row of its sorted, flattened blocks
+    # an index view; each class becomes one row of its sorted, flattened
+    # blocks.  Q0 + j = Q0, so t and j + t give the same class: develop one t
+    # of each pair, and the spread from both S + t and (S + j) + t.
     gi = G.GroupIndex(g)
     q0_ids = np.array([[index[x] for x in blk] for blk in q0])
-    spread_ids = [index[x] for x in rdf.spread().order3]
-    moving = np.empty((g.order, v), dtype=np.int32)
-    cosets = np.empty((g.order, 3), dtype=np.int32)
-    for k, t in enumerate(g.element_list):
+    spread = rdf.spread().order3
+    spread_ids = [index[x] for x in spread]
+    spread_ids += [index[g.add(x, j1)] for x in spread]
+    reps = []
+    paired = set()
+    for t in g.element_list:
+        if t not in paired:
+            reps.append(t)
+            paired.add(g.add(j1, t))
+    rows = np.empty((len(reps) + 1, v), dtype=np.int32)
+    cosets = np.empty((len(reps), 6), dtype=np.int32)
+    for k, t in enumerate(reps, 1):
         pperm = np.concatenate((np.arange(3), gi.translation(t) + 3))
-        rows = np.sort(pperm[q0_ids], axis=1)
-        moving[k] = rows[np.lexsort(rows.T[::-1])].ravel()
-        cosets[k] = pperm[spread_ids]
-    cosets = np.unique(np.sort(cosets, axis=1), axis=0)
-    fixed = np.concatenate((np.arange(3, dtype=np.int32), cosets.ravel()))
-    classes = np.unique(np.vstack((fixed, moving)), axis=0)
-    if len(classes) != g.order // 2 + 1:
-        raise AssertionError("resolution has the wrong number of classes")
-    classes = classes.reshape(len(classes), v // 3, 3)
+        rows[k] = _sorted_blocks(pperm[q0_ids], v).ravel()
+        cosets[k - 1] = pperm[spread_ids]
+    rows[0, :3] = np.arange(3)
+    rows[0, 3:] = _sorted_blocks(cosets.reshape(-1, 3), v).ravel()
 
-    blocks = np.unique(classes.reshape(-1, 3), axis=0)
+    # every row starts with its block through point 0: {0, 1, 2} for the
+    # spread, then {0, t, j + t} with t before j + t in element_list.  So the
+    # rows come out in increasing order of that block's code, which is the
+    # sorted order of distinct rows; check it instead of sorting
+    if np.any(np.diff(_codes(rows[:, :3], v)) <= 0):
+        raise AssertionError("classes are not in increasing order of their "
+                             "block through point 0")
+    classes = rows.reshape(len(rows), v // 3, 3)
+
+    blocks = _sorted_blocks(classes.reshape(-1, 3), v)
     if len(blocks) != v * (v - 1) // 6:
         raise AssertionError("developed design has the wrong block count")
     return KirkmanSystem(order=v, group=g, points=points, blocks=blocks,

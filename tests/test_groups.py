@@ -1,10 +1,13 @@
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kts3p import groups as G
+from kts3p import pipeline
 from kts3p.finring import build_ring
 
 # frozen [DERIVED]: orders <= 120 whose 2-part/odd-part shape admits a group
@@ -105,6 +108,97 @@ def test_subgroup_view_rejects_non_subgroup():
     g = _descr(G.DAtom())
     with pytest.raises(Exception):
         G.SubgroupView(g, [(0, 0), (0, 1)])
+
+
+def _span(g, seeds):
+    """Brute-force closure of seeds ∪ {0} under +."""
+    span = {g.zero, *seeds}
+    while True:
+        more = {g.add(x, y) for x in span for y in span} - span
+        if not more:
+            return span
+        span |= more
+
+
+def _is_subgroup(g, carrier):
+    """The |H|² closure definition."""
+    return g.zero in carrier and all(g.add(x, y) in carrier
+                                     for x in carrier for y in carrier)
+
+
+def _is_normal(g, carrier):
+    """The |G|·|H| conjugation definition."""
+    return all(g.conj(x, h) in carrier for x in g.element_list for h in carrier)
+
+
+@pytest.mark.parametrize("g", SMALL_GROUPS, ids=repr)
+def test_generators_generate(g):
+    # is_normal conjugates by the ambient generators only
+    assert _span(g, g.generators()) == set(g.element_list)
+
+
+@pytest.mark.parametrize("g", SMALL_GROUPS, ids=repr)
+@pytest.mark.parametrize("seed", range(4))
+def test_subgroup_view_matches_oracles(g, seed):
+    r = random.Random(seed)
+    els = list(g.element_list)
+    for k in (1, 2):
+        carrier = _span(g, r.sample(els, k))
+        h = G.SubgroupView(g, carrier)
+        assert _span(g, h.generators) == carrier
+        assert 2 ** len(h.generators) <= len(carrier)
+        assert h.is_normal() == _is_normal(g, carrier)
+    for size in (2, 3, 4, 6):
+        carrier = {g.zero, *r.sample(els, size - 1)}
+        if _is_subgroup(g, carrier):
+            assert G.SubgroupView(g, carrier).is_normal() == _is_normal(g, carrier)
+        else:
+            with pytest.raises(ValueError):
+                G.SubgroupView(g, carrier)
+
+
+def test_subgroup_view_not_normal():
+    d = _descr(G.DAtom())
+    h = G.SubgroupView(d, [(0, 0), (1, 0)])
+    assert h.generators == [(1, 0)]
+    assert not h.is_normal()
+    assert G.SubgroupView(d, [(0, 0), (0, 1), (0, 2)]).is_normal()
+
+
+def test_subgroup_view_rejects_span_leaving_carrier():
+    # <(0,1)> lies inside; adding the second generator (1,0) leaves it
+    d = _descr(G.DAtom())
+    with pytest.raises(ValueError, match="not closed"):
+        G.SubgroupView(d, [(0, 0), (0, 1), (0, 2), (1, 0)])
+    with pytest.raises(ValueError, match="contain 0"):
+        G.SubgroupView(d, [(0, 1), (0, 2)])
+
+
+def _counted(obj, name):
+    calls = []
+    inner = getattr(obj, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return inner(*args)
+
+    setattr(obj, name, wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("model", [
+    [G.GAtom(2)], [G.VAtom(17)], [G.GAtom(1)], [G.GAtom(1), G.VAtom(17)]])
+def test_subgroup_checks_cost_generators(model):
+    # the route's kernels inside G2 x V17 (v = 819): closure costs
+    # O(|H| log |H|) add calls and normality one conj per generator pair
+    amb = _descr(G.GAtom(2), G.VAtom(17))
+    adds = _counted(amb, "add")
+    _, _, kernel = pipeline._quotient(amb, _descr(*model))
+    h = len(kernel)
+    assert 0 < len(adds) <= 2 * h * math.ceil(math.log2(h))
+    conjs = _counted(amb, "conj")
+    assert kernel.is_normal()
+    assert len(conjs) <= len(amb.generators()) * len(kernel.generators)
 
 
 def test_g_chain_embedding_is_monomorphism():

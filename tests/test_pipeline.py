@@ -7,7 +7,7 @@ from conftest import naive_pair_cover
 from kts3p import catalog, cli, compose
 from kts3p import groups as G
 from kts3p import pipeline as P
-from kts3p.designkit import dm_check
+from kts3p.designkit import dm_check, is_j_resolvable
 
 I1, I2, I3 = P.INF
 
@@ -170,6 +170,49 @@ def test_trace_names_route():
     system = P.construct(33)
     assert system.trace is not None
     assert system.trace["case"] == "24n+9"
+
+
+def _full_development(rdf):
+    """Reference development: the moving class through all |G| translates,
+    deduped with np.unique(axis=0).  Also checks that translating by 0 and by
+    j gives the same class row."""
+    g = rdf.group
+    j, a, b = rdf.j, rdf.a, rdf.b
+    if a is None or b is None:
+        a, b = is_j_resolvable(rdf).solutions[0]
+    points = list(P.INF) + list(g.element_list)
+    index = {p: i for i, p in enumerate(points)}
+    v = len(points)
+    q0 = [(P.INF[0], g.zero, j), (P.INF[1], a, g.add(a, j)),
+          (P.INF[2], b, g.add(b, j))]
+    for blk in rdf.blocks:
+        q0.append(tuple(blk))
+        q0.append(tuple(g.add(x, j) for x in blk))
+    q0_ids = np.array([[index[x] for x in blk] for blk in q0])
+    spread_ids = [index[x] for x in rdf.spread().order3]
+    moving = np.empty((g.order, v), dtype=np.int32)
+    cosets = np.empty((g.order, 3), dtype=np.int32)
+    for k, t in enumerate(g.element_list):
+        perm = np.array([0, 1, 2] + [index[g.add(x, t)] for x in g.element_list])
+        rows = np.sort(perm[q0_ids], axis=1)
+        moving[k] = rows[np.lexsort(rows.T[::-1])].ravel()
+        cosets[k] = perm[spread_ids]
+    assert np.array_equal(moving[0], moving[g.element_list.index(j)])
+    cosets = np.unique(np.sort(cosets, axis=1), axis=0)
+    fixed = np.concatenate((np.arange(3, dtype=np.int32), cosets.ravel()))
+    classes = np.unique(np.vstack((fixed, moving)), axis=0)
+    classes = classes.reshape(len(classes), v // 3, 3)
+    return np.unique(classes.reshape(-1, 3), axis=0), list(classes)
+
+
+@pytest.mark.parametrize("v", [15, 39, 183, 819])
+def test_build_kts_matches_full_development(v):
+    system = P.construct(v)
+    blocks, resolution = _full_development(system.witness)
+    assert np.array_equal(system.blocks, blocks)
+    assert len(system.resolution) == len(resolution)
+    assert all(np.array_equal(x, y)
+               for x, y in zip(system.resolution, resolution))
 
 
 def test_place_fn_is_monomorphism():
