@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -35,13 +37,15 @@ def _decode_point(group, s):
     return G.parse_element(group, s)
 
 
+def _point_labels(system):
+    return [_encode_point(system.group, p) for p in system.points]
+
+
 def system_to_json(system, with_trace=False):
-    g = system.group
-    labels = np.array([_encode_point(g, p) for p in system.points],
-                      dtype=object)
+    labels = np.array(_point_labels(system), dtype=object)
     data = {
         "order": system.order,
-        "group": group_labels(g),
+        "group": group_labels(system.group),
         "points": labels.tolist(),
         "blocks": labels[system.blocks].tolist(),
         "resolution": [labels[cls].tolist() for cls in system.resolution],
@@ -51,13 +55,80 @@ def system_to_json(system, with_trace=False):
     return data
 
 
-def _id_rows(ids, blocks):
-    """Map label triples to an int32 (k, 3) array of point ids; a label
-    missing from `ids` raises KeyError."""
-    rows = [[ids[s] for s in b] for b in blocks]
-    if any(len(b) != 3 for b in rows):
+_COLUMNS = np.arange(3)
+
+
+def _list_text(items, pad):
+    """Rendered items as `json.dumps(indent=2)` lays out a list whose "["
+    sits on a line that starts with `pad` (a newline and spaces)."""
+    if not items:
+        return "[]"
+    item = pad + "  "
+    return "[" + item + ("," + item).join(items) + pad + "]"
+
+
+def _triple_table(labels, pad):
+    """(3, v) object array: the text each point contributes as the first,
+    second or third entry of a triple, in a `_triples_text` list at `pad`.
+    Every cell starts with the comma that separates it from the cell
+    before."""
+    lab = np.array(labels, dtype=object)
+    item, entry = pad + "  ", pad + "    "
+    return np.stack([f",{item}[{entry}" + lab, f",{entry}" + lab,
+                     f",{entry}" + lab + f"{item}]"])
+
+
+def _triples_text(table, rows, pad):
+    """An int32 (k, 3) id array as `json.dumps(indent=2)` lays out its list
+    of label triples: one gather from `table` and one join."""
+    if not len(rows):
+        return "[]"
+    cells = table[_COLUMNS, rows].ravel().tolist()
+    cells[0] = cells[0][1:]
+    return "[" + "".join(cells) + pad + "]"
+
+
+class _SystemEncoder(json.JSONEncoder):
+    """Encodes a KirkmanSystem as the text of
+    `json.dumps(system_to_json(system, with_trace), indent=2,
+    sort_keys=True)`, without building its nested lists: each point label
+    is escaped once, and `blocks` and `resolution` are gathered from the
+    id arrays.  The small fields go through the stock encoder,
+    which `_dump` gives indent=2 and sort_keys=True, one level deeper.
+    It is an encoder class so that writing a system file stays a single
+    `json.dumps` call, the call perfbench's tracer times as `cli.encode`."""
+
+    def __init__(self, *, with_trace=False, **kwargs):
+        super().__init__(**kwargs)
+        self.with_trace = with_trace
+
+    def encode(self, system):
+        fields = {"order": system.order, "group": group_labels(system.group)}
+        if self.with_trace and system.trace is not None:
+            fields["trace"] = system.trace
+        dump = super().encode
+        parts = {k: dump(x).replace("\n", "\n  ") for k, x in fields.items()}
+        labels = [encode_basestring_ascii(s) for s in _point_labels(system)]
+        top, inner = "\n  ", "\n    "
+        parts["points"] = _list_text(labels, top)
+        parts["blocks"] = _triples_text(_triple_table(labels, top),
+                                        system.blocks, top)
+        table = _triple_table(labels, inner)
+        parts["resolution"] = _list_text(
+            [_triples_text(table, cls, inner) for cls in system.resolution],
+            top)
+        return "{" + ",".join(f'{top}"{k}": {parts[k]}'
+                              for k in sorted(parts)) + "\n}"
+
+
+def _id_rows(ids, rows):
+    """Map a list of label triples to an int32 (k, 3) array of point ids in
+    one pass; raises ValueError if an entry of `rows` does not hold 3
+    labels, and KeyError for a label missing from `ids`."""
+    if not set(map(len, rows)) <= {3}:
         raise ValueError("a block does not have 3 points")
-    return np.array(rows, dtype=np.int32).reshape(-1, 3)
+    flat = map(ids.__getitem__, chain.from_iterable(rows))
+    return np.fromiter(flat, np.int32, count=3 * len(rows)).reshape(-1, 3)
 
 
 def _group_order(labels, limit):
@@ -92,18 +163,21 @@ def system_from_json(data):
         g = group_from_labels(data["group"])
         points = [_decode_point(g, s) for s in labels]
         ids = {s: i for i, s in enumerate(labels)}
-        blocks = _id_rows(ids, data["blocks"])
-        resolution = [_id_rows(ids, cls) for cls in data["resolution"]]
+        blocks = _id_rows(ids, list(data["blocks"]))
+        classes = list(data["resolution"])
+        ends = list(accumulate(map(len, classes)))
+        flat = _id_rows(ids, list(chain.from_iterable(classes)))
+        resolution = np.split(flat, ends)[:-1]
         order = int(data["order"])
-    except (KeyError, TypeError, ValueError, IndexError,
-            AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
+            OverflowError) as exc:
         raise ValueError(f"malformed system file: {exc}") from exc
     return pipeline.KirkmanSystem(order=order, group=g, points=points,
                                   blocks=blocks, resolution=resolution)
 
 
-def _dump(data, out):
-    text = json.dumps(data, indent=2, sort_keys=True)
+def _dump(data, out, **encoder):
+    text = json.dumps(data, indent=2, sort_keys=True, **encoder)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -122,7 +196,7 @@ def cmd_construct(args):
     except ValueError as exc:
         print(f"order {args.order} unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    _dump(system_to_json(system, with_trace=args.trace), args.out)
+    _dump(system, args.out, cls=_SystemEncoder, with_trace=args.trace)
     return EXIT_OK
 
 
@@ -134,7 +208,7 @@ def cmd_verify(args):
         with open(args.input) as fh:
             data = json.load(fh)
         system = system_from_json(data)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
         print(f"cannot read system: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     parts = {"sts": verify.verify_sts(system)}

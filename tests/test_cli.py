@@ -4,6 +4,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -277,3 +278,106 @@ def test_verify_fuzzed_file_never_raises(clean15_text, tmp_path, data):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["verify", "--input", str(path)])
     assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("v", [9, 15, 39, 147, 183])
+def test_construct_writes_stock_json_text(v, tmp_path, capsys):
+    # construct assembles its text from the id arrays; it must equal the
+    # stock encoder's rendering of system_to_json, on stdout and in --out
+    system = pipeline.construct(v)
+    for trace in (False, True):
+        want = json.dumps(cli.system_to_json(system, trace), indent=2,
+                          sort_keys=True) + "\n"
+        flag = ["--trace"] if trace else []
+        code, out, _ = run(capsys, "construct", "--order", str(v), *flag)
+        assert code == 0 and out == want, (v, trace)
+        path = tmp_path / f"kts{v}-{trace}.json"
+        code, _, _ = run(capsys, "construct", "--order", str(v), *flag,
+                         "--out", str(path))
+        assert code == 0 and path.read_text() == want, (v, trace)
+
+
+@pytest.mark.parametrize("v", [15, 39, 183])
+def test_decode_gives_constructed_arrays(v, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    run(capsys, "construct", "--order", str(v), "--out", str(path))
+    system = pipeline.construct(v)
+    back = cli.system_from_json(json.loads(path.read_text()))
+    assert back.points == system.points
+    assert len(back.resolution) == len(system.resolution)
+    for got, want in [(back.blocks, system.blocks),
+                      *zip(back.resolution, system.resolution)]:
+        assert got.dtype == np.int32 and got.shape == (len(want), 3)
+        assert np.array_equal(got, want)
+
+
+def _decode_error(data):
+    with pytest.raises(ValueError, match="malformed system file") as info:
+        cli.system_from_json(data)
+    return type(info.value.__cause__)
+
+
+def test_decode_failures_keep_their_cause():
+    data = _system15()
+    data["blocks"][3] = data["blocks"][3][:1] + ["nowhere"] * 2
+    assert _decode_error(data) is KeyError
+    data = _system15()
+    data["resolution"][2][1] = data["resolution"][2][1] * 2
+    assert _decode_error(data) is ValueError
+    data = _system15()
+    data["blocks"][0] = 7
+    assert _decode_error(data) is TypeError
+
+
+def test_decode_empty_resolution():
+    data = _system15()
+    data["resolution"] = []
+    assert cli.system_from_json(data).resolution == []
+
+
+def _string_block(data):
+    data["blocks"][2] = "abc"
+
+
+def _list_in_block(data):
+    data["resolution"][1][0][2] = [data["resolution"][1][0][2]]
+
+
+def _resolution_number(data):
+    data["resolution"] = 5
+
+
+def _resolution_empty_mapping(data):
+    data["resolution"] = {}
+
+
+def _empty_class(data):
+    data["resolution"][4] = []
+
+
+@pytest.mark.parametrize("corrupt,want", [
+    (_string_block, 3), (_list_in_block, 3), (_resolution_number, 3),
+    (_resolution_empty_mapping, 2), (_empty_class, 2)])
+def test_verify_malformed_input_exit_code(tmp_path, capsys, corrupt, want):
+    data = _system15()
+    corrupt(data)
+    code, report = _verify_data(tmp_path, capsys, data)
+    assert code == want
+    assert (report is None) == (want == 3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda clean: "[" * 100_000 + "]" * 100_000,
+    lambda clean: clean.replace('"order": 15', '"order": Infinity'),
+    lambda clean: clean.replace('"order": 15', '"order": 1e999')],
+    ids=["deep-nesting", "order-infinity", "order-1e999"])
+def test_verify_unreadable_text_exits_3(clean15_text, tmp_path, capsys, make):
+    # nesting past the parser's recursion limit, and an order that is no
+    # finite number
+    text = make(clean15_text)
+    assert text != clean15_text
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 3 and not out
+    assert "cannot read system" in err

@@ -122,6 +122,39 @@ def test_extract_base_blocks_roundtrip(sys33):
     assert rep["ok"], rep
 
 
+def _base_blocks_oracle(system):
+    """extract_base_blocks by brute force: the blocks avoiding the extra
+    points in code order, each not yet seen developing its orbit B + t
+    with the group law."""
+    g, points = system.group, system.points
+    index = {p: i for i, p in enumerate(points)}
+
+    def key(labels):
+        return tuple(sorted(index[p] for p in labels))
+
+    seen, reps, short = set(), [], []
+    for b in sorted({tuple(sorted(row)) for row in system.blocks.tolist()}):
+        labels = [points[i] for i in b]
+        if b in seen or any(isinstance(p[0], str) for p in labels):
+            continue
+        orbit = {key([g.add(x, t) for x in labels]) for t in g.element_list}
+        seen |= orbit
+        (reps if len(orbit) == g.order else short).append(tuple(labels))
+    return reps, short
+
+
+@pytest.mark.parametrize("v", [39, 183, 327])
+def test_extract_base_blocks_matches_oracle(v):
+    s = P.construct(v)
+    reps, short = V.extract_base_blocks(s)
+    want_reps, want_short = _base_blocks_oracle(s)
+    assert reps == want_reps
+    assert [short] == want_short
+    # a repeated block is one block of the orbit decomposition
+    doubled = _with(s, blocks=np.vstack([s.blocks, s.blocks[::-1]]))
+    assert V.extract_base_blocks(doubled) == (reps, short)
+
+
 def test_check_base_blocks_detects_foreign_witness(sys15, sys33):
     bad = _with(sys33, witness=sys15.witness)
     assert not V.check_base_blocks(bad)["ok"]
