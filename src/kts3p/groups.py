@@ -15,7 +15,7 @@ Z_m and V_n add coordinate-wise (V_n slot-wise in its component fields).
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -474,52 +474,51 @@ def parse_element(group, text):
 # ---------------------------------------------------------------------------
 # fast id-level machinery (used by verify/build hot paths)
 
+@cache
+def atom_table(atom):
+    """The Cayley table of `atom` over its local ids (an element's index in
+    the product of the atom's coordinate ranges): entry [i, j] is the id of
+    x_i + x_j, computed with the atom's own `add`.  Atoms that compare equal
+    share one table, built once per process and read-only."""
+    loc = list(itertools.product(*atom.coord_lists()))
+    index = {x: i for i, x in enumerate(loc)}
+    table = np.fromiter((index[atom.add(x, y)] for x in loc for y in loc),
+                        dtype=np.int32, count=len(loc) ** 2)
+    table = table.reshape(len(loc), len(loc))
+    table.flags.writeable = False
+    return table
+
+
+def local_id(atom, x):
+    """The local id of the atom element `x`: its coordinates read as a
+    mixed-radix number over the atom's coordinate ranges."""
+    i = 0
+    for c, r in zip(x, atom.coord_lists()):
+        i = i * len(r) + c
+    return i
+
+
+def translation_ids(group, t, left=False):
+    """The map of element ids (indices into `element_list`) that the right
+    translation x -> x + t, or the left one x -> t + x, induces: one column
+    (or row) of each atom's table, combined as mixed-radix digits."""
+    image = np.zeros((), dtype=np.int64)
+    for a, off in zip(group.atoms, group.offsets):
+        table = atom_table(a)
+        d = local_id(a, t[off:off + a.width])
+        image = image[..., None] * len(table) + (table[d] if left
+                                                 else table[:, d])
+    return image.ravel()
+
+
 class GroupIndex:
-    """Integer-id view of a group with per-atom Cayley tables; translations
-    come out as numpy permutation arrays in O(|G|) after setup."""
+    """Integer-id view of a group on the shared per-atom Cayley tables;
+    translations come out as numpy permutation arrays in O(|G|)."""
 
     def __init__(self, group):
         self.group = group
-        self.n = group.order
-        atoms = group.atoms
-        self.tables = []
-        self.strides = []
-        stride = 1
-        # atom-local element lists in canonical order
-        self.local_lists = []
-        for a in atoms:
-            loc = list(itertools.product(*a.coord_lists())) or [()]
-            self.local_lists.append(loc)
-        for loc in reversed(self.local_lists):
-            self.strides.append(stride)
-            stride *= len(loc)
-        self.strides.reverse()
-        self.local_index = []
-        for a, loc in zip(atoms, self.local_lists):
-            idx = {e: i for i, e in enumerate(loc)}
-            self.local_index.append(idx)
-            k = len(loc)
-            t = np.empty((k, k), dtype=np.int64)
-            for i, x in enumerate(loc):
-                for j, y in enumerate(loc):
-                    t[i, j] = idx[a.add(x, y)]
-            self.tables.append(t)
+        self.tables = [atom_table(a) for a in group.atoms]
 
     def translation(self, g):
         """Permutation perm with perm[i] = id(element_i + g)."""
-        group = self.group
-        digits = []
-        off = 0
-        for a, idx in zip(group.atoms, self.local_index):
-            digits.append(idx[g[off:off + a.width]])
-            off += a.width
-        n = self.n
-        perm = np.zeros(n, dtype=np.int64)
-        shape = [len(loc) for loc in self.local_lists]
-        grid = perm.reshape(shape) if shape else perm
-        for k, (t, s) in enumerate(zip(self.tables, self.strides)):
-            col = t[:, digits[k]] * s
-            idx = [None] * len(shape)
-            idx[k] = slice(None)
-            grid += col[tuple(idx)]
-        return perm
+        return translation_ids(self.group, g)

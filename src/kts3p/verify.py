@@ -8,12 +8,9 @@ from the orbit structure.  Nothing trusts the construction bookkeeping.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import groups as G
-from .designkit import delta_family
 
 MAX_PROBLEMS = 10
 # verify_full re-derives base blocks only for groups up to this order
@@ -62,9 +59,10 @@ def _sorted_codes(rows, v):
 def _run_starts(codes):
     """Mask of the first entry of each run of equal values in a sorted
     array: sort plus this mask dedupes codes several times faster than
-    numpy 2.4's hashing 1-D `np.unique`."""
+    numpy 2.4's hashing 1-D `np.unique`, whose first call in a process also
+    imports `numpy.ma`."""
     first = np.ones(len(codes), dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    first[1:] = codes[1:] != codes[:-1]
     return first
 
 
@@ -153,67 +151,109 @@ def verify_resolution(system):
     return _report(problems, classes=len(system.resolution))
 
 
-def _class_keys(classes, v, perm=None):
-    """The set of classes (after `perm`, if given), each as the bytes of its
-    sorted block codes: one sort of all blocks keyed by class index·v³ +
-    code, split by class sizes.  The caller keeps len(classes)·v³ < 2^63."""
-    if not classes:
-        return set()
-    flat = np.concatenate(classes)
-    if perm is not None:
-        flat = perm[flat]
-    sizes = [len(rows) for rows in classes]
-    band = np.repeat(np.arange(len(sizes), dtype=np.int64) * v ** 3, sizes)
-    keys = _codes(flat, v)
-    keys += band
-    keys.sort()
-    keys -= band
-    ends = np.cumsum(sizes).tolist()
-    return {keys[i:j].tobytes() for i, j in zip([0] + ends, ends)}
+def _class_set(codes, sizes):
+    """The set of classes, given the codes of their blocks class after class,
+    as one canonical table: each class is a row of its sorted codes, padded
+    to the largest class with int64's maximum.  The rows come in order of
+    their lowest code when no two share it (disjoint classes never do);
+    otherwise they are sorted and deduped as raw bytes.  Either form lists
+    each distinct class once, so equal tables mean equal sets.  A
+    permutation of the points that maps the classes onto the same set maps
+    repeated classes to repeated ones, so the resolution and its image share
+    their ties, take the same form and give equal tables."""
+    width = max(sizes.max(initial=0), 1)
+    if np.all(sizes == width):
+        table = codes.reshape(len(sizes), width)
+    else:
+        cls = np.repeat(np.arange(len(sizes)), sizes)
+        col = np.arange(len(codes)) - (sizes.cumsum() - sizes)[cls]
+        table = np.full((len(sizes), width), np.iinfo(np.int64).max)
+        table[cls, col] = codes
+    table.sort(axis=1)
+    lowest = np.sort(table[:, 0])
+    if np.all(lowest[1:] != lowest[:-1]):
+        return table[np.argsort(table[:, 0])]
+    rows = table.view(f"V{8 * width}").ravel()
+    rows.sort()
+    return rows[_run_starts(rows)].view(np.int64).reshape(-1, width)
 
 
-def _translations(system, shifts, left=False):
-    """For each shift s, the permutation of point ids that the right
-    translation x -> x + s (or the left one, x -> s + x) induces through
-    the point labels; the extra points stay fixed.  Each atom's part of the
-    map is tabulated with that atom's own `add`, and a group label is read
-    as its mixed-radix code over the group's coordinate ranges."""
+def _preservation(system):
+    """A function telling, for a permutation of the point ids, whether it
+    preserves the blocks (compared as sorted code arrays) and whether it
+    preserves the classes (compared by `_class_set`)."""
+    v = len(system.points)
+    classes = [np.empty((0, 3), np.int32), *system.resolution]
+    sizes = np.array([len(rows) for rows in system.resolution], dtype=np.int64)
+    base_blocks = _sorted_codes(system.blocks, v)
+    base_classes = _class_set(_codes(np.concatenate(classes), v), sizes)
+
+    def preserves(perm):
+        return (np.array_equal(_sorted_codes(perm[system.blocks], v),
+                               base_blocks),
+                np.array_equal(_class_set(_codes(perm[np.concatenate(classes)],
+                                                 v), sizes), base_classes))
+    return preserves
+
+
+def _point_codes(system):
+    """The ids of the group points and each one's element id (its index in
+    `element_list`): the label read as a mixed-radix code over the group's
+    coordinate ranges."""
     g = system.group
     ids = [i for i, p in enumerate(system.points) if p not in INF]
     coords = np.array([system.points[i] for i in ids],
                       dtype=np.int64).reshape(len(ids), g.width)
     radices = [len(r) for a in g.atoms for r in a.coord_lists()]
-    codes = coords @ np.cumprod([1] + radices[::-1])[-2::-1]
-    id_of = np.empty(g.order, dtype=np.int64)
+    return np.array(ids), coords @ np.cumprod([1] + radices[::-1])[-2::-1]
+
+
+def _translations(system, shifts, left=False):
+    """For each shift s, the permutation of point ids that the right
+    translation x -> x + s (or the left one, x -> s + x) induces through
+    the point labels; the extra points stay fixed.  The map of element ids
+    comes from the shared per-atom tables (`groups.translation_ids`)."""
+    ids, codes = _point_codes(system)
+    id_of = np.empty(system.group.order, dtype=np.int32)
     id_of[codes] = ids
-    elements = [list(itertools.product(*a.coord_lists())) for a in g.atoms]
-    where = [{x: i for i, x in enumerate(loc)} for loc in elements]
     perms = []
     for s in shifts:
-        image = np.zeros((), dtype=np.int64)
-        for a, off, loc, pos in zip(g.atoms, g.offsets, elements, where):
-            t = s[off:off + a.width]
-            table = [pos[a.add(t, x) if left else a.add(x, t)] for x in loc]
-            image = image[..., None] * len(loc) + table
         perm = np.arange(len(system.points), dtype=np.int32)
-        perm[ids] = id_of[image.ravel()[codes]]
+        perm[ids] = id_of[G.translation_ids(system.group, s, left)[codes]]
         perms.append(perm)
     return perms
 
 
-def _closure(seed, key, moves):
-    """Everything reachable from seed by applying moves (`move[x]`), one
-    item per key."""
-    found = {key(seed): seed}
-    frontier = [seed]
-    while frontier:
-        x = frontier.pop()
-        for move in moves:
-            y = move[x]
-            if key(y) not in found:
-                found[key(y)] = y
-                frontier.append(y)
-    return found
+def _grow(seed, moves, key):
+    """The rows of `seed` and every row the moves reach from them (a move m
+    takes row r to m[r]), grown a frontier at a time and kept once per entry
+    in column `key`.  Seeded with one point this is the point's orbit;
+    seeded with the identity it is the group the moves generate, when that
+    group is semiregular (its elements then differ at every point).  The
+    moves' powers m^2, m^4, ... join them, so a cycle of length L takes
+    about log2(L) frontiers instead of L, and only the rows kept are ever
+    gathered."""
+    if not moves:
+        return seed
+    power = np.stack(moves)
+    powers = [power]
+    for _ in range(power.shape[1].bit_length()):
+        power = power[np.arange(len(power))[:, None], power]
+        powers.append(power)
+    moves = np.concatenate(powers)
+    found = np.zeros(moves.shape[1], dtype=bool)
+    found[seed[:, key]] = True
+    parts = [seed]
+    while len(parts[-1]):
+        rows = parts[-1]
+        hits = moves[:, rows[:, key]]
+        m, r = np.nonzero(~found[hits])
+        hit = hits[m, r]
+        by_hit = np.argsort(hit)
+        first = by_hit[_run_starts(hit[by_hit])]
+        found[hit[first]] = True
+        parts.append(moves[m[first, None], rows[r[first]]])
+    return np.concatenate(parts)
 
 
 def _regularity_problems(right, left, start, size):
@@ -224,19 +264,40 @@ def _regularity_problems(right, left, start, size):
     whose centralizer is transitive is regular (Dixon & Mortimer,
     Permutation Groups, Thm 4.2A).  Costs O(len(left)·len(right)·n)."""
     n = len(right[0]) if right else 0
-    if any(not np.array_equal(np.sort(p), np.arange(n))
-           for p in right + left):
+    right, left = (np.stack(p) if p else np.empty((0, n), np.int32)
+                   for p in (right, left))
+    if not np.array_equal(np.sort(np.concatenate((right, left)), axis=1),
+                          np.broadcast_to(np.arange(n),
+                                          (len(right) + len(left), n))):
         return ["a translation is not a permutation"]
     problems = []
     for name, perms in (("generator", right), ("left generator", left)):
-        orbit = _closure(start, int, perms)
-        if len(orbit) != size:
+        orbit = len(_grow(np.array([[start]]), list(perms), 0))
+        if orbit != size:
             problems.append(
-                f"{name} orbit has size {len(orbit)}, expected {size}")
-    if not all(np.array_equal(lp[rp], rp[lp]) for lp in left for rp in right):
+                f"{name} orbit has size {orbit}, expected {size}")
+    # lp[rp] == rp[lp] for every left permutation lp and right one rp
+    if not np.array_equal(left[:, right], right[:, left].swapaxes(0, 1)):
         problems.append("left and right translations do not commute, so "
                         "the action is not sharply transitive")
     return problems
+
+
+def _point_problems(system):
+    """Why the points cannot carry the group action: they must be the three
+    extra points and the group elements, and every block and class entry
+    must be a point id."""
+    g = system.group
+    v = len(system.points)
+    if v != g.order + 3:
+        return [f"expected {g.order} + 3 points"]
+    if set(system.points) != set(INF) | set(g.element_list):
+        return ["points are not the three extra points and the group "
+                "elements"]
+    for ids in (system.blocks, np.concatenate(system.resolution or [[]])):
+        if ids.size and (ids.min() < 0 or ids.max() >= v):
+            return ["blocks or classes mention unknown point ids"]
+    return []
 
 
 def verify_3pyramidal(system):
@@ -248,27 +309,20 @@ def verify_3pyramidal(system):
     wherever they sit in `points`."""
     g = system.group
     v = len(system.points)
-    if v != g.order + 3:
-        return _report([f"expected {g.order} + 3 points"], group=repr(g))
-    if set(system.points) != set(INF) | set(g.element_list):
-        return _report(["points are not the three extra points and the "
-                        "group elements"], group=repr(g))
-    if len(system.resolution) * v ** 3 >= 2 ** 63:
-        return _report([f"{len(system.resolution)} classes are too many to "
-                        f"encode at v = {v}"], group=repr(g))
-    problems = []
+    problems = _point_problems(system)
+    if problems:
+        return _report(problems, group=repr(g))
     inf_ids = sorted(system.points.index(p) for p in INF)
-    base_sorted = _sorted_codes(system.blocks, v)
-    base_classes = _class_keys(system.resolution, v)
+    preserves = _preservation(system)
 
     gens = list(g.generators())
     right = _translations(system, gens)
     for gen, perm in zip(gens, right):
         name = G.encode_element(g, gen)
-        if not np.array_equal(_sorted_codes(perm[system.blocks], v),
-                              base_sorted):
+        blocks_kept, classes_kept = preserves(perm)
+        if not blocks_kept:
             problems.append(f"translation by {name} does not preserve blocks")
-        if _class_keys(system.resolution, v, perm) != base_classes:
+        if not classes_kept:
             problems.append(f"translation by {name} does not preserve classes")
         fixed = np.flatnonzero(perm == np.arange(v))
         if gen != g.zero and fixed.tolist() != inf_ids:
@@ -284,18 +338,17 @@ def verify_automorphisms(system, generators):
     generate (up to CLOSURE_CAP elements)."""
     problems = []
     v = len(system.points)
-    base_sorted = _sorted_codes(system.blocks, v)
-    base_classes = _class_keys(system.resolution, v)
+    preserves = _preservation(system)
     perms = []
     for name, perm in generators:
         perm = np.asarray(perm, dtype=np.int32)
         if sorted(perm.tolist()) != list(range(v)):
             problems.append(f"{name}: not a permutation")
             continue
-        if not np.array_equal(_sorted_codes(perm[system.blocks], v),
-                              base_sorted):
+        blocks_kept, classes_kept = preserves(perm)
+        if not blocks_kept:
             problems.append(f"{name}: does not preserve blocks")
-        if _class_keys(system.resolution, v, perm) != base_classes:
+        if not classes_kept:
             problems.append(f"{name}: does not preserve classes")
         perms.append(tuple(perm.tolist()))
 
@@ -319,64 +372,146 @@ def verify_automorphisms(system, generators):
                    closure_order=order, capped=capped)
 
 
+# blocks per pass when extract_base_blocks translates blocks to point 0
+ORBIT_CHUNK = 4096
+
+
+def _orbits(system):
+    """The orbits of the blocks avoiding the extra points under the right
+    translations (the closure of the generators' permutations), as label
+    triples of the full-orbit and the short-orbit representatives, and the
+    problems that keep the blocks from being a union of such orbits.
+
+    The translations act regularly, so the orbit of a block B meets the
+    blocks through point 0 exactly in the translates B − b (b in B), and the
+    lowest code among them names the orbit.  There are d distinct ones when
+    the stabilizer of B has order 3/d, so the orbit holds |G|·d/3 blocks: it
+    lies in the block set when that many blocks carry its name.  Each
+    orbit's representative is its lowest-code block, and they come in code
+    order."""
+    g = system.group
+    v = len(system.points)
+    problems = _point_problems(system)
+    if problems:
+        return [], [], problems
+    is_inf = np.array([p in INF for p in system.points])
+    a, b, c = _sorted_ids(system.blocks)
+    keep = ~(is_inf[a] | is_inf[b] | is_inf[c])
+    for k in np.flatnonzero(keep & ((a == b) | (b == c)))[:MAX_PROBLEMS]:
+        problems.append(
+            f"degenerate block {_labels(system, system.blocks[k])}")
+    if problems:
+        return [], [], problems
+    codes = _codes(system.blocks[keep], v)
+    codes.sort()
+    codes = codes[_run_starts(codes)]
+    rows = np.empty((len(codes), 3), dtype=np.int32)
+    rows[:, 0], rest = np.divmod(codes, v * v)
+    rows[:, 1], rows[:, 2] = np.divmod(rest, v)
+    del codes, rest
+
+    zero = system.points.index(g.zero)
+    shifts = _grow(np.arange(v, dtype=np.int32)[None],
+                   _translations(system, g.generators()), zero)
+    if len(shifts) != g.order:
+        return [], [], [f"the generators give {len(shifts)} translations, "
+                        f"expected {g.order}"]
+    # shifts.flat[to_zero[x] + y] is the image of point y under the
+    # translation that takes point x to point 0
+    hit, point = np.nonzero(shifts == zero)
+    to_zero = np.zeros(v, dtype=np.int64)
+    to_zero[point] = hit * v
+    name = np.empty(len(rows), dtype=np.int64)
+    distinct = np.empty(len(rows), dtype=np.int8)
+    for lo in range(0, len(rows), ORBIT_CHUNK):
+        part = rows[lo:lo + ORBIT_CHUNK]
+        c0, c1, c2 = (_codes(shifts.take(to_zero[x][:, None] + part), v)
+                      for x in part.T)
+        name[lo:lo + len(part)] = np.minimum(np.minimum(c0, c1), c2)
+        distinct[lo:lo + len(part)] = (
+            3 - (c0 == c1) - ((c2 == c0) | (c2 == c1)))
+    # each orbit's lowest-code block, in code order, and its block count
+    by_name = np.argsort(name)
+    starts = np.flatnonzero(_run_starts(name[by_name]))
+    first = np.minimum.reduceat(by_name, starts)
+    size = np.diff(starts, append=len(name))
+    order = np.argsort(first)
+    first, size = first[order], size[order]
+    whole = 3 * size == g.order * distinct[first].astype(np.int64)
+
+    reps, shorts = [], []
+    for row, n, ok in zip(rows[first], size.tolist(), whole.tolist()):
+        rep = _labels(system, row)
+        if not ok:
+            problems.append(f"orbit of {rep} leaves the block set")
+        elif n == g.order:
+            reps.append(rep)
+        elif 3 * n == g.order:
+            shorts.append(rep)
+        else:
+            problems.append(f"orbit of {rep} has impossible length {n}")
+    if len(shorts) != 1:
+        problems.append(f"expected one short orbit, found {len(shorts)}")
+    return reps, shorts, problems[:MAX_PROBLEMS]
+
+
 def extract_base_blocks(system):
     """Re-derive base blocks by orbit decomposition of the blocks avoiding the
     extra points.  Full-length orbits (size |G|) come from the difference
     family; the single short orbit (size |G|/3) is the developed spread.
-    Representatives come back as label triples."""
-    g = system.group
-    v = len(system.points)
-    is_inf = np.array([isinstance(p[0], str) for p in system.points])
-    rows = np.sort(system.blocks, axis=1)
-    rows = rows[~is_inf[rows].any(axis=1)]
-    codes = _codes(rows, v)
-    by_code = np.argsort(codes, kind="stable")
-    first = by_code[_run_starts(codes[by_code])]
-    noinf, rows = codes[first], rows[first]
-    # every right translation, closed from the generators' permutations
-    zero = system.points.index(g.zero)
-    shifts = np.stack(list(_closure(
-        np.arange(v, dtype=np.int32), lambda p: int(p[zero]),
-        _translations(system, g.generators())).values()))
-    seen = np.zeros(len(noinf), dtype=bool)
-    reps, short = [], []
-    while not seen.all():
-        k = int(np.argmin(seen))
-        rep = _labels(system, rows[k])
-        orbit = _sorted_codes(shifts[:, rows[k]], v)
-        orbit = orbit[_run_starts(orbit)]
-        pos = np.searchsorted(noinf, orbit).clip(max=len(noinf) - 1)
-        if not np.array_equal(noinf[pos], orbit):
-            raise AssertionError(f"orbit of {rep} leaves the block set")
-        seen[pos] = True
-        if len(orbit) == g.order:
-            reps.append(rep)
-        elif 3 * len(orbit) == g.order:
-            short.append(rep)
-        else:
-            raise AssertionError(
-                f"orbit of {rep} has impossible length {len(orbit)}")
-    if len(short) != 1:
-        raise AssertionError(f"expected one short orbit, found {len(short)}")
-    return reps, short[0]
+    Representatives come back as label triples.  Raises ValueError when the
+    blocks are not such a union of orbits."""
+    reps, shorts, problems = _orbits(system)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return reps, shorts[0]
+
+
+# the ordered pairs (r, c) of distinct positions in a triple
+_ROW = np.array([0, 0, 1, 1, 2, 2])
+_COL = np.array([1, 2, 0, 2, 0, 1])
+
+
+def _differences(group, triples):
+    """How often each element id is a difference r −^ c = r + (−c) of the
+    entries at two distinct positions of a triple, over all `triples`
+    (element ids, k × 3): `designkit.delta_family` as one histogram.  The
+    sums come from the atoms' tables, and −c is the entry whose sum with c
+    is the atom's zero."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    digits = np.unravel_index(triples, [a.order for a in group.atoms])
+    diff = np.zeros((len(triples), 6), dtype=np.int64)
+    for a, d in zip(group.atoms, digits):
+        table = G.atom_table(a)
+        neg = np.argmax(table == G.local_id(a, a.zero), axis=1)
+        diff *= len(table)
+        diff += table[d[:, _ROW], neg[d[:, _COL]]]
+    return np.bincount(diff.ravel(), minlength=group.order)
 
 
 def check_base_blocks(system):
     """The re-derived representatives generate the same difference multiset
     as the witness the system was built from."""
     w = system.witness
-    problems = []
     if w is None:
         return _report(["no witness attached"])
-    reps, short = extract_base_blocks(system)
+    reps, shorts, problems = _orbits(system)
+    if problems:
+        return _report(problems, orbits=len(reps))
     g = system.group
     if len(reps) != len(w.blocks):
         problems.append(
             f"{len(reps)} full orbits vs {len(w.blocks)} witness blocks")
-    if delta_family(g, reps) != delta_family(g, w.blocks):
+    index = g.element_index
+    if not all(len(b) == 3 and all(x in index for x in b) for b in w.blocks):
+        problems.append("witness blocks are not triples of group elements")
+    elif not np.array_equal(
+            _differences(g, [[index[x] for x in b] for b in reps]),
+            _differences(g, [[index[x] for x in b] for b in w.blocks])):
         problems.append("difference multisets disagree")
     # the spread holds 0, so a coset spread + t equal to the short orbit
     # has its t in the short orbit
+    short = shorts[0]
     spread = w.spread().order3
     if not any({g.add(x, t) for x in spread} == set(short) for t in short):
         problems.append("short orbit is not the developed spread")

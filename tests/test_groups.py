@@ -219,6 +219,24 @@ def test_encode_parse_roundtrip():
         assert G.parse_element(g, G.encode_element(g, x)) == x
 
 
+@pytest.mark.parametrize("atom, same", [
+    (G.DAtom(), G.DAtom()), (G.GAtom(1), G.GAtom(1)),
+    (G.ZAtom(6), G.ZAtom(6)), (G.VAtom(9), G.VAtom(build_ring(9)))])
+def test_atom_tables_shared_and_read_only(atom, same):
+    table = G.atom_table(atom)
+    # atoms that compare equal share one table, built once
+    assert G.atom_table(same) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    loc = list(itertools.product(*atom.coord_lists()))
+    rng = random.Random(5)
+    for _ in range(30):
+        i, j = rng.randrange(len(loc)), rng.randrange(len(loc))
+        assert loc[table[i, j]] == atom.add(loc[i], loc[j])
+        assert G.local_id(atom, loc[i]) == i
+
+
 def test_group_index_translation():
     g = _descr(G.DAtom(), G.VAtom(5))
     gi = G.GroupIndex(g)

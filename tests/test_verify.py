@@ -1,13 +1,15 @@
 import copy
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 from conftest import naive_pair_cover
 
+from kts3p import groups as G
 from kts3p import pipeline as P
 from kts3p import verify as V
-from kts3p.designkit import Spread
+from kts3p.designkit import Spread, delta_family
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +20,11 @@ def sys15():
 @pytest.fixture(scope="module")
 def sys33():
     return P.construct(33)
+
+
+@pytest.fixture(scope="module")
+def sys39():
+    return P.construct(39)
 
 
 def test_good_systems_pass_full(sys15, sys33):
@@ -111,6 +118,15 @@ def test_pyramidal_catches_broken_class(sys15):
     assert not rep["ok"]
 
 
+def test_pyramidal_compares_classes_as_a_set(sys15):
+    # a repeated class leaves the set of classes, and so its preservation
+    # under translations, as it was; the classes then share blocks
+    bad = _with(sys15, resolution=list(sys15.resolution)
+                + [sys15.resolution[4]])
+    assert V.verify_3pyramidal(bad)["ok"]
+    assert not V.verify_resolution(bad)["ok"]
+
+
 def test_extract_base_blocks_roundtrip(sys33):
     reps, short = V.extract_base_blocks(sys33)
     w = sys33.witness
@@ -143,7 +159,8 @@ def _base_blocks_oracle(system):
     return reps, short
 
 
-@pytest.mark.parametrize("v", [39, 183, 327])
+# D heads over a prime and a non-prime field, G1, G2 and G3 heads
+@pytest.mark.parametrize("v", [39, 57, 183, 195, 327])
 def test_extract_base_blocks_matches_oracle(v):
     s = P.construct(v)
     reps, short = V.extract_base_blocks(s)
@@ -153,6 +170,55 @@ def test_extract_base_blocks_matches_oracle(v):
     # a repeated block is one block of the orbit decomposition
     doubled = _with(s, blocks=np.vstack([s.blocks, s.blocks[::-1]]))
     assert V.extract_base_blocks(doubled) == (reps, short)
+
+
+def test_check_base_blocks_reports_orbit_leaving_block_set(sys33):
+    # one block fewer: its orbit is no longer inside the block set, which
+    # is a problem in the report, not an exception
+    bad = _with(sys33, blocks=sys33.blocks[:-1])
+    rep = V.check_base_blocks(bad)
+    assert not rep["ok"]
+    assert any(p.endswith("leaves the block set") for p in rep["problems"])
+    with pytest.raises(ValueError, match="leaves the block set"):
+        V.extract_base_blocks(bad)
+
+
+@pytest.mark.parametrize("atoms", [(G.DAtom(), G.VAtom(5)), (G.GAtom(2),),
+                                   (G.GAtom(1), G.VAtom(3), G.VAtom(5))])
+def test_differences_match_delta_family(atoms):
+    # r −^ c in a non-abelian head depends on the orientation
+    g = G.GroupDescriptor(atoms)
+    triples = np.random.default_rng(7).integers(g.order, size=(60, 3))
+    want = np.zeros(g.order, dtype=np.int64)
+    for d, n in delta_family(g, [[g.element_list[i] for i in t]
+                                 for t in triples]).items():
+        want[g.element_index[d]] = n
+    assert np.array_equal(V._differences(g, triples), want)
+
+
+@pytest.mark.parametrize("atoms", [(G.DAtom(), G.ZAtom(4)),
+                                   (G.GAtom(1), G.VAtom(9)),
+                                   (G.GAtom(2), G.VAtom(25))])
+def test_translations_agree_with_group_law(atoms):
+    g = G.GroupDescriptor(atoms)
+    rng = np.random.default_rng(11)
+    points = list(V.INF) + g.element_list
+    points = [points[i] for i in rng.permutation(len(points))]
+    index = {p: i for i, p in enumerate(points)}
+    system = types.SimpleNamespace(group=g, points=points)
+    shifts = [g.element_list[i] for i in rng.integers(g.order, size=5)]
+    gi = G.GroupIndex(g)
+    right = V._translations(system, shifts)
+    left = V._translations(system, shifts, left=True)
+    perms = map(gi.translation, shifts)
+    for t, rp, lp, perm in zip(shifts, right, left, perms):
+        for i in rng.integers(g.order, size=20):
+            x = g.element_list[i]
+            assert g.element_list[perm[i]] == g.add(x, t)
+            assert rp[index[x]] == index[g.add(x, t)]
+            assert lp[index[x]] == index[g.add(t, x)]
+        for p in V.INF:
+            assert rp[index[p]] == lp[index[p]] == index[p]
 
 
 def test_check_base_blocks_detects_foreign_witness(sys15, sys33):
@@ -247,7 +313,7 @@ UNEVEN = (_remove, _move, _merge)
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("corrupt", (_swap, _double) + UNEVEN)
-@pytest.mark.parametrize("v", (15, 33))
+@pytest.mark.parametrize("v", (15, 33, 39))
 def test_checks_agree_with_oracle_on_corruptions(request, v, corrupt, seed):
     system = request.getfixturevalue(f"sys{v}")
     res = [c.copy() for c in system.resolution]
@@ -260,6 +326,9 @@ def test_checks_agree_with_oracle_on_corruptions(request, v, corrupt, seed):
     assert not V.verify_resolution(bad)["ok"]
     if corrupt in UNEVEN:
         assert not V.verify_3pyramidal(bad)["ok"]
+    # the witness is still attached, so this runs the base-block check too
+    assert bad.witness is not None
+    assert not V.verify_full(bad)["ok"]
 
 
 def test_automorphisms_reject_bad_permutation(sys15):
