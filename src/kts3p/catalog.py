@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from . import groups as G
-from .designkit import (DifferenceMatrix, FamilyWitness, Spread, dm_check,
-                        is_df, is_j_resolvable, is_pseudo_resolvable)
+from .designkit import (DifferenceMatrix, FamilyWitness, Spread,
+                        _coset_rep_check, dm_check, is_df, is_j_resolvable,
+                        is_pseudo_resolvable)
 
 
 def _g(*atoms):
@@ -297,15 +300,16 @@ def _load(eid):
     if isinstance(obj, FamilyWitness) and obj.kind == "PRDF":
         # prefer the ordered pair whose coset subgroup is the canonical
         # involution, since that is what the lifting step resolves by
-        canon = obj.group.canonical_involution
-        for ja in obj.group.involutions:
+        g = obj.group
+        canon = g.canonical_involution
+        index = g.element_index
+        head = [index[x] for b in obj.blocks for x in b]
+        head += [index[g.zero], index[obj.spread().x]]
+        for ja in g.involutions:
             if ja == canon:
                 continue
-            probe = FamilyWitness(obj.group, obj.blocks, "PRDF", obj.relative)
-            phi = [x for b in probe.blocks for x in b]
-            from .designkit import _coset_rep_check
-            if _coset_rep_check(obj.group, phi + [obj.group.zero, ja, probe.spread().x], canon,
-                                obj.group.element_list):
+            if _coset_rep_check(g, head + [index[ja]], index[canon],
+                                np.ones(g.order, dtype=np.int64)):
                 obj.prdf_pair = (ja, canon)
                 break
         else:

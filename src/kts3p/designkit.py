@@ -1,8 +1,12 @@
 """Difference-family and difference-matrix kernel.
 
-Everything here is deliberately brute force: these predicates double as
-independent oracles for the construction code, so they recompute every
-multiset from the definitions and never trust flags carried by a witness.
+These predicates double as independent oracles for the construction code:
+they recompute every multiset from the definitions and never trust flags
+carried by a witness.  They count over element ids (indices into
+`element_list`): a witness's elements are mapped to ids once, an entry
+outside the group is a reported problem, and sums and differences come from
+the per-atom tables of `groups.atom_table`, built with each atom's own `add`.
+Multisets are compared as `np.bincount` histograms.
 
 Difference convention: the entry of a block's difference table at row r,
 column c is r -^ c.  In a non-abelian group the order matters and this is
@@ -12,35 +16,24 @@ the orientation all the literal tables in the catalog follow.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import groups as G
 
-
-def delta(group, block):
-    """The 6 ordered pairwise differences of a triple (positions, so blocks
-    with repeated entries - as in strong difference families - contribute 0s)."""
-    out = []
-    for i, r in enumerate(block):
-        for j, c in enumerate(block):
-            if i != j:
-                out.append(group.sub(r, c))
-    return out
+# the ordered pairs (r, c) of distinct positions in a triple
+_ROW = np.array([0, 0, 1, 1, 2, 2])
+_COL = np.array([1, 2, 0, 2, 0, 1])
 
 
-def delta_family(group, blocks):
-    acc = Counter()
-    for b in blocks:
-        acc.update(delta(group, b))
-    return acc
-
-
-def flatten(blocks):
-    out = []
-    for b in blocks:
-        out.extend(b)
-    return out
+def difference_counts(group, triples):
+    """How often each element id is a difference r −^ c of the entries at two
+    distinct positions of a triple, over all `triples` (element ids, k × 3).
+    Positions, not values: a triple with a repeated entry contributes 0s."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    diff = G.id_sum(group, triples[:, _ROW], triples[:, _COL], negate=True)
+    return np.bincount(diff.ravel(), minlength=group.order)
 
 
 @dataclass
@@ -61,19 +54,46 @@ def _fail(*problems):
     return Diagnosis(False, list(problems))
 
 
-def _compare_multisets(group, actual: Counter, expected: Counter, what):
-    if actual == expected:
-        return Diagnosis(True)
-    missing = sorted((expected - actual).elements())
-    excess = sorted((actual - expected).elements())
-    probs = []
-    if missing:
-        probs.append(f"{what}: missing {[G.encode_element(group, m) for m in missing[:10]]}"
-                     + (f" (+{len(missing)-10} more)" if len(missing) > 10 else ""))
-    if excess:
-        probs.append(f"{what}: excess {[G.encode_element(group, m) for m in excess[:10]]}"
-                     + (f" (+{len(excess)-10} more)" if len(excess) > 10 else ""))
-    return Diagnosis(False, probs)
+def _compare_counts(group, actual, expected, what):
+    """Compare two id histograms; the first ten missing and excess elements
+    are named in id order, which is the lexicographic order of elements."""
+    problems = []
+    for word, short in (("missing", expected - actual),
+                        ("excess", actual - expected)):
+        short = np.maximum(short, 0)
+        total = int(short.sum())
+        if total:
+            first = np.searchsorted(np.cumsum(short),
+                                    np.arange(min(total, 10)), side="right")
+            names = [G.encode_element(group, group.element_list[i])
+                     for i in first]
+            problems.append(f"{what}: {word} {names}"
+                            + (f" (+{total - 10} more)" if total > 10 else ""))
+    return Diagnosis(not problems, problems)
+
+
+def _ids(group, rows):
+    """The ids of the entries of `rows`, flattened, and None; or None and
+    (i, x) for the first entry x, in row i, that is not a group element."""
+    index = group.element_index
+    try:
+        return np.fromiter((index[x] for r in rows for x in r),
+                           dtype=np.int64), None
+    except KeyError:
+        return None, next((i, x) for i, r in enumerate(rows) for x in r
+                          if x not in index)
+
+
+def _foreign(group, what, x):
+    return f"{what} holds {x}, which is not an element of {group!r}"
+
+
+def _outside(witness):
+    """The id histogram of the elements outside witness.excluded(): 1 for
+    each of them, 0 elsewhere."""
+    excluded = witness.excluded()
+    return np.fromiter((x not in excluded for x in witness.group.element_list),
+                       dtype=np.int64, count=witness.group.order)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +171,34 @@ class FamilyWitness:
 # predicates
 
 def is_df(witness):
+    """The difference-family verdict; when it holds, `ids` carries the
+    witness's block ids (k × 3) for the checks built on it."""
     g = witness.group
-    for b in witness.blocks:
-        if len(set(b)) != 3:
-            return _fail(f"block {b} has repeated elements")
-    expected = Counter(x for x in g.element_list if x not in witness.excluded())
-    return _compare_multisets(g, delta_family(g, witness.blocks), expected, "delta")
+    bad = next((b for b in witness.blocks if len(b) != 3), None)
+    if bad is not None:
+        return _fail(f"block {bad} is not a triple")
+    ids, bad = _ids(g, witness.blocks)
+    if bad is not None:
+        return _fail(_foreign(g, f"block {witness.blocks[bad[0]]}", bad[1]))
+    ids = ids.reshape(-1, 3)
+    repeated = ((ids[:, 0] == ids[:, 1]) | (ids[:, 0] == ids[:, 2])
+                | (ids[:, 1] == ids[:, 2]))
+    if repeated.any():
+        return _fail(f"block {witness.blocks[np.argmax(repeated)]} has "
+                     "repeated elements")
+    d = _compare_counts(g, difference_counts(g, ids), _outside(witness),
+                        "delta")
+    d.ids = ids
+    return d
 
 
-def _coset_rep_check(group, reps, j, universe):
-    """Do reps + {0,j} cover `universe` exactly once each?"""
-    covered = Counter()
-    for r in reps:
-        covered[r] += 1
-        covered[group.add(r, j)] += 1
-    expected = Counter(universe)
-    return _compare_multisets(group, covered, expected, "coset cover")
+def _coset_rep_check(group, reps, j, expected):
+    """Do the ids `reps` and their translates reps + j together hit each id
+    as often as the histogram `expected` says?"""
+    reps = np.asarray(reps, dtype=np.int64)
+    covered = np.bincount(np.concatenate((reps, G.id_sum(group, reps, j))),
+                          minlength=group.order)
+    return _compare_counts(group, covered, expected, "coset cover")
 
 
 def is_j_resolvable(witness):
@@ -174,22 +206,22 @@ def is_j_resolvable(witness):
     base = is_df(witness)
     if not base:
         return base
+    index = g.element_index
     j = witness.j
-    if j is None or g.add(j, j) != g.zero or j == g.zero:
+    if j not in index or g.add(j, j) != g.zero or j == g.zero:
         return _fail(f"resolving element {j} is not an involution")
+    phi = base.ids.ravel()
 
     if isinstance(witness.relative, G.SubgroupView):
-        H = witness.relative.carrier
-        if j not in H:
+        if j not in witness.relative.carrier:
             return _fail("j must lie in the relative subgroup")
-        universe = [x for x in g.element_list if x not in H]
-        return _coset_rep_check(g, flatten(witness.blocks), j, universe)
+        return _coset_rep_check(g, phi, index[j], _outside(witness))
 
-    # spread variant
-    spread = witness.spread()
-    invs = set(g.involutions)
-    if j not in invs:
+    # spread variant; spread() raises unless the relative is a spread
+    witness.spread()
+    if j not in g.involutions:
         return _fail("j is not one of the three involutions")
+    everything = np.ones(g.order, dtype=np.int64)
 
     def conj_sub(t):
         return frozenset((g.zero, g.conj(t, j)))
@@ -198,17 +230,27 @@ def is_j_resolvable(witness):
         subs = {frozenset((g.zero, j)), conj_sub(a), conj_sub(b)}
         if len(subs) != 3:
             return _fail(f"a={a}, b={b}: conjugates of J do not give all three order-2 subgroups")
-        return _coset_rep_check(g, flatten(witness.blocks) + [g.zero, a, b], j, g.element_list)
+        reps = np.append(phi, [index[g.zero], index[a], index[b]])
+        return _coset_rep_check(g, reps, index[j], everything)
 
     if witness.a is not None and witness.b is not None:
+        bad = next((x for x in (witness.a, witness.b) if x not in index), None)
+        if bad is not None:
+            return _fail(_foreign(g, "(a, b)", bad))
         return full_check(witness.a, witness.b)
 
     # the flatten plus 0 hits all J-cosets but two; a and b live there
-    hit = set()
-    for r in flatten(witness.blocks) + [g.zero]:
-        hit.add(frozenset((r, g.add(r, j))))
-    open_cosets = [c for c in {frozenset((x, g.add(x, j))) for x in g.element_list}
-                   if c not in hit]
+    plus_j = G.id_sum(g, np.arange(g.order), index[j])
+    reps = np.append(phi, index[g.zero])
+    hit = np.zeros(g.order, dtype=bool)
+    hit[reps] = hit[plus_j[reps]] = True
+    # the open cosets in the order a set of all J-cosets lists them; it
+    # decides solutions[0], which becomes the witness's (a, b)
+    el = g.element_list
+    open_elements = {el[x] for x in np.flatnonzero(~hit)}
+    open_cosets = [c for c in {frozenset((el[x], el[y]))
+                               for x, y in enumerate(plus_j.tolist())}
+                   if not c.isdisjoint(open_elements)]
     if len(open_cosets) != 2:
         return _fail(f"flatten misses {len(open_cosets)} cosets of J, expected 2")
     solutions = []
@@ -232,16 +274,16 @@ def is_pseudo_resolvable(witness):
     base = is_df(witness)
     if not base:
         return base
-    spread = witness.spread()
-    x = spread.x
-    phi = flatten(witness.blocks)
-    tried = []
-    for ja, jb in itertools.permutations(g.involutions, 2):
-        if _coset_rep_check(g, phi + [g.zero, ja, x], jb, g.element_list):
+    index = g.element_index
+    head = [index[g.zero], index[witness.spread().x]]
+    everything = np.ones(g.order, dtype=np.int64)
+    pairs = list(itertools.permutations(g.involutions, 2))
+    for ja, jb in pairs:
+        reps = np.append(base.ids, head + [index[ja]])
+        if _coset_rep_check(g, reps, index[jb], everything):
             witness.prdf_pair = (ja, jb)
             return Diagnosis(True)
-        tried.append((ja, jb))
-    return _fail(f"no ordered involution pair works (tried {len(tried)})")
+    return _fail(f"no ordered involution pair works (tried {len(pairs)})")
 
 
 def is_doubly_disjoint(witness):
@@ -253,22 +295,23 @@ def is_doubly_disjoint(witness):
     base = is_df(witness)
     if not base:
         return base
-    H = witness.excluded()
-    phi = flatten(witness.blocks)
-    if len(set(phi)) != len(phi):
+    ids = base.ids
+    outside = _outside(witness)
+    phi = ids.ravel()
+    if np.any(np.bincount(phi, minlength=g.order) > 1):
         return _fail("blocks are not pairwise disjoint")
-    if set(phi) & set(H):
+    if not outside[phi].all():
         return _fail("blocks meet the relative subgroup")
-    twins = [tuple(g.add(x, t) for x in b)
-             for b, t in zip(witness.blocks, witness.translates)]
-    twin_wit = FamilyWitness(g, twins, "DF", witness.relative)
-    twin_df = is_df(twin_wit)
+    t, bad = _ids(g, [witness.translates])
+    if bad is not None:
+        return _fail(_foreign(g, "translates", bad[1]))
+    twins = G.id_sum(g, ids, t[:, None])
+    twin_df = _compare_counts(g, difference_counts(g, twins), outside, "delta")
     if not twin_df:
         return _fail("translated twin is not a DF: " + str(twin_df))
-    tiles = Counter(phi)
-    tiles.update(flatten(twins))
-    expected = Counter(x for x in g.element_list if x not in H)
-    return _compare_multisets(g, tiles, expected, "tiling")
+    tiles = np.bincount(np.concatenate((phi, twins.ravel())),
+                        minlength=g.order)
+    return _compare_counts(g, tiles, outside, "tiling")
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +335,35 @@ class DifferenceMatrix:
 
 def dm_check(dm):
     g = dm.group
-    full = Counter(g.element_list)
-    valid = True
-    problems = []
-    for i, k in itertools.combinations(range(3), 2):
-        diff = Counter(g.sub(x, y) for x, y in zip(dm.rows[i], dm.rows[k]))
-        if diff != full:
-            valid = False
-            problems.append(f"rows {i},{k}: difference is not a permutation")
-    homogeneous = valid and all(Counter(r) == full for r in dm.rows)
+    ids, bad = _ids(g, dm.rows)
+    if bad is not None:
+        return {"valid": False, "homogeneous": False, "splittable": [],
+                "problems": [_foreign(g, f"row {bad[0]}", bad[1])]}
+    rows = ids.reshape(3, g.order)
+    once = np.ones(g.order, dtype=np.int64)
+
+    def permutes(x):
+        return np.array_equal(np.bincount(x, minlength=g.order), once)
+
+    problems = [f"rows {i},{k}: difference is not a permutation"
+                for i, k in itertools.combinations(range(3), 2)
+                if not permutes(G.id_sum(g, rows[i], rows[k], negate=True))]
+    valid = not problems
+    homogeneous = valid and all(permutes(r) for r in rows)
 
     def splits_with(j):
-        h = g.order // 2
-        for r in dm.rows:
-            for half in (r[:h], r[h:]):
-                cosets = {frozenset((x, g.add(x, j))) for x in half}
-                if len(cosets) != h:
-                    return False
-        return True
+        # each half of each row meets every coset {x, x + j} at most once;
+        # a coset is named by its lower id
+        halves = np.minimum(rows, G.id_sum(g, rows, j)).reshape(3, 2, -1)
+        halves = np.sort(halves, axis=2)
+        return not np.any(halves[:, :, 1:] == halves[:, :, :-1])
 
     splittable = []
     if valid and g.order % 2 == 0:
+        index = g.element_index
         candidates = [dm.j] if dm.j is not None else list(g.involutions)
-        splittable = [j for j in candidates if splits_with(j)]
+        splittable = [j for j in candidates
+                      if j in index and splits_with(index[j])]
     return {"valid": valid, "homogeneous": homogeneous,
             "splittable": splittable, "problems": problems}
 

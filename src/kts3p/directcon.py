@@ -7,6 +7,10 @@ re-checks the advertised predicate from scratch before returning.
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
+
 from . import groups as G
 from .finring import build_ring, coprime_part, halving, semiregular_system
 # is_df is unused here but stays importable as directcon.is_df: the
@@ -57,15 +61,38 @@ def _mu(group, ring, s):
 
 
 def verify_multiplier_action(witness, mult: MultiplierGroup):
-    group = witness.group
-    ring = mult.ring
-    block_set = set(witness.blocks)
+    """Each μ_s of `mult` maps the set of blocks onto itself and fixes the
+    excluded elements.  μ_s acts on the trailing atom alone (see `_mu`), so
+    it is computed once as a permutation of element ids: the trailing local
+    id is permuted and the rest of each id kept."""
+    group, ring = witness.group, mult.ring
+    if ring.n == 1:
+        return True
+    index = group.element_index
+    try:
+        ids = np.array([[index[x] for x in b] for b in witness.blocks],
+                       dtype=np.int64).reshape(-1, 3)
+        fixed = np.array([index[h] for h in witness.excluded()],
+                         dtype=np.int64)
+    except KeyError:
+        return False
+    tail = group.atoms[-1]
+    pad = group.zero[:group.width - tail.width]
+    tail_elements = list(itertools.product(*tail.coord_lists()))
+    head = np.arange(group.order) // tail.order * tail.order
+
+    def block_set(perm):
+        codes = np.sort(G.block_codes(np.sort(perm[ids], axis=1), group.order))
+        return codes[np.append(True, codes[1:] != codes[:-1])]
+
+    want = block_set(np.arange(group.order))
     for s in mult.members:
         f = _mu(group, ring, s)
-        image = {tuple(sorted(f(x) for x in b)) for b in witness.blocks}
-        if image != block_set:
-            return False
-        if any(f(h) != h for h in witness.excluded()):
+        moved = [G.local_id(tail, f(pad + y)[len(pad):])
+                 for y in tail_elements]
+        perm = head + np.tile(moved, group.order // tail.order)
+        if not (np.array_equal(block_set(perm), want)
+                and np.array_equal(perm[fixed], fixed)):
             return False
     return True
 

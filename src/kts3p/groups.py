@@ -15,6 +15,7 @@ Z_m and V_n add coordinate-wise (V_n slot-wise in its component fields).
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cache, cached_property
 
 import numpy as np
@@ -478,13 +479,19 @@ def parse_element(group, text):
 def atom_table(atom):
     """The Cayley table of `atom` over its local ids (an element's index in
     the product of the atom's coordinate ranges): entry [i, j] is the id of
-    x_i + x_j, computed with the atom's own `add`.  Atoms that compare equal
-    share one table, built once per process and read-only."""
-    loc = list(itertools.product(*atom.coord_lists()))
-    index = {x: i for i, x in enumerate(loc)}
-    table = np.fromiter((index[atom.add(x, y)] for x in loc for y in loc),
-                        dtype=np.int32, count=len(loc) ** 2)
-    table = table.reshape(len(loc), len(loc))
+    x_i + x_j, computed with the atom's own `add`.  The laws are integer
+    arithmetic that branches on y alone, so one call per column j takes
+    every x_i at once as coordinate arrays; a sum outside the coordinate
+    ranges raises.  Atoms that compare equal share one table, built once
+    per process and read-only."""
+    sizes = [len(r) for r in atom.coord_lists()]
+    n = math.prod(sizes)
+    xs = np.unravel_index(np.arange(n), sizes)
+    table = np.empty((n, n), dtype=np.int32)
+    for j, y in enumerate(itertools.product(*atom.coord_lists())):
+        # copies, since a law may update its arguments in place
+        table[:, j] = np.ravel_multi_index(
+            atom.add(tuple(x.copy() for x in xs), y), sizes)
     table.flags.writeable = False
     return table
 
@@ -496,6 +503,41 @@ def local_id(atom, x):
     for c, r in zip(x, atom.coord_lists()):
         i = i * len(r) + c
     return i
+
+
+@cache
+def atom_negation(atom):
+    """The local id of −x for each local id x: the entry whose sum with x
+    is the atom's zero in its table.  Read-only, like the table."""
+    table = atom_table(atom)
+    neg = np.argmax(table == local_id(atom, atom.zero), axis=1)
+    neg.flags.writeable = False
+    return neg
+
+
+def id_sum(group, x, y, negate=False):
+    """The ids of x + y, or of x −^ y = x + (−y) with `negate`, for id
+    arrays x and y (broadcast together): each atom's digits are combined
+    through its table."""
+    orders = [a.order for a in group.atoms]
+    out = np.int64(0)
+    for a, dx, dy in zip(group.atoms, np.unravel_index(x, orders),
+                         np.unravel_index(y, orders)):
+        out = out * a.order + atom_table(a)[dx, atom_negation(a)[dy]
+                                            if negate else dy]
+    return out
+
+
+def block_codes(blocks, v):
+    """The int64 codes (a·v + b)·v + c of the rows (a, b, c) of an id array
+    `blocks` with entries below v."""
+    a, b, c = blocks.T
+    code = a.astype(np.int64)
+    code *= v
+    code += b
+    code *= v
+    code += c
+    return code
 
 
 def translation_ids(group, t, left=False):
@@ -513,12 +555,19 @@ def translation_ids(group, t, left=False):
 
 class GroupIndex:
     """Integer-id view of a group on the shared per-atom Cayley tables;
-    translations come out as numpy permutation arrays in O(|G|)."""
+    translations come out as numpy permutation arrays in O(|G|) each."""
 
     def __init__(self, group):
         self.group = group
         self.tables = [atom_table(a) for a in group.atoms]
 
-    def translation(self, g):
-        """Permutation perm with perm[i] = id(element_i + g)."""
-        return translation_ids(self.group, g)
+    def translation(self, ts):
+        """One row per element t of `ts`: the permutation perm with
+        perm[i] = id(element_i + t), built from the atoms' table columns."""
+        image = np.zeros((len(ts), 1), dtype=np.int64)
+        for a, off, table in zip(self.group.atoms, self.group.offsets,
+                                 self.tables):
+            cols = table.T[[local_id(a, t[off:off + a.width]) for t in ts]]
+            image = (image[:, :, None] * len(table) + cols[:, None, :]
+                     ).reshape(len(ts), image.shape[1] * len(table))
+        return image

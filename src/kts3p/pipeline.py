@@ -26,6 +26,9 @@ from .directcon import (_mu, construct_9mod24, construct_15mod24,
 from .finring import build_ring, factorize
 
 INF = (("inf", 1), ("inf", 2), ("inf", 3))
+# translates build_kts develops per GroupIndex.translation call; larger
+# chunks raise the peak RSS and gain little
+CHUNK = 32
 
 
 class UnsupportedOrder(Exception):
@@ -537,26 +540,28 @@ class KirkmanSystem:
     trace: dict | None = None
 
 
-def _codes(blocks, v):
-    """The int64 codes (a·v + b)·v + c of the rows (a, b, c) of `blocks`."""
-    a, b, c = blocks.T
-    code = a.astype(np.int64)
-    code *= v
-    code += b
-    code *= v
-    code += c
-    return code
-
-
 def _sorted_blocks(blocks, v):
     """The distinct sorted blocks of an (n, 3) id array, in code order."""
-    codes = _codes(np.sort(blocks, axis=1), v)
+    codes = G.block_codes(np.sort(blocks, axis=1), v)
     codes.sort()
     codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     out = np.empty((len(codes), 3), dtype=np.int32)
     codes, out[:, 2] = np.divmod(codes, v)
     out[:, 0], out[:, 1] = np.divmod(codes, v)
     return out
+
+
+def _class_rows(classes, v):
+    """Each class of a (c, v / 3, 3) id array as one row of its blocks,
+    sorted within and by code; a class that repeats a block raises."""
+    codes = G.block_codes(np.sort(classes, axis=2).reshape(-1, 3), v)
+    codes = np.sort(codes.reshape(len(classes), -1), axis=1)
+    if np.any(np.diff(codes, axis=1) <= 0):
+        raise AssertionError("a developed class repeats a block")
+    out = np.empty(classes.shape, dtype=np.int32)
+    codes, out[..., 2] = np.divmod(codes, v)
+    out[..., 0], out[..., 1] = np.divmod(codes, v)
+    return out.reshape(len(classes), v)
 
 
 def build_kts(rdf, trace=None):
@@ -581,26 +586,26 @@ def build_kts(rdf, trace=None):
         q0.append(tuple(g.add(x, j1) for x in blk))
 
     # develop the spread and the moving class by right translation through
-    # an index view; each class becomes one row of its sorted, flattened
-    # blocks.  Q0 + j = Q0, so t and j + t give the same class: develop one t
-    # of each pair, and the spread from both S + t and (S + j) + t.
+    # an index view, CHUNK translates at a time; each class becomes one row
+    # of its blocks, sorted within and by code.  Q0 + j = Q0, so t and j + t
+    # give the same class: develop the one of each pair with the lower id,
+    # and the spread from both S + t and (S + j) + t.
     gi = G.GroupIndex(g)
     q0_ids = np.array([[index[x] for x in blk] for blk in q0])
     spread = rdf.spread().order3
     spread_ids = [index[x] for x in spread]
     spread_ids += [index[g.add(x, j1)] for x in spread]
-    reps = []
-    paired = set()
-    for t in g.element_list:
-        if t not in paired:
-            reps.append(t)
-            paired.add(g.add(j1, t))
+    reps = np.flatnonzero(G.translation_ids(g, j1, left=True)
+                          > np.arange(g.order))
     rows = np.empty((len(reps) + 1, v), dtype=np.int32)
     cosets = np.empty((len(reps), 6), dtype=np.int32)
-    for k, t in enumerate(reps, 1):
-        pperm = np.concatenate((np.arange(3), gi.translation(t) + 3))
-        rows[k] = _sorted_blocks(pperm[q0_ids], v).ravel()
-        cosets[k - 1] = pperm[spread_ids]
+    for start in range(0, len(reps), CHUNK):
+        ts = [g.element_list[t] for t in reps[start:start + CHUNK]]
+        pperm = np.empty((len(ts), v), dtype=np.int32)
+        pperm[:, :3] = np.arange(3)
+        np.add(gi.translation(ts), 3, out=pperm[:, 3:])
+        cosets[start:start + len(ts)] = pperm[:, spread_ids]
+        rows[start + 1:start + 1 + len(ts)] = _class_rows(pperm[:, q0_ids], v)
     rows[0, :3] = np.arange(3)
     rows[0, 3:] = _sorted_blocks(cosets.reshape(-1, 3), v).ravel()
 
@@ -608,7 +613,7 @@ def build_kts(rdf, trace=None):
     # spread, then {0, t, j + t} with t before j + t in element_list.  So the
     # rows come out in increasing order of that block's code, which is the
     # sorted order of distinct rows; check it instead of sorting
-    if np.any(np.diff(_codes(rows[:, :3], v)) <= 0):
+    if np.any(np.diff(G.block_codes(rows[:, :3], v)) <= 0):
         raise AssertionError("classes are not in increasing order of their "
                              "block through point 0")
     classes = rows.reshape(len(rows), v // 3, 3)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import groups as G
+from .designkit import difference_counts
 
 MAX_PROBLEMS = 10
 # verify_full re-derives base blocks only for groups up to this order
@@ -467,28 +468,6 @@ def extract_base_blocks(system):
     return reps, shorts[0]
 
 
-# the ordered pairs (r, c) of distinct positions in a triple
-_ROW = np.array([0, 0, 1, 1, 2, 2])
-_COL = np.array([1, 2, 0, 2, 0, 1])
-
-
-def _differences(group, triples):
-    """How often each element id is a difference r −^ c = r + (−c) of the
-    entries at two distinct positions of a triple, over all `triples`
-    (element ids, k × 3): `designkit.delta_family` as one histogram.  The
-    sums come from the atoms' tables, and −c is the entry whose sum with c
-    is the atom's zero."""
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    digits = np.unravel_index(triples, [a.order for a in group.atoms])
-    diff = np.zeros((len(triples), 6), dtype=np.int64)
-    for a, d in zip(group.atoms, digits):
-        table = G.atom_table(a)
-        neg = np.argmax(table == G.local_id(a, a.zero), axis=1)
-        diff *= len(table)
-        diff += table[d[:, _ROW], neg[d[:, _COL]]]
-    return np.bincount(diff.ravel(), minlength=group.order)
-
-
 def check_base_blocks(system):
     """The re-derived representatives generate the same difference multiset
     as the witness the system was built from."""
@@ -506,8 +485,8 @@ def check_base_blocks(system):
     if not all(len(b) == 3 and all(x in index for x in b) for b in w.blocks):
         problems.append("witness blocks are not triples of group elements")
     elif not np.array_equal(
-            _differences(g, [[index[x] for x in b] for b in reps]),
-            _differences(g, [[index[x] for x in b] for b in w.blocks])):
+            difference_counts(g, [[index[x] for x in b] for b in reps]),
+            difference_counts(g, [[index[x] for x in b] for b in w.blocks])):
         problems.append("difference multisets disagree")
     # the spread holds 0, so a coset spread + t equal to the short orbit
     # has its t in the short orbit

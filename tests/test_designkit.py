@@ -1,10 +1,18 @@
-from conftest import naive_delta
-from kts3p import catalog
+import random
+
+import pytest
+from conftest import (delta_counts, naive_delta, oracle_dm_check, oracle_is_df,
+                      oracle_is_doubly_disjoint, oracle_is_j_resolvable,
+                      oracle_is_pseudo_resolvable)
+
+from kts3p import catalog, compose
 from kts3p import groups as G
 from kts3p.designkit import (DifferenceMatrix, FamilyWitness, Spread,
-                             delta_family, dm_check, dm_from_json, dm_to_json,
+                             dm_check, dm_from_json, dm_to_json,
                              is_df, is_doubly_disjoint, is_j_resolvable,
-                             witness_from_json, witness_to_json)
+                             is_pseudo_resolvable, witness_from_json,
+                             witness_to_json)
+from kts3p.directcon import construct_dddf
 
 
 def g1():
@@ -14,14 +22,14 @@ def g1():
 def test_delta_family_matches_naive_oracle():
     g = g1()
     blocks = [[(0, 0, 1), (1, 1, 0), (2, 1, 1)], [(0, 1, 0), (1, 0, 1), (2, 0, 0)]]
-    assert delta_family(g, blocks) == naive_delta(g, blocks)
+    assert delta_counts(g, blocks) == naive_delta(g, blocks)
 
 
 def test_paper_difference_table():
     # [PAPER] the six differences of B = {(0,0,1),(1,1,0),(2,1,1)} in order
     g = g1()
     B = [(0, 0, 1), (1, 1, 0), (2, 1, 1)]
-    diffs = set(delta_family(g, [B]))
+    diffs = set(delta_counts(g, [B]))
     assert diffs == {(2, 0, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1),
                      (2, 1, 0), (1, 1, 0)}
 
@@ -112,3 +120,153 @@ def test_dm_json_roundtrip():
     assert back.group == dm.group
     assert back.rows == dm.rows
     assert back.j == dm.j
+
+
+# ---------------------------------------------------------------------------
+# the id-level predicates against the Counter oracle in conftest
+
+def _witness(name):
+    """A catalog witness; "dd:<id>" reads a subgroup-relative catalog family
+    as doubly disjoint (translates j), "dddf:<n>" is construct_dddf(n)."""
+    kind, _, rest = name.partition(":")
+    if kind == "dddf":
+        return construct_dddf(int(rest))
+    if kind == "dd":
+        w = catalog.get(rest)
+        return FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
+                             translates=[w.j] * len(w.blocks))
+    return catalog.get(name)
+
+
+WITNESSES = ([e for e in catalog.ENTRY_IDS if not e.startswith("dm:")]
+             + ["dd:rdf:G2:rel-G1", "dd:rdf:G3:rel-G2", "dddf:5", "dddf:13"])
+
+
+def _variants(w, rng):
+    """The witness's own fields, then seeded mutations: a changed entry, a
+    dropped and a duplicated block, a wrong j, a wrong, swapped or missing
+    (a, b), and a changed translate."""
+    els = w.group.element_list
+    base = {"blocks": [list(b) for b in w.blocks], "j": w.j, "a": w.a,
+            "b": w.b, "translates": w.translates}
+    out = [base]
+    if w.blocks:
+        for _ in range(3):
+            blocks = [list(b) for b in w.blocks]
+            blocks[rng.randrange(len(blocks))][rng.randrange(3)] = \
+                rng.choice(els)
+            out.append({**base, "blocks": blocks})
+        i = rng.randrange(len(w.blocks))
+        out.append({**base, "blocks": base["blocks"][:i]
+                    + base["blocks"][i + 1:]})
+        out.append({**base, "blocks": base["blocks"] + [base["blocks"][i]]})
+    out += [{**base, "j": j} for j in (rng.choice(els),) + w.group.involutions
+            if j != w.j]
+    out.append({**base, "a": rng.choice(els), "b": rng.choice(els)})
+    out.append({**base, "a": w.b, "b": w.a})
+    out.append({**base, "a": None, "b": None})
+    if w.translates:
+        translates = list(w.translates)
+        translates[rng.randrange(len(translates))] = rng.choice(els)
+        out.append({**base, "translates": translates})
+    return out
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_predicates_agree_with_counter_oracle(name):
+    w = _witness(name)
+    checks = [(is_df, oracle_is_df)]
+    if w.j is not None:
+        checks.append((is_j_resolvable, oracle_is_j_resolvable))
+    if w.kind == "PRDF":
+        checks.append((is_pseudo_resolvable, oracle_is_pseudo_resolvable))
+    if w.translates is not None:
+        checks.append((is_doubly_disjoint, oracle_is_doubly_disjoint))
+    seen = set()
+    for fields in _variants(w, random.Random(name)):
+        for check, oracle in checks:
+            mine, ref = (FamilyWitness(w.group, fields["blocks"], w.kind,
+                                       w.relative, j=fields["j"],
+                                       a=fields["a"], b=fields["b"],
+                                       translates=fields["translates"])
+                         for _ in range(2))
+            d, e = check(mine), oracle(ref)
+            assert (d.ok, d.problems) == (e.ok, e.problems), check.__name__
+            assert (getattr(d, "solutions", None)
+                    == getattr(e, "solutions", None))
+            assert (mine.a, mine.b, mine.prdf_pair) == (ref.a, ref.b,
+                                                        ref.prdf_pair)
+            seen.add((check.__name__, d.ok))
+    # every check met both verdicts (no block of an empty family can break)
+    want = {(c.__name__, ok) for c, _ in checks for ok in (True, False)}
+    if not w.blocks:
+        want.discard(("is_df", False))
+    assert seen == want
+
+
+@pytest.mark.parametrize("dm", [catalog.get(e) for e in catalog.ENTRY_IDS
+                                if e.startswith("dm:")]
+                         + [compose.homogeneous_dm(G.GroupDescriptor(a))
+                            for a in ([G.VAtom(5)], [G.VAtom(3), G.VAtom(5)])],
+                         ids=repr)
+def test_dm_check_agrees_with_counter_oracle(dm):
+    g = dm.group
+    rng = random.Random(repr(g))
+    variants = [(dm.rows, dm.j), (dm.rows, None)]
+    variants += [(dm.rows, j) for j in g.involutions]
+    for _ in range(4):
+        rows = [list(r) for r in dm.rows]
+        rows[rng.randrange(3)][rng.randrange(g.order)] = rng.choice(
+            g.element_list)
+        variants.append((rows, dm.j))
+    rows = [list(r) for r in dm.rows]
+    i, k = rng.sample(range(g.order), 2)
+    rows[1][i], rows[1][k] = rows[1][k], rows[1][i]
+    variants.append((rows, dm.j))
+    for rows, j in variants:
+        m = DifferenceMatrix(g, rows, j=j)
+        assert dm_check(m) == oracle_dm_check(m)
+
+
+# ---------------------------------------------------------------------------
+# entries outside the group: (3, 0, 0, 2) has G1 head 3, outside Z3
+
+FOREIGN = (3, 0, 0, 2)
+
+
+def _foreign_block(eid, **kw):
+    w = catalog.get(eid)
+    blocks = [list(b) for b in w.blocks]
+    blocks[0][0] = FOREIGN
+    return FamilyWitness(w.group, blocks, w.kind, w.relative, j=w.j, a=w.a,
+                         b=w.b, **kw)
+
+
+@pytest.mark.parametrize("check, eid", [
+    (is_df, "rdf:G1xV3"), (is_j_resolvable, "rdf:G1xV3"),
+    (is_pseudo_resolvable, "prdf:G1xV3"), (is_doubly_disjoint, "rdf:G1xV3")])
+def test_predicates_reject_entries_outside_the_group(check, eid):
+    src = catalog.get(eid)
+    w = _foreign_block(eid, translates=[src.j] * len(src.blocks))
+    d = check(w)
+    assert not d
+    assert d.problems == [f"block {w.blocks[0]} holds {FOREIGN}, which is "
+                          f"not an element of {w.group!r}"]
+
+
+def test_doubly_disjoint_rejects_translates_outside_the_group():
+    w = _witness("dd:rdf:G2:rel-G1")
+    bad = FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
+                        translates=[(3, 0, 0)] + list(w.translates[1:]))
+    d = is_doubly_disjoint(bad)
+    assert not d and "(3, 0, 0)" in str(d)
+
+
+def test_dm_check_rejects_entries_outside_the_group():
+    dm = catalog.get("dm:G1")
+    rows = [list(r) for r in dm.rows]
+    rows[1][0] = (3, 0, 0)
+    rep = dm_check(DifferenceMatrix(dm.group, rows, j=dm.j))
+    assert not rep["valid"] and rep["splittable"] == []
+    assert rep["problems"] == [f"row 1 holds (3, 0, 0), which is not an "
+                               f"element of {dm.group!r}"]

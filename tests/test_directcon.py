@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import naive_delta
+from conftest import delta_counts, naive_delta
 from kts3p import catalog
 from kts3p import directcon as D
 from kts3p.designkit import (FamilyWitness, is_doubly_disjoint,
@@ -50,8 +50,7 @@ def test_15mod24bis_small(n):
 
 def test_15mod24_delta_matches_naive_oracle():
     w = D.construct_15mod24(5)
-    from kts3p.designkit import delta_family
-    assert delta_family(w.group, w.blocks) == naive_delta(w.group, w.blocks)
+    assert delta_counts(w.group, w.blocks) == naive_delta(w.group, w.blocks)
 
 
 @pytest.mark.parametrize("eid,n", [("prdf:G1xV3", 7), ("prdf:G2", 7),

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,13 +239,19 @@ def test_atom_tables_shared_and_read_only(atom, same):
 
 
 def test_group_index_translation():
-    g = _descr(G.DAtom(), G.VAtom(5))
-    gi = G.GroupIndex(g)
-    els = list(g.element_list)
-    for t in els[::5]:
-        perm = gi.translation(t)
-        for i, x in enumerate(els[::3]):
-            assert els[perm[3 * i]] == g.add(x, t)
+    # one row per element: the per-element map, and x + t by the group law
+    for g in (_descr(G.DAtom(), G.VAtom(5)), _descr(G.GAtom(2), G.ZAtom(3)),
+              _descr(G.ZAtom(4), G.VAtom(9)), _descr(G.GAtom(1), G.VAtom(25))):
+        gi = G.GroupIndex(g)
+        els = list(g.element_list)
+        ts = els[::5]
+        rows = gi.translation(ts)
+        assert rows.shape == (len(ts), g.order)
+        for t, perm in zip(ts, rows):
+            assert np.array_equal(perm, G.translation_ids(g, t))
+            for i, x in enumerate(els[::3]):
+                assert els[perm[3 * i]] == g.add(x, t)
+        assert gi.translation([]).shape == (0, g.order)
 
 
 def test_mu_endomorphism_and_unit_vector():

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import naive_pair_cover
+from conftest import delta_counts, naive_pair_cover
 from kts3p import catalog, cli, compose
 from kts3p import groups as G
 from kts3p import pipeline as P
@@ -215,6 +215,27 @@ def test_build_kts_matches_full_development(v):
                for x, y in zip(system.resolution, resolution))
 
 
+def test_build_kts_chunks_match_full_development(monkeypatch):
+    # 18 translates in chunks of 7: two full chunks and a partial last one
+    rdf = P.construct(39).witness
+    sizes = []
+    translation = G.GroupIndex.translation
+
+    def counted(self, ts):
+        sizes.append(len(ts))
+        return translation(self, ts)
+
+    monkeypatch.setattr(P, "CHUNK", 7)
+    monkeypatch.setattr(G.GroupIndex, "translation", counted)
+    system = P.build_kts(rdf)
+    assert sizes == [7, 7, 4]
+    blocks, resolution = _full_development(rdf)
+    assert np.array_equal(system.blocks, blocks)
+    assert len(system.resolution) == len(resolution)
+    assert all(np.array_equal(x, y)
+               for x, y in zip(system.resolution, resolution))
+
+
 def test_place_fn_is_monomorphism():
     src = G.GroupDescriptor([G.GAtom(1)])
     dst = G.GroupDescriptor([G.GAtom(1), G.VAtom(5)])
@@ -237,9 +258,8 @@ def test_align_transports_witness():
     assert moved.j in amb.involutions
     fn = P._place_fn(src.group, amb)
     assert [tuple(fn(x) for x in b) for b in src.blocks] == list(moved.blocks)
-    from kts3p.designkit import delta_family
-    lifted = {fn(d) for d in delta_family(src.group, src.blocks)}
-    assert set(delta_family(amb, moved.blocks)) == lifted
+    lifted = {fn(d) for d in delta_counts(src.group, src.blocks)}
+    assert set(delta_counts(amb, moved.blocks)) == lifted
 
 
 def test_quotient_splits_exactly():
