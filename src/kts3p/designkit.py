@@ -106,6 +106,10 @@ class Spread:
     def __init__(self, group, x):
         self.group = group
         self.x = x
+        # `add` reduces its arguments, so check membership first
+        if x not in group.element_index:
+            raise ValueError(f"spread generator {x} is not an element of "
+                             f"{group!r}")
         if group.add(x, group.add(x, x)) != group.zero or x == group.zero:
             raise ValueError("spread generator must have order 3")
         self.order3 = (group.zero, x, group.neg(x))

@@ -372,10 +372,15 @@ class SubgroupView:
         # elements has been added to each generator, and in a finite group the
         # closure under + of a set is the subgroup it generates.  Each new
         # generator at least doubles the span, so this costs at most
-        # |H|·log2|H| add calls.  The carrier is a subgroup exactly when no
-        # sum leaves it; the span then ends up equal to it.
+        # |H|·log2|H| add calls.  A carrier of group elements is a subgroup
+        # exactly when no sum leaves it; the span then ends up equal to it.
+        # `add` reduces its arguments, so a non-element could pass for one.
         G = self.ambient
         carrier = self.carrier
+        strays = carrier - G.element_index.keys()
+        if strays:
+            raise ValueError(f"carrier holds non-elements of {G!r}: "
+                             f"{sorted(map(repr, strays))[:3]}")
         if G.zero not in carrier:
             raise ValueError("subgroup must contain 0")
         gens = []
@@ -397,6 +402,8 @@ class SubgroupView:
                     if y not in span:
                         span.add(y)
                         todo.append((y, gens))
+        if len(span) != len(carrier):
+            raise ValueError("the carrier is not the span of its elements")
         self.generators = gens
 
     def __len__(self):

@@ -18,6 +18,10 @@ MAX_PROBLEMS = 10
 BASE_BLOCK_CAP = 360
 # verify_automorphisms stops enumerating the generated group past this size
 CLOSURE_CAP = 200_000
+# classes per gather when coding a resolution, and group elements per gather
+# when verify_3pyramidal develops the class through the first extra point
+CLASS_CHUNK = 32
+DEVELOP_CHUNK = 128
 INF = (("inf", 1), ("inf", 2), ("inf", 3))
 
 
@@ -29,20 +33,23 @@ def _labels(system, row):
     return tuple(system.points[i] for i in row)
 
 
-def _sorted_ids(rows):
+def _sorted_ids(rows, axis=-1):
     """The three ids of each block in increasing order, as columns of the
-    input's dtype (int32 min/max run several times faster than int64)."""
-    a, b, c = rows.T
+    input's dtype (int32 min/max run several times faster than int64);
+    `axis` is the one that holds each block's three ids: the last for
+    (n, 3) rows, or the first or second for runs of ids laid out as (3, k)
+    or (n, 3, k)."""
+    a, b, c = rows.swapaxes(axis, 0)
     a, b = np.minimum(a, b), np.maximum(a, b)
     b, c = np.minimum(b, c), np.maximum(b, c)
     a, b = np.minimum(a, b), np.maximum(a, b)
     return a, b, c
 
 
-def _codes(rows, v):
+def _codes(rows, v, axis=-1):
     """One int64 code per block: sorted ids (a, b, c) give (a·v + b)·v + c,
     so equal codes mean equal blocks (for v below 2^21)."""
-    a, b, c = _sorted_ids(rows)
+    a, b, c = _sorted_ids(rows, axis)
     code = a.astype(np.int64)
     code *= v
     code += b
@@ -179,6 +186,19 @@ def _class_set(codes, sizes):
     return rows[_run_starts(rows)].view(np.int64).reshape(-1, width)
 
 
+def _class_table(classes, v):
+    """`_class_set` of a list of classes, coded CLASS_CHUNK classes at a
+    time."""
+    sizes = np.array([len(rows) for rows in classes], dtype=np.int64)
+    codes = np.empty(sizes.sum(), dtype=np.int64)
+    at = 0
+    for lo in range(0, len(classes), CLASS_CHUNK):
+        part = _codes(np.concatenate(classes[lo:lo + CLASS_CHUNK]), v)
+        codes[at:at + len(part)] = part
+        at += len(part)
+    return _class_set(codes, sizes)
+
+
 def _preservation(system):
     """A function telling, for a permutation of the point ids, whether it
     preserves the blocks (compared as sorted code arrays) and whether it
@@ -187,7 +207,7 @@ def _preservation(system):
     classes = [np.empty((0, 3), np.int32), *system.resolution]
     sizes = np.array([len(rows) for rows in system.resolution], dtype=np.int64)
     base_blocks = _sorted_codes(system.blocks, v)
-    base_classes = _class_set(_codes(np.concatenate(classes), v), sizes)
+    base_classes = _class_table(system.resolution, v)
 
     def preserves(perm):
         return (np.array_equal(_sorted_codes(perm[system.blocks], v),
@@ -225,15 +245,53 @@ def _translations(system, shifts, left=False):
     return perms
 
 
+def _frontiers(seed, moves, key, chunk):
+    """The rows of `seed`, then every row the moves reach from them (move m
+    takes row r to m[r]), each kept once per entry in column `key`: yielded
+    a frontier at a time, in pieces of at most `chunk` rows, so only two
+    frontiers are ever held.  Seeded with one point this is the point's
+    orbit; seeded with the identity it is the group the moves generate,
+    when that group is semiregular (its elements then differ at every
+    point).  Only the rows kept are ever gathered."""
+    found = np.zeros(moves.shape[1], dtype=bool)
+    found[seed[:, key]] = True
+    level = [seed]
+    while level:
+        reached = []
+        for rows in level:
+            for lo in range(0, len(rows), chunk):
+                part = rows[lo:lo + chunk]
+                yield part
+                hits = moves[:, part[:, key]]
+                m, r = np.nonzero(~found[hits])
+                hit = hits[m, r]
+                by_hit = np.argsort(hit)
+                first = by_hit[_run_starts(hit[by_hit])]
+                found[hit[first]] = True
+                if len(first):
+                    # one flat take: row r[i] through move m[i]
+                    reached.append(moves.ravel().take(
+                        part[r[first]] + (m[first] * moves.shape[1])[:, None]))
+        level = reached
+
+
+def _batched(parts, n):
+    """The row arrays `parts` regrouped into arrays of at least n rows (the
+    last may hold fewer), so that small frontiers share one pass."""
+    held = []
+    for part in parts:
+        held.append(part)
+        if sum(map(len, held)) >= n:
+            yield np.concatenate(held)
+            held = []
+    if held:
+        yield np.concatenate(held)
+
+
 def _grow(seed, moves, key):
-    """The rows of `seed` and every row the moves reach from them (a move m
-    takes row r to m[r]), grown a frontier at a time and kept once per entry
-    in column `key`.  Seeded with one point this is the point's orbit;
-    seeded with the identity it is the group the moves generate, when that
-    group is semiregular (its elements then differ at every point).  The
-    moves' powers m^2, m^4, ... join them, so a cycle of length L takes
-    about log2(L) frontiers instead of L, and only the rows kept are ever
-    gathered."""
+    """All rows of `_frontiers` at once.  The moves' powers m^2, m^4, ...
+    join them, so a cycle of length L takes about log2(L) frontiers instead
+    of L."""
     if not moves:
         return seed
     power = np.stack(moves)
@@ -242,19 +300,7 @@ def _grow(seed, moves, key):
         power = power[np.arange(len(power))[:, None], power]
         powers.append(power)
     moves = np.concatenate(powers)
-    found = np.zeros(moves.shape[1], dtype=bool)
-    found[seed[:, key]] = True
-    parts = [seed]
-    while len(parts[-1]):
-        rows = parts[-1]
-        hits = moves[:, rows[:, key]]
-        m, r = np.nonzero(~found[hits])
-        hit = hits[m, r]
-        by_hit = np.argsort(hit)
-        first = by_hit[_run_starts(hit[by_hit])]
-        found[hit[first]] = True
-        parts.append(moves[m[first, None], rows[r[first]]])
-    return np.concatenate(parts)
+    return np.concatenate(list(_frontiers(seed, moves, key, moves.shape[1])))
 
 
 def _regularity_problems(right, left, start, size):
@@ -301,36 +347,138 @@ def _point_problems(system):
     return []
 
 
+def _increasing(codes):
+    return bool(np.all(codes[1:] > codes[:-1]))
+
+
+def _rows_of(codes, v):
+    """The sorted id triples of block codes."""
+    rows = np.empty((len(codes), 3), dtype=np.int32)
+    rows[:, 0], rest = np.divmod(codes, v * v)
+    rows[:, 1], rows[:, 2] = np.divmod(rest, v)
+    return rows
+
+
+def _develops(system, right, zero):
+    """Whether one development of the class through the first extra point
+    proves that the group H generated by the permutations `right`
+    preserves the blocks and the classes.  Sound only when H acts
+    regularly on the points other than the extra three, which the caller
+    checks; False is no verdict, only a call for the per-generator
+    comparison.
+
+    Let C∞ be the class holding the extra points' block, C1 the class
+    holding a block {∞1, 0, y}, and τ the element of H taking 0 to y.  A
+    breadth-first search on the image of point 0 finds each h in H from
+    the generators, as the row h[C1].  If τ(y) = 0 and τ[C1] = C1, then
+    τ∘τ fixes 0 and so is 1, and h and h∘τ develop the same class, with
+    (h∘τ)(0) = h(y): the classes h[C1] with h(0) < h(y) are the orbit
+    C1·H once each.  If H fixes the extra points, each generator fixes C∞
+    and the class set is {C∞} ∪ C1·H, H preserves the class set; it then
+    preserves the blocks when they are distinct and are the blocks of the
+    classes.  Each developed class is looked up in the class set as it
+    comes, so a class outside it ends the search."""
+    v = len(system.points)
+    inf_ids = [system.points.index(p) for p in INF]
+    sizes = {len(rows) for rows in system.resolution}
+    k = max(sizes, default=0)
+    if not right or sizes != {k} or not k:
+        return False
+    moves = np.stack(right)
+    if np.any(moves[:, inf_ids] != inf_ids):
+        return False
+    blocks = _codes(system.blocks, v)
+    if not _increasing(blocks):
+        blocks.sort()
+    # classes of equal size give a table without padding, whose rows come
+    # in order of their lowest code when no two share it
+    table = _class_table(system.resolution, v)
+    lowest = table[:, 0].copy()
+    if not (len(blocks) and _increasing(blocks) and _increasing(lowest)
+            and np.array_equal(np.sort(table, axis=None), blocks)):
+        return False
+
+    # y, C1 and C∞; every block code is in some row of the table
+    through = _codes(np.stack(np.broadcast_arrays(
+        inf_ids[0], zero, np.arange(v, dtype=np.int32)), axis=1), v)
+    present = blocks[np.minimum(np.searchsorted(blocks, through),
+                                len(blocks) - 1)] == through
+    present[[inf_ids[0], zero]] = False
+    inf_code = _codes(np.array([inf_ids]), v)[0]
+    if not (present.any() and inf_code in blocks):
+        return False
+    y = int(np.argmax(present))
+    del blocks
+    at1, at_inf = (int(np.argmax(table == code)) // k
+                   for code in (through[y], inf_code))
+    c_inf = _rows_of(table[at_inf], v)
+    images = np.sort(_codes(moves[:, c_inf].reshape(-1, 3), v).reshape(
+        len(moves), k), axis=1)
+    if np.any(images != table[at_inf]):
+        return False
+
+    # the rows h[C1], entries grouped by their place in a block, so that
+    # each place is a contiguous run of k ids
+    seed = np.ascontiguousarray(_rows_of(table[at1], v).T).ravel()
+    pos0, posy = (int(np.flatnonzero(seed == p)[0]) for p in (zero, y))
+    hit = np.zeros(len(table), dtype=bool)
+    hit[at_inf] = True
+    tau_ok = False
+    for part in _batched(_frontiers(seed[None], moves, pos0, DEVELOP_CHUNK),
+                         DEVELOP_CHUNK):
+        tau = part[part[:, pos0] == y]
+        if len(tau):
+            tau_ok = bool(tau[0, posy] == zero) and np.array_equal(
+                np.sort(_codes(tau[0].reshape(3, k), v, axis=0)), table[at1])
+        low = part[part[:, pos0] < part[:, posy]]
+        codes = _codes(low.reshape(len(low), 3, k), v, axis=1)
+        codes.sort(axis=1)
+        at = np.minimum(np.searchsorted(lowest, codes[:, 0]), len(table) - 1)
+        if not np.array_equal(table[at], codes):
+            return False
+        hit[at] = True
+    return tau_ok and bool(hit.all())
+
+
 def verify_3pyramidal(system):
     """The recorded group acts sharply transitively on the non-extra points,
     fixes the three extra ones, and preserves blocks and classes.  Checked on
-    generators: preservation by generators extends to the whole group, and
-    the generated group is regular when it and the left translations are
-    transitive and commute.  The action goes through the point labels,
-    wherever they sit in `points`."""
+    generators: the generated group is regular when it and the left
+    translations are transitive and commute, and then one development of a
+    class (`_develops`) proves preservation by the whole group.  When that
+    proof fails, each generator's images of the blocks and classes are
+    compared with them, to name the generators at fault.  The action goes
+    through the point labels, wherever they sit in `points`."""
     g = system.group
     v = len(system.points)
     problems = _point_problems(system)
     if problems:
         return _report(problems, group=repr(g))
     inf_ids = sorted(system.points.index(p) for p in INF)
-    preserves = _preservation(system)
+    zero = system.points.index(g.zero)
 
     gens = list(g.generators())
     right = _translations(system, gens)
-    for gen, perm in zip(gens, right):
+    fixed = [np.flatnonzero(perm == np.arange(v)) for perm in right]
+    moved = [gen != g.zero and f.tolist() != inf_ids
+             for gen, f in zip(gens, fixed)]
+    regular = _regularity_problems(
+        right, _translations(system, gens, left=True), zero, g.order)
+    if any(moved) or regular or not _develops(system, right, zero):
+        preserves = _preservation(system)
+        kept = [preserves(perm) for perm in right]
+    else:
+        kept = [(True, True)] * len(right)
+    for gen, (blocks_kept, classes_kept), f, bad in zip(gens, kept, fixed,
+                                                        moved):
         name = G.encode_element(g, gen)
-        blocks_kept, classes_kept = preserves(perm)
         if not blocks_kept:
             problems.append(f"translation by {name} does not preserve blocks")
         if not classes_kept:
             problems.append(f"translation by {name} does not preserve classes")
-        fixed = np.flatnonzero(perm == np.arange(v))
-        if gen != g.zero and fixed.tolist() != inf_ids:
-            problems.append(f"translation by {name} fixes {len(fixed)} points")
-    problems += _regularity_problems(
-        right, _translations(system, gens, left=True),
-        system.points.index(g.zero), g.order)
+        if bad:
+            problems.append(f"translation by {name} fixes {len(f)} points")
+    problems += regular
     return _report(problems, group=repr(g), generators=len(gens))
 
 
@@ -405,11 +553,8 @@ def _orbits(system):
         return [], [], problems
     codes = _codes(system.blocks[keep], v)
     codes.sort()
-    codes = codes[_run_starts(codes)]
-    rows = np.empty((len(codes), 3), dtype=np.int32)
-    rows[:, 0], rest = np.divmod(codes, v * v)
-    rows[:, 1], rows[:, 2] = np.divmod(rest, v)
-    del codes, rest
+    rows = _rows_of(codes[_run_starts(codes)], v)
+    del codes
 
     zero = system.points.index(g.zero)
     shifts = _grow(np.arange(v, dtype=np.int32)[None],

@@ -220,3 +220,55 @@ def oracle_dm_check(dm):
         splittable = [j for j in candidates if splits_with(j)]
     return {"valid": valid, "homogeneous": homogeneous,
             "splittable": splittable, "problems": problems}
+
+
+# ---------------------------------------------------------------------------
+# Per-generator oracle for verify_3pyramidal: each generator's images of the
+# blocks and classes compared with them in full, as the check was first
+# written.  The development-based check must give the same reports.
+
+def _oracle_preservation(system):
+    import numpy as np
+    from kts3p import verify as V
+    v = len(system.points)
+    classes = [np.empty((0, 3), np.int32), *system.resolution]
+    sizes = np.array([len(rows) for rows in system.resolution], dtype=np.int64)
+    base_blocks = V._sorted_codes(system.blocks, v)
+    base_classes = V._class_set(V._codes(np.concatenate(classes), v), sizes)
+
+    def preserves(perm):
+        return (np.array_equal(V._sorted_codes(perm[system.blocks], v),
+                               base_blocks),
+                np.array_equal(V._class_set(V._codes(
+                    perm[np.concatenate(classes)], v), sizes), base_classes))
+    return preserves
+
+
+def oracle_verify_3pyramidal(system):
+    import numpy as np
+    from kts3p import groups as G
+    from kts3p import verify as V
+    g = system.group
+    v = len(system.points)
+    problems = V._point_problems(system)
+    if problems:
+        return V._report(problems, group=repr(g))
+    inf_ids = sorted(system.points.index(p) for p in V.INF)
+    preserves = _oracle_preservation(system)
+
+    gens = list(g.generators())
+    right = V._translations(system, gens)
+    for gen, perm in zip(gens, right):
+        name = G.encode_element(g, gen)
+        blocks_kept, classes_kept = preserves(perm)
+        if not blocks_kept:
+            problems.append(f"translation by {name} does not preserve blocks")
+        if not classes_kept:
+            problems.append(f"translation by {name} does not preserve classes")
+        fixed = np.flatnonzero(perm == np.arange(v))
+        if gen != g.zero and fixed.tolist() != inf_ids:
+            problems.append(f"translation by {name} fixes {len(fixed)} points")
+    problems += V._regularity_problems(
+        right, V._translations(system, gens, left=True),
+        system.points.index(g.zero), g.order)
+    return V._report(problems, group=repr(g), generators=len(gens))

@@ -43,6 +43,14 @@ def test_spread_members():
     assert g.zero in s.union
 
 
+def test_spread_rejects_non_element():
+    # add reduces mod 3, so (4,0,0) passes the order-3 test
+    g = g1()
+    for x in ((4, 0, 0), (1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="not an element"):
+            Spread(g, x)
+
+
 def test_is_df_catalog_positive_and_perturbed():
     w = catalog.get("rdf:G1xV3")
     assert is_df(w)

@@ -175,6 +175,15 @@ def test_subgroup_view_rejects_span_leaving_carrier():
         G.SubgroupView(d, [(0, 1), (0, 2)])
 
 
+def test_subgroup_view_rejects_non_elements():
+    # add reduces mod 3, so (3,0,0) + (3,0,0) = 0 keeps the sums inside
+    g = _descr(G.GAtom(1))
+    with pytest.raises(ValueError, match="non-elements"):
+        G.SubgroupView(g, [(0, 0, 0), (3, 0, 0)])
+    with pytest.raises(ValueError, match="non-elements"):
+        G.SubgroupView(g, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0)])
+
+
 def _counted(obj, name):
     calls = []
     inner = getattr(obj, name)

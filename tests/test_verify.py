@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from conftest import naive_pair_cover
+from conftest import naive_pair_cover, oracle_verify_3pyramidal
 
 from kts3p import groups as G
 from kts3p import pipeline as P
@@ -26,6 +26,11 @@ def sys33():
 @pytest.fixture(scope="module")
 def sys39():
     return P.construct(39)
+
+
+@pytest.fixture(scope="module")
+def sys147():
+    return P.construct(147)
 
 
 def test_good_systems_pass_full(sys15, sys33):
@@ -328,6 +333,7 @@ def test_checks_agree_with_oracle_on_corruptions(request, v, corrupt, seed):
     assert not V.verify_resolution(bad)["ok"]
     if corrupt in UNEVEN:
         assert not V.verify_3pyramidal(bad)["ok"]
+    assert V.verify_3pyramidal(bad) == oracle_verify_3pyramidal(bad)
     # the witness is still attached, so this runs the base-block check too
     assert bad.witness is not None
     assert not V.verify_full(bad)["ok"]
@@ -344,3 +350,115 @@ def test_automorphisms_reject_bad_permutation(sys15):
 def test_full_report_shape(sys15):
     rep = V.verify_full(sys15)
     assert set(rep) >= {"ok", "sts", "resolution", "pyramidal", "base_blocks"}
+
+
+# ---------------------------------------------------------------------------
+# verify_3pyramidal against the per-generator oracle in conftest.py
+
+def _all_translations(system):
+    """The permutation of point ids of every right translation."""
+    return V._translations(system, system.group.element_list)
+
+
+def _rewired(cls, skip=()):
+    """The class with one point swapped between two of its blocks that
+    avoid the ids in `skip`: a partition of the points again, but with two
+    blocks that are in no Steiner system holding the class's others."""
+    cls = cls.copy()
+    apart = [k for k, row in enumerate(cls.tolist())
+             if not set(row) & set(skip)]
+    p, q = apart[:2]
+    cls[p, 2], cls[q, 0] = cls[q, 0], cls[p, 2]
+    return cls
+
+
+def _block_with(system, *ids):
+    """The index of the first class with a block holding all of `ids`, and
+    that block."""
+    for k, cls in enumerate(system.resolution):
+        for row in cls.tolist():
+            if set(ids) <= set(row):
+                return k, row
+
+
+def _spy_preservation(monkeypatch):
+    calls = []
+    real = V._preservation
+
+    def spy(system):
+        calls.append(system)
+        return real(system)
+    monkeypatch.setattr(V, "_preservation", spy)
+    return calls
+
+
+@pytest.mark.parametrize("v", [15, 33, 39, 147, 183, 819])
+def test_pyramidal_matches_oracle_on_built_systems(v, monkeypatch):
+    s = P.construct(v)
+    calls = _spy_preservation(monkeypatch)
+    for system in (s, _reordered(s, v)):
+        rep = V.verify_3pyramidal(system)
+        assert rep["ok"]
+        assert rep == oracle_verify_3pyramidal(system)
+    # a valid system is proved by the development alone
+    assert not calls
+
+
+def test_pyramidal_matches_oracle_on_fixtures(sys15):
+    res = list(sys15.resolution)
+    res[1], res[2] = (np.concatenate((res[1][:1], res[2][1:])),
+                      np.concatenate((res[2][:1], res[1][1:])))
+    for bad in (_with(sys15, group=G.GroupDescriptor([G.ZAtom(12)])),
+                _with(sys15, resolution=res),
+                _with(sys15, resolution=list(sys15.resolution)
+                      + [sys15.resolution[4]]),
+                _with(sys15, resolution=[])):
+        assert V.verify_3pyramidal(bad) == oracle_verify_3pyramidal(bad)
+
+
+def test_pyramidal_invariant_extra_orbit_takes_diagnosis(sys33, monkeypatch):
+    # the whole orbit of a rewired class is H-invariant, but the class set
+    # is no longer C∞ and the orbit of C1, so the development proves nothing
+    extra = _rewired(sys33.resolution[1])
+    res = list(sys33.resolution) + [perm[extra]
+                                    for perm in _all_translations(sys33)]
+    bad = _with(sys33, resolution=res)
+    calls = _spy_preservation(monkeypatch)
+    rep = V.verify_3pyramidal(bad)
+    assert calls
+    assert rep["ok"]
+    assert rep == oracle_verify_3pyramidal(bad)
+
+
+@pytest.mark.parametrize("v", [33, 39, 147])
+def test_pyramidal_catches_rewired_infinity_class(request, v):
+    # every other class and the blocks agree with the development of C1,
+    # but C∞ is no longer fixed by the translations
+    s = request.getfixturevalue(f"sys{v}")
+    inf_ids = [s.points.index(p) for p in V.INF]
+    k, _ = _block_with(s, *inf_ids)
+    res = list(s.resolution)
+    res[k] = _rewired(res[k], inf_ids)
+    bad = _with(s, resolution=res, blocks=np.concatenate(res))
+    rep = V.verify_3pyramidal(bad)
+    assert not rep["ok"]
+    assert rep == oracle_verify_3pyramidal(bad)
+
+
+@pytest.mark.parametrize("v", [33, 39, 147])
+def test_pyramidal_catches_half_orbit_of_a_class_not_fixed_by_tau(request, v):
+    # C∞ and the half-orbit of C1 rewired: the classes C1·h with
+    # h(0) < h(y) are all there, but τ no longer maps C1 onto itself, so
+    # the other half of the orbit is missing
+    s = request.getfixturevalue(f"sys{v}")
+    inf_ids = [s.points.index(p) for p in V.INF]
+    zero = s.points.index(s.group.zero)
+    k, through = _block_with(s, inf_ids[0], zero)
+    y = next(p for p in through if p not in (inf_ids[0], zero))
+    c1 = _rewired(s.resolution[k], through)
+    res = [s.resolution[_block_with(s, *inf_ids)[0]]] + [
+        perm[c1] for perm in _all_translations(s) if perm[zero] < perm[y]]
+    bad = _with(s, resolution=res, blocks=np.concatenate(res))
+    rep = V.verify_3pyramidal(bad)
+    assert not rep["ok"]
+    assert rep == oracle_verify_3pyramidal(bad)
