@@ -81,17 +81,14 @@ def verify_multiplier_action(witness, mult: MultiplierGroup):
     tail_elements = list(itertools.product(*tail.coord_lists()))
     head = np.arange(group.order) // tail.order * tail.order
 
-    def block_set(perm):
-        codes = np.sort(G.block_codes(np.sort(perm[ids], axis=1), group.order))
-        return codes[np.append(True, codes[1:] != codes[:-1])]
-
-    want = block_set(np.arange(group.order))
+    want = G.distinct_codes(G.block_codes(ids, group.order))
     for s in mult.members:
         f = _mu(group, ring, s)
         moved = [G.local_id(tail, f(pad + y)[len(pad):])
                  for y in tail_elements]
         perm = head + np.tile(moved, group.order // tail.order)
-        if not (np.array_equal(block_set(perm), want)
+        if not (np.array_equal(
+                G.distinct_codes(G.block_codes(perm[ids], group.order)), want)
                 and np.array_equal(perm[fixed], fixed)):
             return False
     return True
@@ -271,36 +268,24 @@ def mult_order_in(f, s):
     return k
 
 
-def find_dddf_x(f, skip_direct=False):
-    """A non-square x of the field with x - 2 a square; the constructive
-    fallback set from the existence argument is used when asked to skip the
-    direct scan (exercised in tests)."""
+def find_dddf_x(f):
+    """The least non-square x of the field with x - 2 a nonzero square.  For
+    q ≡ 1 (mod 4) exactly (q - 1)/4 non-squares qualify (a Jacobi-sum
+    count), so the scan always finds one."""
     sq = f.squares
-    nonsq = [x for x in range(1, f.q) if x not in sq]
     two = f.add(1, 1)
-    if not skip_direct:
-        for x in nonsq:
-            if f.sub(x, two) in sq:
-                return x
-    for yv in nonsq:
-        if yv == two:
-            continue
-        cands = [yv, f.add(yv, 1), f.sub(1, yv),
-                 f.sub(f.add(two, two), f.mul(two, yv)),
-                 f.mul(two, f.inv(f.add(yv, 1))),
-                 f.mul(f.mul(two, yv), f.inv(f.sub(yv, 1)))]
-        for x in cands:
-            if x != 0 and x not in sq and f.sub(x, two) in sq:
-                return x
+    for x in range(1, f.q):
+        if x not in sq and f.sub(x, two) in sq:
+            return x
     raise AssertionError(f"no admissible x in field of order {f.q}")
 
 
-def construct_dddf(n, skip_direct=False):
+def construct_dddf(n):
     """A doubly disjoint DF over Z_3 x V_n relative to Z_3 x V_1."""
     ring = build_ring(n)
     if any(f.q % 4 != 1 for f in ring.fields):
         raise ValueError(f"all components of {n} must be 1 mod 4")
-    x = tuple(find_dddf_x(f, skip_direct=skip_direct) for f in ring.fields)
+    x = tuple(find_dddf_x(f) for f in ring.fields)
     two = ring.scalar(2)
     x2 = ring.mul(x, x)
     A = [(0,) + ring.one, (1,) + x, (1,) + ring.sub(two, x)]

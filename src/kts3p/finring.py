@@ -173,7 +173,11 @@ class ExtensionField:
 
     @cached_property
     def squares(self):
-        return frozenset(self.mul(x, x) for x in range(1, self.q))
+        # squared one at a time, so that asking for the squares does not
+        # build the q x q multiplication table
+        return frozenset(
+            self.encode(_poly_mulmod(c, c, self.modulus, self.p))
+            for c in map(self.decode, range(1, self.q)))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -396,12 +400,10 @@ def _least_generator(f, subgroup, order):
     raise ValueError("cyclic subgroup without generator?")
 
 
-def semiregular_system(ring, lam, unit_override=None):
+def semiregular_system(ring, lam):
     """Lemma-style semiregular machinery: build u, T, S with U.S = V_n^*.
-
-    unit_override, if given, replaces the default (least-generator) choice of u;
-    it must still be a unit of order lam with u^j - 1 a unit for 0 < j < lam.
-    """
+    u, the least generator of each component's subgroup of order lam, is
+    checked to be a unit of order lam with u^j - 1 a unit for 0 < j < lam."""
     if ring.n == 1:
         raise ValueError("semiregular system needs n > 1")
     for f in ring.fields:
@@ -412,7 +414,7 @@ def semiregular_system(ring, lam, unit_override=None):
     for f in ring.fields:
         sub = _subgroup_of_order(f, lam)
         per_comp_u.append(_least_generator(f, sub, lam))
-    u = tuple(per_comp_u) if unit_override is None else tuple(unit_override)
+    u = tuple(per_comp_u)
 
     if ring.mult_order(u) != lam:
         raise ValueError(f"u={u} does not have order {lam}")

@@ -540,28 +540,14 @@ class KirkmanSystem:
     trace: dict | None = None
 
 
-def _sorted_blocks(blocks, v):
-    """The distinct sorted blocks of an (n, 3) id array, in code order."""
-    codes = G.block_codes(np.sort(blocks, axis=1), v)
-    codes.sort()
-    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-    out = np.empty((len(codes), 3), dtype=np.int32)
-    codes, out[:, 2] = np.divmod(codes, v)
-    out[:, 0], out[:, 1] = np.divmod(codes, v)
-    return out
-
-
 def _class_rows(classes, v):
     """Each class of a (c, v / 3, 3) id array as one row of its blocks,
     sorted within and by code; a class that repeats a block raises."""
-    codes = G.block_codes(np.sort(classes, axis=2).reshape(-1, 3), v)
-    codes = np.sort(codes.reshape(len(classes), -1), axis=1)
+    codes = G.block_codes(classes.reshape(-1, 3), v).reshape(len(classes), -1)
+    codes.sort(axis=1)
     if np.any(np.diff(codes, axis=1) <= 0):
         raise AssertionError("a developed class repeats a block")
-    out = np.empty(classes.shape, dtype=np.int32)
-    codes, out[..., 2] = np.divmod(codes, v)
-    out[..., 0], out[..., 1] = np.divmod(codes, v)
-    return out.reshape(len(classes), v)
+    return G.code_rows(codes, v).reshape(len(classes), v)
 
 
 def build_kts(rdf, trace=None):
@@ -607,7 +593,8 @@ def build_kts(rdf, trace=None):
         cosets[start:start + len(ts)] = pperm[:, spread_ids]
         rows[start + 1:start + 1 + len(ts)] = _class_rows(pperm[:, q0_ids], v)
     rows[0, :3] = np.arange(3)
-    rows[0, 3:] = _sorted_blocks(cosets.reshape(-1, 3), v).ravel()
+    rows[0, 3:] = G.code_rows(G.distinct_codes(
+        G.block_codes(cosets.reshape(-1, 3), v)), v).ravel()
 
     # every row starts with its block through point 0: {0, 1, 2} for the
     # spread, then {0, t, j + t} with t before j + t in element_list.  So the
@@ -618,7 +605,8 @@ def build_kts(rdf, trace=None):
                              "block through point 0")
     classes = rows.reshape(len(rows), v // 3, 3)
 
-    blocks = _sorted_blocks(classes.reshape(-1, 3), v)
+    blocks = G.code_rows(G.distinct_codes(
+        G.block_codes(classes.reshape(-1, 3), v)), v)
     if len(blocks) != v * (v - 1) // 6:
         raise AssertionError("developed design has the wrong block count")
     return KirkmanSystem(order=v, group=g, points=points, blocks=blocks,

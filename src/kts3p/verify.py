@@ -33,45 +33,10 @@ def _labels(system, row):
     return tuple(system.points[i] for i in row)
 
 
-def _sorted_ids(rows, axis=-1):
-    """The three ids of each block in increasing order, as columns of the
-    input's dtype (int32 min/max run several times faster than int64);
-    `axis` is the one that holds each block's three ids: the last for
-    (n, 3) rows, or the first or second for runs of ids laid out as (3, k)
-    or (n, 3, k)."""
-    a, b, c = rows.swapaxes(axis, 0)
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    b, c = np.minimum(b, c), np.maximum(b, c)
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    return a, b, c
-
-
-def _codes(rows, v, axis=-1):
-    """One int64 code per block: sorted ids (a, b, c) give (a·v + b)·v + c,
-    so equal codes mean equal blocks (for v below 2^21)."""
-    a, b, c = _sorted_ids(rows, axis)
-    code = a.astype(np.int64)
-    code *= v
-    code += b
-    code *= v
-    code += c
-    return code
-
-
 def _sorted_codes(rows, v):
-    codes = _codes(rows, v)
+    codes = G.block_codes(rows, v)
     codes.sort()
     return codes
-
-
-def _run_starts(codes):
-    """Mask of the first entry of each run of equal values in a sorted
-    array: sort plus this mask dedupes codes several times faster than
-    numpy 2.4's hashing 1-D `np.unique`, whose first call in a process also
-    imports `numpy.ma`."""
-    first = np.ones(len(codes), dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]
-    return first
 
 
 def _pair_problems(system, pairs):
@@ -107,7 +72,7 @@ def verify_sts(system):
     if stray:
         problems.append(f"blocks mention unknown point ids: {stray[:3]}")
         return _report(problems, v=v, blocks=len(arr))
-    a, b, c = _sorted_ids(arr)
+    a, b, c = G.sorted_ids(arr)
     for row in arr[(a == b) | (b == c)][:MAX_PROBLEMS]:
         problems.append(f"degenerate block {_labels(system, row)}")
     # the codes of pairs ab, ac and bc, built in place in one int64 array
@@ -137,23 +102,18 @@ def verify_resolution(system):
             f"{len(system.resolution)} classes, expected {want}")
     if not system.resolution:
         return _report(problems, classes=0)
-    flat = np.concatenate(system.resolution)
-    if not np.array_equal(_sorted_codes(flat, v),
+    if not np.array_equal(_sorted_codes(np.concatenate(system.resolution), v),
                           _sorted_codes(system.blocks, v)):
         problems.append("classes do not partition the block set")
-    # class k partitions the points when it has v entries whose keys
-    # k·v + id are distinct; an unknown id marks its class and becomes -1
+    # a class of v / 3 blocks partitions the points when its ids, sorted,
+    # are 0, 1, ..., v - 1
     sizes = np.array([len(rows) for rows in system.resolution])
     bad = 3 * sizes != v
-    keys = np.repeat(np.arange(len(sizes)) * v, 3 * sizes)
-    ids = flat.ravel()
-    stray = (ids < 0) | (ids >= v)
-    bad[keys[stray] // v] = True
-    keys += ids
-    keys[stray] = -1
-    keys.sort()
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    bad[repeated[repeated >= 0] // v] = True
+    full = np.flatnonzero(~bad)
+    if len(full):
+        ids = np.stack([system.resolution[k].ravel() for k in full])
+        ids.sort(axis=1)
+        bad[full] = np.any(ids != np.arange(v), axis=1)
     for k in np.flatnonzero(bad)[:MAX_PROBLEMS]:
         problems.append(f"class {k} is not a partition of the points")
     return _report(problems, classes=len(system.resolution))
@@ -183,7 +143,7 @@ def _class_set(codes, sizes):
         return table[np.argsort(table[:, 0])]
     rows = table.view(f"V{8 * width}").ravel()
     rows.sort()
-    return rows[_run_starts(rows)].view(np.int64).reshape(-1, width)
+    return rows[G.run_starts(rows)].view(np.int64).reshape(-1, width)
 
 
 def _class_table(classes, v):
@@ -193,7 +153,7 @@ def _class_table(classes, v):
     codes = np.empty(sizes.sum(), dtype=np.int64)
     at = 0
     for lo in range(0, len(classes), CLASS_CHUNK):
-        part = _codes(np.concatenate(classes[lo:lo + CLASS_CHUNK]), v)
+        part = G.block_codes(np.concatenate(classes[lo:lo + CLASS_CHUNK]), v)
         codes[at:at + len(part)] = part
         at += len(part)
     return _class_set(codes, sizes)
@@ -212,8 +172,8 @@ def _preservation(system):
     def preserves(perm):
         return (np.array_equal(_sorted_codes(perm[system.blocks], v),
                                base_blocks),
-                np.array_equal(_class_set(_codes(perm[np.concatenate(classes)],
-                                                 v), sizes), base_classes))
+                np.array_equal(_class_set(G.block_codes(
+                    perm[np.concatenate(classes)], v), sizes), base_classes))
     return preserves
 
 
@@ -229,12 +189,13 @@ def _point_codes(system):
     return np.array(ids), coords @ np.cumprod([1] + radices[::-1])[-2::-1]
 
 
-def _translations(system, shifts, left=False):
+def _translations(system, points, shifts, left=False):
     """For each shift s, the permutation of point ids that the right
     translation x -> x + s (or the left one, x -> s + x) induces through
-    the point labels; the extra points stay fixed.  The map of element ids
-    comes from the shared per-atom tables (`groups.translation_ids`)."""
-    ids, codes = _point_codes(system)
+    the point labels, given as `points = _point_codes(system)`; the extra
+    points stay fixed.  The map of element ids comes from the shared
+    per-atom tables (`groups.translation_ids`)."""
+    ids, codes = points
     id_of = np.empty(system.group.order, dtype=np.int32)
     id_of[codes] = ids
     perms = []
@@ -266,7 +227,7 @@ def _frontiers(seed, moves, key, chunk):
                 m, r = np.nonzero(~found[hits])
                 hit = hits[m, r]
                 by_hit = np.argsort(hit)
-                first = by_hit[_run_starts(hit[by_hit])]
+                first = by_hit[G.run_starts(hit[by_hit])]
                 found[hit[first]] = True
                 if len(first):
                     # one flat take: row r[i] through move m[i]
@@ -351,14 +312,6 @@ def _increasing(codes):
     return bool(np.all(codes[1:] > codes[:-1]))
 
 
-def _rows_of(codes, v):
-    """The sorted id triples of block codes."""
-    rows = np.empty((len(codes), 3), dtype=np.int32)
-    rows[:, 0], rest = np.divmod(codes, v * v)
-    rows[:, 1], rows[:, 2] = np.divmod(rest, v)
-    return rows
-
-
 def _develops(system, right, zero):
     """Whether one development of the class through the first extra point
     proves that the group H generated by the permutations `right`
@@ -387,7 +340,7 @@ def _develops(system, right, zero):
     moves = np.stack(right)
     if np.any(moves[:, inf_ids] != inf_ids):
         return False
-    blocks = _codes(system.blocks, v)
+    blocks = G.block_codes(system.blocks, v)
     if not _increasing(blocks):
         blocks.sort()
     # classes of equal size give a table without padding, whose rows come
@@ -399,27 +352,27 @@ def _develops(system, right, zero):
         return False
 
     # y, C1 and C∞; every block code is in some row of the table
-    through = _codes(np.stack(np.broadcast_arrays(
+    through = G.block_codes(np.stack(np.broadcast_arrays(
         inf_ids[0], zero, np.arange(v, dtype=np.int32)), axis=1), v)
     present = blocks[np.minimum(np.searchsorted(blocks, through),
                                 len(blocks) - 1)] == through
     present[[inf_ids[0], zero]] = False
-    inf_code = _codes(np.array([inf_ids]), v)[0]
+    inf_code = G.block_codes(np.array([inf_ids]), v)[0]
     if not (present.any() and inf_code in blocks):
         return False
     y = int(np.argmax(present))
     del blocks
     at1, at_inf = (int(np.argmax(table == code)) // k
                    for code in (through[y], inf_code))
-    c_inf = _rows_of(table[at_inf], v)
-    images = np.sort(_codes(moves[:, c_inf].reshape(-1, 3), v).reshape(
+    c_inf = G.code_rows(table[at_inf], v)
+    images = np.sort(G.block_codes(moves[:, c_inf].reshape(-1, 3), v).reshape(
         len(moves), k), axis=1)
     if np.any(images != table[at_inf]):
         return False
 
     # the rows h[C1], entries grouped by their place in a block, so that
     # each place is a contiguous run of k ids
-    seed = np.ascontiguousarray(_rows_of(table[at1], v).T).ravel()
+    seed = np.ascontiguousarray(G.code_rows(table[at1], v).T).ravel()
     pos0, posy = (int(np.flatnonzero(seed == p)[0]) for p in (zero, y))
     hit = np.zeros(len(table), dtype=bool)
     hit[at_inf] = True
@@ -429,9 +382,10 @@ def _develops(system, right, zero):
         tau = part[part[:, pos0] == y]
         if len(tau):
             tau_ok = bool(tau[0, posy] == zero) and np.array_equal(
-                np.sort(_codes(tau[0].reshape(3, k), v, axis=0)), table[at1])
+                np.sort(G.block_codes(tau[0].reshape(3, k), v, axis=0)),
+                table[at1])
         low = part[part[:, pos0] < part[:, posy]]
-        codes = _codes(low.reshape(len(low), 3, k), v, axis=1)
+        codes = G.block_codes(low.reshape(len(low), 3, k), v, axis=1)
         codes.sort(axis=1)
         at = np.minimum(np.searchsorted(lowest, codes[:, 0]), len(table) - 1)
         if not np.array_equal(table[at], codes):
@@ -458,12 +412,13 @@ def verify_3pyramidal(system):
     zero = system.points.index(g.zero)
 
     gens = list(g.generators())
-    right = _translations(system, gens)
+    points = _point_codes(system)
+    right = _translations(system, points, gens)
     fixed = [np.flatnonzero(perm == np.arange(v)) for perm in right]
     moved = [gen != g.zero and f.tolist() != inf_ids
              for gen, f in zip(gens, fixed)]
     regular = _regularity_problems(
-        right, _translations(system, gens, left=True), zero, g.order)
+        right, _translations(system, points, gens, left=True), zero, g.order)
     if any(moved) or regular or not _develops(system, right, zero):
         preserves = _preservation(system)
         kept = [preserves(perm) for perm in right]
@@ -544,21 +499,20 @@ def _orbits(system):
     if problems:
         return [], [], problems
     is_inf = np.array([p in INF for p in system.points])
-    a, b, c = _sorted_ids(system.blocks)
+    a, b, c = G.sorted_ids(system.blocks)
     keep = ~(is_inf[a] | is_inf[b] | is_inf[c])
     for k in np.flatnonzero(keep & ((a == b) | (b == c)))[:MAX_PROBLEMS]:
         problems.append(
             f"degenerate block {_labels(system, system.blocks[k])}")
     if problems:
         return [], [], problems
-    codes = _codes(system.blocks[keep], v)
-    codes.sort()
-    rows = _rows_of(codes[_run_starts(codes)], v)
-    del codes
+    rows = G.code_rows(
+        G.distinct_codes(G.block_codes(system.blocks[keep], v)), v)
 
     zero = system.points.index(g.zero)
     shifts = _grow(np.arange(v, dtype=np.int32)[None],
-                   _translations(system, g.generators()), zero)
+                   _translations(system, _point_codes(system), g.generators()),
+                   zero)
     if len(shifts) != g.order:
         return [], [], [f"the generators give {len(shifts)} translations, "
                         f"expected {g.order}"]
@@ -571,14 +525,15 @@ def _orbits(system):
     distinct = np.empty(len(rows), dtype=np.int8)
     for lo in range(0, len(rows), ORBIT_CHUNK):
         part = rows[lo:lo + ORBIT_CHUNK]
-        c0, c1, c2 = (_codes(shifts.take(to_zero[x][:, None] + part), v)
-                      for x in part.T)
+        c0, c1, c2 = (
+            G.block_codes(shifts.take(to_zero[x][:, None] + part), v)
+            for x in part.T)
         name[lo:lo + len(part)] = np.minimum(np.minimum(c0, c1), c2)
         distinct[lo:lo + len(part)] = (
             3 - (c0 == c1) - ((c2 == c0) | (c2 == c1)))
     # each orbit's lowest-code block, in code order, and its block count
     by_name = np.argsort(name)
-    starts = np.flatnonzero(_run_starts(name[by_name]))
+    starts = np.flatnonzero(G.run_starts(name[by_name]))
     first = np.minimum.reduceat(by_name, starts)
     size = np.diff(starts, append=len(name))
     order = np.argsort(first)

@@ -229,17 +229,19 @@ def oracle_dm_check(dm):
 
 def _oracle_preservation(system):
     import numpy as np
+    from kts3p import groups as G
     from kts3p import verify as V
     v = len(system.points)
     classes = [np.empty((0, 3), np.int32), *system.resolution]
     sizes = np.array([len(rows) for rows in system.resolution], dtype=np.int64)
     base_blocks = V._sorted_codes(system.blocks, v)
-    base_classes = V._class_set(V._codes(np.concatenate(classes), v), sizes)
+    base_classes = V._class_set(G.block_codes(np.concatenate(classes), v),
+                                sizes)
 
     def preserves(perm):
         return (np.array_equal(V._sorted_codes(perm[system.blocks], v),
                                base_blocks),
-                np.array_equal(V._class_set(V._codes(
+                np.array_equal(V._class_set(G.block_codes(
                     perm[np.concatenate(classes)], v), sizes), base_classes))
     return preserves
 
@@ -257,7 +259,8 @@ def oracle_verify_3pyramidal(system):
     preserves = _oracle_preservation(system)
 
     gens = list(g.generators())
-    right = V._translations(system, gens)
+    points = V._point_codes(system)
+    right = V._translations(system, points, gens)
     for gen, perm in zip(gens, right):
         name = G.encode_element(g, gen)
         blocks_kept, classes_kept = preserves(perm)
@@ -269,6 +272,6 @@ def oracle_verify_3pyramidal(system):
         if gen != g.zero and fixed.tolist() != inf_ids:
             problems.append(f"translation by {name} fixes {len(fixed)} points")
     problems += V._regularity_problems(
-        right, V._translations(system, gens, left=True),
+        right, V._translations(system, points, gens, left=True),
         system.points.index(g.zero), g.order)
     return V._report(problems, group=repr(g), generators=len(gens))

@@ -5,7 +5,7 @@ from kts3p import catalog
 from kts3p import directcon as D
 from kts3p.designkit import (FamilyWitness, is_doubly_disjoint,
                              is_j_resolvable)
-from kts3p.finring import build_ring, field_for
+from kts3p.finring import build_ring, factorize, field_for
 
 
 def _odd_part_coprime(n, lam):
@@ -83,22 +83,21 @@ def test_dddf_small(n):
         assert t[0] == 0
 
 
-def test_dddf_dual_route_x_choice():
-    # the direct scan and the constructive fallback both yield admissible x
-    for q in (5, 13, 17, 25):
+# the prime powers q ≡ 1 (mod 4) below 1400
+DDDF_FIELDS = [q for q in range(5, 1400, 4) if len(factorize(q)) == 1]
+
+
+def test_dddf_x_count_and_choice():
+    # a Jacobi-sum count gives exactly (q - 1)/4 non-squares x with x - 2 a
+    # nonzero square, so the direct scan always returns the least of them
+    assert len(DDDF_FIELDS) == 124
+    for q in DDDF_FIELDS:
         f = field_for(q)
-        for skip in (False, True):
-            x = D.find_dddf_x(f, skip_direct=skip)
-            two = f.add(1, 1)
-            assert x not in f.squares
-            assert f.sub(x, two) in f.squares
-
-
-def test_dddf_fallback_whole_family():
-    a = D.construct_dddf(13)
-    b = D.construct_dddf(13, skip_direct=True)
-    assert is_doubly_disjoint(b)
-    assert len(a.blocks) == len(b.blocks)
+        two = f.add(1, 1)
+        good = [x for x in range(1, q)
+                if x not in f.squares and f.sub(x, two) in f.squares]
+        assert len(good) == (q - 1) // 4
+        assert D.find_dddf_x(f) == good[0]
 
 
 def test_multiplier_action_detects_tampering():

@@ -123,14 +123,6 @@ def test_semiregular_cover(n, lam):
         assert {r.mul(t, s) for s in sr.S} == set(sr.S)
 
 
-def test_semiregular_unit_override():
-    r = build_ring(5)
-    sr = semiregular_system(r, 4, unit_override=(3,))
-    assert sr.u == (3,)
-    with pytest.raises(ValueError):
-        semiregular_system(r, 4, unit_override=(4,))  # order 2, not 4
-
-
 def test_semiregular_rejects_bad_component():
     with pytest.raises(ValueError):
         semiregular_system(build_ring(7), 4)  # 6 is not divisible by 4

@@ -263,6 +263,48 @@ def test_group_index_translation():
         assert gi.translation([]).shape == (0, g.order)
 
 
+def _reference_codes(rows, v):
+    """(a·v + b)·v + c of the (n, 3) rows, each sorted by np.sort."""
+    a, b, c = np.sort(rows, axis=1).T.astype(np.int64)
+    return (a * v + b) * v + c
+
+
+def test_block_codes_ignore_id_order():
+    v = 4803
+    rows = np.random.default_rng(3).integers(v, size=(200, 3), dtype=np.int32)
+    rows[:20, 1] = rows[:20, 0]
+    want = _reference_codes(rows, v)
+    for order in itertools.permutations(range(3)):
+        assert np.array_equal(G.block_codes(rows[:, list(order)], v), want)
+
+
+def test_block_codes_layouts():
+    # (n, 3) rows, and runs of ids laid out as (3, k) and (n, 3, k)
+    v = 1971
+    runs = np.random.default_rng(4).integers(v, size=(6, 3, 7),
+                                             dtype=np.int32)
+    want = _reference_codes(runs.swapaxes(1, 2).reshape(-1, 3), v)
+    assert np.array_equal(G.block_codes(runs, v, axis=1).ravel(), want)
+    assert np.array_equal(G.block_codes(runs[2], v, axis=0), want[14:21])
+    assert np.array_equal(
+        G.block_codes(runs.swapaxes(1, 2).reshape(-1, 3), v), want)
+
+
+def test_code_rows_and_distinct_codes():
+    v = 819
+    rows = np.random.default_rng(5).integers(v, size=(300, 3), dtype=np.int32)
+    rows[150:] = rows[:150]
+    codes = G.block_codes(rows, v)
+    decoded = G.code_rows(codes, v)
+    assert decoded.dtype == np.int32
+    assert np.array_equal(decoded, np.sort(rows, axis=1))
+    assert G.code_rows(codes.reshape(10, 30), v).shape == (10, 30, 3)
+    assert np.array_equal(G.distinct_codes(codes.copy()), np.unique(codes))
+    assert len(G.distinct_codes(codes)) <= 150
+    assert np.array_equal(G.run_starts(np.array([1, 1, 2, 5, 5, 5, 7])),
+                          [True, False, True, True, False, False, True])
+
+
 def test_mu_endomorphism_and_unit_vector():
     ring = build_ring(5)
     g = _descr(G.GAtom(1), G.VAtom(ring))

@@ -215,8 +215,9 @@ def test_translations_agree_with_group_law(atoms):
     system = types.SimpleNamespace(group=g, points=points)
     shifts = [g.element_list[i] for i in rng.integers(g.order, size=5)]
     gi = G.GroupIndex(g)
-    right = V._translations(system, shifts)
-    left = V._translations(system, shifts, left=True)
+    points = V._point_codes(system)
+    right = V._translations(system, points, shifts)
+    left = V._translations(system, points, shifts, left=True)
     perms = gi.translation(shifts)
     for t, rp, lp, perm in zip(shifts, right, left, perms):
         for i in rng.integers(g.order, size=20):
@@ -339,6 +340,37 @@ def test_checks_agree_with_oracle_on_corruptions(request, v, corrupt, seed):
     assert not V.verify_full(bad)["ok"]
 
 
+def _stray(res, rng):
+    i = rng.integers(len(res))
+    res[i][rng.integers(len(res[i])), rng.integers(3)] = rng.choice(
+        (-1, 3 * len(res[i])))
+
+
+def _partition_oracle(system):
+    """The classes whose ids are not each point id exactly once."""
+    v = len(system.points)
+    return [k for k, cls in enumerate(system.resolution)
+            if sorted(cls.ravel().tolist()) != list(range(v))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("corrupt", (_swap, _double, _stray) + UNEVEN)
+@pytest.mark.parametrize("v", (15, 33, 39))
+def test_resolution_flags_the_classes_of_the_oracle(request, v, corrupt,
+                                                    seed):
+    system = request.getfixturevalue(f"sys{v}")
+    res = [c.copy() for c in system.resolution]
+    corrupt(res, np.random.default_rng(seed))
+    bad = _with(system, resolution=res)
+    want = _partition_oracle(bad)
+    assert want
+    problems = V.verify_resolution(bad)["problems"]
+    flagged = [p for p in problems if p.startswith("class ")]
+    assert problems == (problems[:len(problems) - len(flagged)] + [
+        f"class {k} is not a partition of the points" for k in want
+    ])[:V.MAX_PROBLEMS]
+
+
 def test_automorphisms_reject_bad_permutation(sys15):
     n = len(sys15.points)
     perm = list(range(n))
@@ -357,7 +389,8 @@ def test_full_report_shape(sys15):
 
 def _all_translations(system):
     """The permutation of point ids of every right translation."""
-    return V._translations(system, system.group.element_list)
+    return V._translations(system, V._point_codes(system),
+                           system.group.element_list)
 
 
 def _rewired(cls, skip=()):
