@@ -81,18 +81,6 @@ def as_doubly_disjoint(w):
 # ---------------------------------------------------------------------------
 # homogeneous difference matrices over V-rings
 
-def _field_mult_pair(f):
-    """Least (a, b) with a, b, a-1, b-1, b-a all nonzero in the field."""
-    for a in sorted(range(2, f.q)):
-        if f.sub(a, 1) == 0:
-            continue
-        for b in sorted(range(2, f.q)):
-            if b == a or f.sub(b, 1) == 0 or f.sub(b, a) == 0:
-                continue
-            return a, b
-    raise ValueError(f"field of order {f.q} admits no multiplier pair")
-
-
 # Pinned orthomorphism pairs over Z3 x GF(q), keyed by the cell count 3q;
 # values are permutations of the sorted cell list given by index.  A pair
 # (sigma, rho) is a normalized (Z3 x GF(q), 4, 1) difference matrix with rows
@@ -173,24 +161,25 @@ def missing_pair(group):
 
 def homogeneous_dm(group):
     """A homogeneous difference matrix over a product of V atoms of odd order
-    > 3.  Components of order > 3 get multiplier rows (g, a g, b g); an order-3
+    > 3.  Components of order > 3 get multiplier rows (g, 2g, 3g); an order-3
     component (there can be at most one) is glued to another component and
     takes its rows from a pinned orthomorphism pair, so the matrix exists
     here only when `missing_pair(group)` is empty."""
     plain, glued = _slots(group)
-    per_slot = {off: _field_mult_pair(f) for off, f in plain}
     if glued:
         (o3, _), (om, fm) = glued
         sigma, rho = _table_pair(
             [(x, y) for x in range(3) for y in range(fm.q)])
 
+    # in a field of odd order q > 3 the encodings 2 and 3 are distinct elements
+    # other than 0 and 1, so the multipliers 2, 3, 2 - 1, 3 - 1 and 3 - 2 are
+    # all nonzero
     rows = [[], [], []]
     for g in group.element_list:
         e1, e2, e3 = list(g), list(g), list(g)
         for off, f in plain:
-            a, b = per_slot[off]
-            e2[off] = f.mul(g[off], a)
-            e3[off] = f.mul(g[off], b)
+            e2[off] = f.mul(g[off], 2)
+            e3[off] = f.mul(g[off], 3)
         if glued:
             cell = (g[o3], g[om])
             e2[o3], e2[om] = sigma[cell]

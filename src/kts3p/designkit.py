@@ -125,7 +125,7 @@ class Spread:
 
 
 class FamilyWitness:
-    """A difference family plus everything needed to check its kind.
+    """A difference family (lambda 1) plus what is needed to check its kind.
 
     kind: "DF" | "RDF" | "PRDF" | "DDDF"
     relative: SubgroupView (possibly trivial) or Spread
@@ -135,7 +135,7 @@ class FamilyWitness:
     """
 
     def __init__(self, group, blocks, kind, relative, j=None, a=None, b=None,
-                 translates=None, lam=1, multipliers=None, prdf_pair=None,
+                 translates=None, multipliers=None, prdf_pair=None,
                  trace=None):
         self.group = group
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
@@ -145,7 +145,6 @@ class FamilyWitness:
         self.a = a
         self.b = b
         self.translates = tuple(translates) if translates is not None else None
-        self.lam = lam
         self.multipliers = multipliers
         self.prdf_pair = prdf_pair
         self.trace = trace
@@ -406,7 +405,7 @@ def witness_to_json(witness):
         "kind": witness.kind,
         "relative": rel,
         "blocks": [[enc(x) for x in b] for b in witness.blocks],
-        "lam": witness.lam,
+        "lam": 1,
     }
     for name in ("j", "a", "b"):
         v = getattr(witness, name)
@@ -418,6 +417,9 @@ def witness_to_json(witness):
 
 
 def witness_from_json(data):
+    if data.get("lam", 1) != 1:
+        raise ValueError(
+            f"only lambda = 1 families are supported, got {data['lam']!r}")
     g = group_from_labels(data["group"])
     dec = lambda s: G.parse_element(g, s)
     rel = data["relative"]
@@ -430,7 +432,7 @@ def witness_from_json(data):
     if "translates" in data:
         kw["translates"] = [dec(t) for t in data["translates"]]
     return FamilyWitness(g, [[dec(s) for s in b] for b in data["blocks"]],
-                         data["kind"], relative, lam=data.get("lam", 1), **kw)
+                         data["kind"], relative, **kw)
 
 
 def dm_to_json(dm):

@@ -250,22 +250,13 @@ def lift_prdf(prdf, n):
     H = G.SubgroupView(group, [g + ring.zero for g in base.element_list])
     gens = []
     for i, f in enumerate(ring.fields):
-        sq = sorted(f.squares)
-        gen = next(s for s in sq if mult_order_in(f, s) == (f.q - 1) // 2)
+        gen = f.least_generator((f.q - 1) // 2)  # generates the squares
         gens.append(tuple(gen if k == i else 1 for k in range(len(ring.fields))))
     mult = MultiplierGroup(ring, gens)
     assert mult.order == coprime_part(ring.psi, 2)
     w = FamilyWitness(group, blocks, "RDF", H, j=j1 + ring.zero,
                       multipliers=mult)
     return _check(w, f"lift_prdf({base!r}, n={n})")
-
-
-def mult_order_in(f, s):
-    k, acc = 1, s
-    while acc != 1:
-        acc = f.mul(acc, s)
-        k += 1
-    return k
 
 
 def find_dddf_x(f):

@@ -4,7 +4,8 @@ For an odd integer n with maximal prime-power divisors ("components")
 q_1 < ... < q_w, the ring F_n is GF(q_1) x ... x GF(q_w).  Elements are
 tuples of ints, one slot per component; extension-field elements are
 encoded as integers whose base-p digits are the polynomial coefficients,
-lowest degree first.
+lowest degree first.  Each field keeps the exp/log tables of its least
+primitive element for its multiplicative structure; no q x q table exists.
 """
 
 from __future__ import annotations
@@ -34,7 +35,87 @@ def components(n):
     return tuple(sorted(p ** k for p, k in factorize(n).items()))
 
 
-class PrimeField:
+class Field:
+    """What GF(p) and GF(p^k) share: F_q^* is cyclic, so the exp/log tables
+    of its least primitive element g (exp[k] = g^k, log[g^k] = k) turn every
+    multiplicative question into index arithmetic mod q - 1.  The tables are
+    built once per field, with q - 1 products of the subclass's `_product`."""
+
+    def __eq__(self, other):
+        return isinstance(other, Field) and self.signature == other.signature
+
+    def __hash__(self):
+        return hash(self.signature)
+
+    @cached_property
+    def exp(self):
+        """exp[k] = g^k for 0 <= k < q - 1."""
+        n = self.q - 1
+
+        def power(a, e):
+            r = 1
+            while e:
+                if e & 1:
+                    r = self._product(r, a)
+                a = self._product(a, a)
+                e >>= 1
+            return r
+
+        g = next(x for x in range(2, self.q)
+                 if all(power(x, n // r) != 1 for r in factorize(n)))
+        out = [1]
+        for _ in range(n - 1):
+            out.append(self._product(out[-1], g))
+        return out
+
+    @cached_property
+    def log(self):
+        """log[g^k] = k; log[0] is None."""
+        out = [None] * self.q
+        for k, x in enumerate(self.exp):
+            out[x] = k
+        return out
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+
+    def pow(self, a, e):
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 is not invertible")
+            return 0 if e else 1
+        return self.exp[self.log[a] * e % (self.q - 1)]
+
+    def inv(self, a):
+        return self.pow(a, -1)
+
+    @cached_property
+    def squares(self):
+        """The nonzero squares: the subgroup of index gcd(2, q - 1)."""
+        return frozenset(self.exp[::math.gcd(2, self.q - 1)])
+
+    def order(self, a):
+        """The multiplicative order of the unit a."""
+        if a == 0:
+            raise ValueError("0 is not a unit")
+        n = self.q - 1
+        return n // math.gcd(self.log[a], n)
+
+    def subgroup(self, order):
+        """The subgroup of F_q^* of the given order, sorted."""
+        n = self.q - 1
+        if n % order != 0:
+            raise ValueError(f"no subgroup of order {order} in GF({self.q})^*")
+        return sorted(self.exp[::n // order])
+
+    def least_generator(self, order):
+        """The least element of exact multiplicative order `order`."""
+        return next(x for x in self.subgroup(order) if self.order(x) == order)
+
+
+class PrimeField(Field):
     """GF(p) with elements 0..p-1."""
 
     def __init__(self, p):
@@ -51,41 +132,26 @@ class PrimeField:
     def sub(self, a, b):
         return (a - b) % self.p
 
+    # one product is faster than two log lookups
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a, e):
-        return pow(a, e, self.p) if e >= 0 else self.inv(pow(a, -e, self.p))
-
-    @cached_property
-    def squares(self):
-        return frozenset((x * x) % self.p for x in range(1, self.p))
+    _product = mul
 
     def __repr__(self):
         return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, (PrimeField, ExtensionField)) and self.signature == other.signature
-
-    def __hash__(self):
-        return hash(self.signature)
 
     @property
     def signature(self):
         return (self.p, 1, ())
 
 
-class ExtensionField:
+class ExtensionField(Field):
     """GF(p^k), k > 1, modulo the lexicographically least monic irreducible.
 
     An element sum(c_i x^i) is encoded as the integer sum(c_i p^i), so the
     natural integer order on encodings is the low-degree-first lexicographic
-    order on coefficient vectors.
+    order on coefficient vectors.  Products go through the exp/log tables.
     """
 
     def __init__(self, p, k):
@@ -97,12 +163,6 @@ class ExtensionField:
     @property
     def signature(self):
         return (self.p, self.k, self.modulus)
-
-    def __eq__(self, other):
-        return isinstance(other, (PrimeField, ExtensionField)) and self.signature == other.signature
-
-    def __hash__(self):
-        return hash(self.signature)
 
     def encode(self, coeffs):
         v = 0
@@ -140,44 +200,9 @@ class ExtensionField:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    @cached_property
-    def _mul_table(self):
-        q = self.q
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = self.decode(a)
-            for b in range(a, q):
-                v = self.encode(_poly_mulmod(ca, self.decode(b), self.modulus, self.p))
-                table[a][b] = v
-                table[b][a] = v
-        return table
-
-    def mul(self, a, b):
-        return self._mul_table[a][b]
-
-    def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return self.pow(a, self.q - 2)
-
-    @cached_property
-    def squares(self):
-        # squared one at a time, so that asking for the squares does not
-        # build the q x q multiplication table
-        return frozenset(
-            self.encode(_poly_mulmod(c, c, self.modulus, self.p))
-            for c in map(self.decode, range(1, self.q)))
+    def _product(self, a, b):
+        return self.encode(_poly_mulmod(self.decode(a), self.decode(b),
+                                        self.modulus, self.p))
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})"
@@ -320,12 +345,7 @@ class RingDescriptor:
     def mult_order(self, x):
         if not self.is_unit(x):
             raise ValueError("not a unit")
-        e = 1
-        y = x
-        while y != self.one:
-            y = self.mul(y, x)
-            e += 1
-        return e
+        return math.lcm(*(f.order(a) for f, a in zip(self.fields, x)))
 
 
 @lru_cache(maxsize=None)
@@ -379,27 +399,6 @@ def coprime_part(n, lam):
     return n
 
 
-def _subgroup_of_order(f, order):
-    """Elements of the subgroup of F_q^* of the given order (must divide q-1)."""
-    if (f.q - 1) % order != 0:
-        raise ValueError(f"no subgroup of order {order} in GF({f.q})^*")
-    e = (f.q - 1) // order
-    return sorted({f.pow(x, e) for x in range(1, f.q)})
-
-
-def _least_generator(f, subgroup, order):
-    for x in subgroup:
-        if x == 1 and order > 1:
-            continue
-        y, k = x, 1
-        while y != 1:
-            y = f.mul(y, x)
-            k += 1
-        if k == order:
-            return x
-    raise ValueError("cyclic subgroup without generator?")
-
-
 def semiregular_system(ring, lam):
     """Lemma-style semiregular machinery: build u, T, S with U.S = V_n^*.
     u, the least generator of each component's subgroup of order lam, is
@@ -410,11 +409,7 @@ def semiregular_system(ring, lam):
         if (f.q - 1) % lam != 0:
             raise ValueError(f"component {f.q} is not 1 mod {lam}")
 
-    per_comp_u = []
-    for f in ring.fields:
-        sub = _subgroup_of_order(f, lam)
-        per_comp_u.append(_least_generator(f, sub, lam))
-    u = tuple(per_comp_u)
+    u = tuple(f.least_generator(lam) for f in ring.fields)
 
     if ring.mult_order(u) != lam:
         raise ValueError(f"u={u} does not have order {lam}")
@@ -429,9 +424,8 @@ def semiregular_system(ring, lam):
     T_gens = []
     for i, f in enumerate(ring.fields):
         t = coprime_part(f.q - 1, lam)
-        sub = _subgroup_of_order(f, t)
-        T_sets.append(sub)
-        gen = _least_generator(f, sub, t)
+        T_sets.append(f.subgroup(t))
+        gen = f.least_generator(t)
         T_gens.append(tuple(gen if j == i else 1 for j in range(ring.omega)))
     T = frozenset(itertools.product(*T_sets))
 
@@ -439,13 +433,8 @@ def semiregular_system(ring, lam):
     # from the same index-set blocks as a halving, with Sigma_j T_j at the center.
     sigma_T = []
     for i, f in enumerate(ring.fields):
-        ui = u[i]
-        Ui = {1}
-        y = ui
-        while y != 1:
-            Ui.add(y)
-            y = f.mul(y, ui)
-        TU = {f.mul(t, v) for t in T_sets[i] for v in Ui}
+        # T_i U_i is the subgroup of order |T_i| lam, as the orders are coprime
+        TU = f.subgroup(len(T_sets[i]) * lam)
         reps = []
         seen = set()
         for x in range(1, f.q):

@@ -51,6 +51,8 @@ class DAtom:
     def generators(self):
         return [(1, 0), (0, 1)]
 
+    canonical_involution = (1, 0)
+
     def __eq__(self, other):
         return isinstance(other, DAtom)
 
@@ -269,7 +271,7 @@ class GroupDescriptor:
     @cached_property
     def canonical_involution(self):
         lead = self.atoms[0] if self.atoms else None
-        if not isinstance(lead, GAtom):
+        if not isinstance(lead, (DAtom, GAtom)):
             raise ValueError(f"canonical involution undefined for {self!r}")
         j = lead.canonical_involution
         return j + self.zero[lead.width:]

@@ -237,17 +237,6 @@ def _embed_klein_v3(beta):
     return fn
 
 
-def _canonical(group):
-    head = _head_atom(group)
-    if isinstance(head, G.GAtom):
-        j = head.canonical_involution
-    elif isinstance(head, G.DAtom):
-        j = (1, 0)
-    else:
-        raise ValueError("group has no involution-carrying head atom")
-    return j + group.zero[head.width:]
-
-
 def _wstep(op, w=None, **extra):
     step = {"op": op, **extra}
     if w is not None:
@@ -277,7 +266,7 @@ def _compose(amb, fam, steps=None, homogeneous=None, splittable=None,
         extra["dm"] = splittable
     out = compose.df_compose_dm(
         amb, hv, proj, section, fam, dm, embed or _place_fn(dm.group, amb),
-        mode=mode, j=_canonical(amb), multipliers=fam.multipliers)
+        mode=mode, j=amb.canonical_involution, multipliers=fam.multipliers)
     if steps is not None:
         steps.append(_wstep(op, out, **extra))
     return out

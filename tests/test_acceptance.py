@@ -328,7 +328,7 @@ def test_criterion_7_property_suite():
         dm = catalog.get("dm:G1")
         embed = P._place_fn(dm.group, local)
         split = compose.df_compose_dm(local, hv, proj, section, F, dm, embed,
-                                      mode="ii", j=P._canonical(local))
+                                      mode="ii", j=local.canonical_involution)
         plain = compose.df_compose_dm(local, hv, proj, section, F, dm, embed,
                                       mode="plain")
         for sb, pb in zip(split.blocks, plain.blocks):

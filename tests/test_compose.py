@@ -111,7 +111,7 @@ def test_compose_mode_i_48q():
     dm = compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(5)]))
     out = compose.df_compose_dm(local, hv, proj, section, F, dm,
                                 P._place_fn(dm.group, local),
-                                mode="i", j=P._canonical(local))
+                                mode="i", j=local.canonical_involution)
     assert is_j_resolvable(out)
     assert len(out.blocks) == len(F.blocks) * 5
 
@@ -124,7 +124,7 @@ def test_compose_mode_ii_36q():
     dm = catalog.get("dm:G1")
     out = compose.df_compose_dm(local, hv, proj, section, F, dm,
                                 P._place_fn(dm.group, local),
-                                mode="ii", j=P._canonical(local))
+                                mode="ii", j=local.canonical_involution)
     assert is_j_resolvable(out)
     assert len(out.blocks) == len(F.blocks) * 12
 
@@ -138,7 +138,7 @@ def test_compose_mode_ii_strong_equivalence_blockwise():
     dm = catalog.get("dm:G1")
     embed = P._place_fn(dm.group, local)
     split = compose.df_compose_dm(local, hv, proj, section, F, dm, embed,
-                                  mode="ii", j=P._canonical(local))
+                                  mode="ii", j=local.canonical_involution)
     plain = compose.df_compose_dm(local, hv, proj, section, F, dm, embed,
                                   mode="plain")
     g = local

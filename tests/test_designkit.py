@@ -122,6 +122,14 @@ def test_witness_json_roundtrip():
         assert back.j == w.j
 
 
+def test_witness_json_rejects_lambda_other_than_one():
+    data = witness_to_json(catalog.get("rdf:G1"))
+    assert data["lam"] == 1
+    data["lam"] = 2
+    with pytest.raises(ValueError, match="lambda"):
+        witness_from_json(data)
+
+
 def test_dm_json_roundtrip():
     dm = catalog.get("dm:Z2xZ6")
     back = dm_from_json(dm_to_json(dm))

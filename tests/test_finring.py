@@ -1,11 +1,16 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kts3p.finring import (build_ring, components, factorize, field_for,
-                           halving, semiregular_system)
+from kts3p.finring import (ExtensionField, _poly_mulmod, build_ring,
+                           components, factorize, field_for, halving,
+                           semiregular_system)
+
+EXTENSION_QS = [9, 25, 27, 49, 81, 121, 125]
+PRIMES = [p for p in range(5, 98) if factorize(p) == {p: 1}]
 
 # frozen [DERIVED]: recomputed with an independent sieve before freezing
 SQUARES = {
@@ -28,7 +33,7 @@ def test_prime_field_squares_frozen(p):
     assert sorted(f.squares) == SQUARES[p]
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 25, 27])
+@pytest.mark.parametrize("q", [4, 8] + EXTENSION_QS)
 def test_extension_field_axioms_exhaustive(q):
     f = field_for(q)
     els = list(range(q))
@@ -44,6 +49,66 @@ def test_extension_field_axioms_exhaustive(q):
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+def _naive_mul(f):
+    """Products without the field's exp/log tables."""
+    if f.k == 1:
+        return lambda a, b: a * b % f.p
+    return lambda a, b: f.encode(
+        _poly_mulmod(f.decode(a), f.decode(b), f.modulus, f.p))
+
+
+def _naive_order(mul, a, one=1):
+    y, k = a, 1
+    while y != one:
+        y = mul(y, a)
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("q", [4, 8] + EXTENSION_QS + PRIMES)
+def test_multiplicative_structure_brute_force(q):
+    f = field_for(q)
+    mul = _naive_mul(f)
+    for a in range(q):
+        for b in range(q):
+            assert f.mul(a, b) == mul(a, b), (a, b)
+    units = range(1, q)
+    # pow, with negative exponents and the cases of 0
+    assert [f.pow(0, e) for e in range(3)] == [1, 0, 0]
+    for bad in (lambda: f.inv(0), lambda: f.pow(0, -1)):
+        with pytest.raises(ZeroDivisionError):
+            bad()
+    for a in units:
+        inv = [b for b in units if mul(a, b) == 1]
+        assert inv == [f.inv(a)]
+        r, s = 1, 1
+        for e in range(2 * q):
+            assert f.pow(a, e) == r and f.pow(a, -e) == s, (a, e)
+            r, s = mul(r, a), mul(s, inv[0])
+    orders = {a: _naive_order(mul, a) for a in units}
+    assert all(f.order(a) == orders[a] for a in units)
+    for d in range(1, q):
+        if (q - 1) % d:
+            with pytest.raises(ValueError):
+                f.subgroup(d)
+            continue
+        # the subgroup and least-generator loops finring used to run
+        e = (q - 1) // d
+        assert f.subgroup(d) == sorted({f.pow(x, e) for x in units})
+        assert f.subgroup(d) == [a for a in units if d % orders[a] == 0]
+        assert f.least_generator(d) == min(a for a in units if orders[a] == d)
+    assert f.squares == {mul(x, x) for x in units}
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (37, 2)])
+def test_first_mul_and_inv_are_fast(p, k):
+    for first in (lambda f: f.mul(2, f.q - 1), lambda f: f.inv(f.q - 1)):
+        f = ExtensionField(p, k)  # not field_for's, whose tables may exist
+        t0 = time.perf_counter()
+        first(f)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_extension_field_char_and_units():
@@ -80,6 +145,8 @@ def test_ring_componentwise_ops():
     assert len(units) == r.psi
     for u in units[:10]:
         assert r.mul(u, r.inv(u)) == r.one
+    for u in units:
+        assert r.mult_order(u) == _naive_order(r.mul, u, r.one)
 
 
 @pytest.mark.parametrize("n", [5, 13, 15, 21, 33])

@@ -76,6 +76,14 @@ def test_g_atom_pertinent(alpha):
     assert a.canonical_involution in {i[:3] for i in g.involutions}
 
 
+def test_d_head_canonical_involution():
+    g = _descr(G.DAtom(), G.VAtom(build_ring(5)))
+    assert g.canonical_involution == (1, 0, 0)
+    assert g.canonical_involution in g.involutions
+    with pytest.raises(ValueError):
+        _descr(G.VAtom(build_ring(5))).canonical_involution
+
+
 def test_pertinent_order_frozen():
     got = [n for n in range(1, 121) if G.pertinent_order(n)]
     assert got == PERTINENT_120
