@@ -18,11 +18,7 @@ def chain_union(families):
     embedded in a common ambient group.  Sorted innermost-first; the result is
     resolvable relative to the innermost subgroup and inherits the outermost
     family's multipliers."""
-    def _rel_size(w):
-        r = w.relative
-        return len(r.carrier) if hasattr(r, "carrier") else len(r.union)
-
-    families = sorted(families, key=_rel_size)
+    families = sorted(families, key=lambda w: len(w.excluded()))
     g = families[0].group
     j = families[0].j
     for w in families:

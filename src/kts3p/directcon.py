@@ -7,8 +7,6 @@ re-checks the advertised predicate from scratch before returning.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from . import groups as G
@@ -78,14 +76,13 @@ def verify_multiplier_action(witness, mult: MultiplierGroup):
         return False
     tail = group.atoms[-1]
     pad = group.zero[:group.width - tail.width]
-    tail_elements = list(itertools.product(*tail.coord_lists()))
     head = np.arange(group.order) // tail.order * tail.order
 
     want = G.distinct_codes(G.block_codes(ids, group.order))
     for s in mult.members:
         f = _mu(group, ring, s)
         moved = [G.local_id(tail, f(pad + y)[len(pad):])
-                 for y in tail_elements]
+                 for y in G.atom_elements(tail)]
         perm = head + np.tile(moved, group.order // tail.order)
         if not (np.array_equal(
                 G.distinct_codes(G.block_codes(perm[ids], group.order)), want)

@@ -10,6 +10,11 @@ contiguous slice of slots.  D and G_alpha carry twisted (non-abelian) laws:
       Theta acting by (b,c) -> (-c, b-c).
 
 Z_m and V_n add coordinate-wise (V_n slot-wise in its component fields).
+
+An atom defines only `add`.  Negation and x −^ y = x + (−y) are read off
+its Cayley table (`atom_table`, `atom_negation`), and so are the
+translations of element ids (`translation_ids`): the law is written once
+per atom.
 """
 
 from __future__ import annotations
@@ -39,14 +44,6 @@ class DAtom:
         a, b = x
         c, d = y
         return ((a + c) % 2, ((b if c == 0 else -b) + d) % 3)
-
-    def sub(self, x, y):
-        a, b = x
-        c, d = y
-        return ((a - c) % 2, ((b - d) if c == 0 else (d - b)) % 3)
-
-    def neg(self, x):
-        return self.sub(self.zero, x)
 
     def generators(self):
         return [(1, 0), (0, 1)]
@@ -96,20 +93,6 @@ class GAtom:
             tb, tc = c - b, -b
         return ((a + d) % 3, (tb + e) % m, (tc + f) % m)
 
-    def sub(self, x, y):
-        a, b, c = x
-        d, e, f = y
-        m = self.m
-        d3 = d % 3
-        if d3 == 0:
-            return ((a - d) % 3, (b - e) % m, (c - f) % m)
-        if d3 == 1:
-            return ((a - d) % 3, (e - b + c - f) % m, (e - b) % m)
-        return ((a - d) % 3, (f - c) % m, (b - e + f - c) % m)
-
-    def neg(self, x):
-        return self.sub(self.zero, x)
-
     def generators(self):
         return [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -145,12 +128,6 @@ class ZAtom:
     def add(self, x, y):
         return ((x[0] + y[0]) % self.m,)
 
-    def sub(self, x, y):
-        return ((x[0] - y[0]) % self.m,)
-
-    def neg(self, x):
-        return ((-x[0]) % self.m,)
-
     def generators(self):
         return [(1,)]
 
@@ -181,12 +158,6 @@ class VAtom:
 
     def add(self, x, y):
         return self.ring.add(x, y)
-
-    def sub(self, x, y):
-        return self.ring.sub(x, y)
-
-    def neg(self, x):
-        return self.ring.neg(x)
 
     def generators(self):
         gens = []
@@ -239,13 +210,16 @@ class GroupDescriptor:
         return tuple(out)
 
     def sub(self, x, y):
-        out = []
-        for a, off in zip(self.atoms, self.offsets):
-            out.extend(a.sub(x[off:off + a.width], y[off:off + a.width]))
-        return tuple(out)
+        """x −^ y = x + (−y)."""
+        return self.add(x, self.neg(y))
 
     def neg(self, x):
-        return self.sub(self.zero, x)
+        """−x, read for each atom off its table (`atom_negation`)."""
+        out = []
+        for a, off in zip(self.atoms, self.offsets):
+            out.extend(atom_elements(a)[
+                atom_negation(a)[local_id(a, x[off:off + a.width])]])
+        return tuple(out)
 
     def conj(self, g, x):
         """g + x - g."""
@@ -485,6 +459,12 @@ def parse_element(group, text):
 # fast id-level machinery (used by verify/build hot paths)
 
 @cache
+def atom_elements(atom):
+    """The atom's elements in local-id order, as tuples of Python ints."""
+    return list(itertools.product(*atom.coord_lists()))
+
+
+@cache
 def atom_table(atom):
     """The Cayley table of `atom` over its local ids (an element's index in
     the product of the atom's coordinate ranges): entry [i, j] is the id of
@@ -497,7 +477,7 @@ def atom_table(atom):
     n = math.prod(sizes)
     xs = np.unravel_index(np.arange(n), sizes)
     table = np.empty((n, n), dtype=np.int32)
-    for j, y in enumerate(itertools.product(*atom.coord_lists())):
+    for j, y in enumerate(atom_elements(atom)):
         # copies, since a law may update its arguments in place
         table[:, j] = np.ravel_multi_index(
             atom.add(tuple(x.copy() for x in xs), y), sizes)
@@ -589,34 +569,29 @@ def distinct_codes(codes):
     return codes[run_starts(codes)]
 
 
-def translation_ids(group, t, left=False):
-    """The map of element ids (indices into `element_list`) that the right
-    translation x -> x + t, or the left one x -> t + x, induces: one column
-    (or row) of each atom's table, combined as mixed-radix digits."""
-    image = np.zeros((), dtype=np.int64)
+def translation_ids(group, ts, left=False):
+    """One row per element t of `ts`: the map of element ids (indices into
+    `element_list`) that the right translation x -> x + t, or the left one
+    x -> t + x, induces.  Each atom gives one column (or row) of its table
+    per t, combined as mixed-radix digits."""
+    image = np.zeros((len(ts), 1), dtype=np.int64)
     for a, off in zip(group.atoms, group.offsets):
         table = atom_table(a)
-        d = local_id(a, t[off:off + a.width])
-        image = image[..., None] * len(table) + (table[d] if left
-                                                 else table[:, d])
-    return image.ravel()
+        digits = (table if left else table.T)[
+            [local_id(a, t[off:off + a.width]) for t in ts]]
+        image = (image[:, :, None] * len(table) + digits[:, None, :]
+                 ).reshape(len(ts), image.shape[1] * len(table))
+    return image
 
 
 class GroupIndex:
-    """Integer-id view of a group on the shared per-atom Cayley tables;
-    translations come out as numpy permutation arrays in O(|G|) each."""
+    """Integer-id view of a group; translations come out as numpy
+    permutation arrays in O(|G|) each, from the shared per-atom Cayley
+    tables (built at their first use, not here)."""
 
     def __init__(self, group):
         self.group = group
-        self.tables = [atom_table(a) for a in group.atoms]
 
     def translation(self, ts):
-        """One row per element t of `ts`: the permutation perm with
-        perm[i] = id(element_i + t), built from the atoms' table columns."""
-        image = np.zeros((len(ts), 1), dtype=np.int64)
-        for a, off, table in zip(self.group.atoms, self.group.offsets,
-                                 self.tables):
-            cols = table.T[[local_id(a, t[off:off + a.width]) for t in ts]]
-            image = (image[:, :, None] * len(table) + cols[:, None, :]
-                     ).reshape(len(ts), image.shape[1] * len(table))
-        return image
+        """`translation_ids` of the right translations by `ts`."""
+        return translation_ids(self.group, ts)

@@ -548,8 +548,6 @@ def build_kts(rdf, trace=None):
         raise AssertionError(f"family is not resolvable: {d}")
     g = rdf.group
     j1, a, b = rdf.j, rdf.a, rdf.b
-    if a is None or b is None:
-        a, b = d.solutions[0]
     points = list(INF) + list(g.element_list)
     index = {p: i for i, p in enumerate(points)}
     v = len(points)
@@ -570,7 +568,7 @@ def build_kts(rdf, trace=None):
     spread = rdf.spread().order3
     spread_ids = [index[x] for x in spread]
     spread_ids += [index[g.add(x, j1)] for x in spread]
-    reps = np.flatnonzero(G.translation_ids(g, j1, left=True)
+    reps = np.flatnonzero(G.translation_ids(g, [j1], left=True)[0]
                           > np.arange(g.order))
     rows = np.empty((len(reps) + 1, v), dtype=np.int32)
     cosets = np.empty((len(reps), 6), dtype=np.int32)

@@ -179,31 +179,26 @@ def _preservation(system):
 
 def _point_codes(system):
     """The ids of the group points and each one's element id (its index in
-    `element_list`): the label read as a mixed-radix code over the group's
-    coordinate ranges."""
-    g = system.group
+    `element_list`)."""
+    index = system.group.element_index
     ids = [i for i, p in enumerate(system.points) if p not in INF]
-    coords = np.array([system.points[i] for i in ids],
-                      dtype=np.int64).reshape(len(ids), g.width)
-    radices = [len(r) for a in g.atoms for r in a.coord_lists()]
-    return np.array(ids), coords @ np.cumprod([1] + radices[::-1])[-2::-1]
+    return np.array(ids), np.array([index[system.points[i]] for i in ids])
 
 
 def _translations(system, points, shifts, left=False):
     """For each shift s, the permutation of point ids that the right
     translation x -> x + s (or the left one, x -> s + x) induces through
     the point labels, given as `points = _point_codes(system)`; the extra
-    points stay fixed.  The map of element ids comes from the shared
+    points stay fixed.  The maps of element ids come from the shared
     per-atom tables (`groups.translation_ids`)."""
     ids, codes = points
     id_of = np.empty(system.group.order, dtype=np.int32)
     id_of[codes] = ids
-    perms = []
-    for s in shifts:
-        perm = np.arange(len(system.points), dtype=np.int32)
-        perm[ids] = id_of[G.translation_ids(system.group, s, left)[codes]]
-        perms.append(perm)
-    return perms
+    perms = np.empty((len(shifts), len(system.points)), dtype=np.int32)
+    perms[:] = np.arange(len(system.points), dtype=np.int32)
+    perms[:, ids] = id_of[G.translation_ids(system.group, shifts,
+                                            left)[:, codes]]
+    return list(perms)
 
 
 def _frontiers(seed, moves, key, chunk):
@@ -299,7 +294,10 @@ def _point_problems(system):
     v = len(system.points)
     if v != g.order + 3:
         return [f"expected {g.order} + 3 points"]
-    if set(system.points) != set(INF) | set(g.element_list):
+    # |G| + 3 distinct points are these when those outside the group are
+    # the three extra points
+    extra = {p for p in system.points if p not in g.element_index}
+    if len(set(system.points)) != v or extra != set(INF):
         return ["points are not the three extra points and the group "
                 "elements"]
     for ids in (system.blocks, np.concatenate(system.resolution or [[]])):

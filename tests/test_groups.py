@@ -28,6 +28,8 @@ SMALL_GROUPS = [
     _descr(G.DAtom(), G.VAtom(5)),
     _descr(G.GAtom(1), G.VAtom(3)),
     _descr(G.ZAtom(3), G.VAtom(5)),
+    _descr(G.GAtom(3)),
+    _descr(G.DAtom(), G.VAtom(9)),
 ]
 
 
@@ -52,7 +54,11 @@ def test_axioms_exhaustive_small(g):
         assert g.add(x, g.zero) == x
         assert g.add(g.zero, x) == x
         assert g.add(x, g.neg(x)) == g.zero
+        assert g.add(g.neg(x), x) == g.zero
         assert g.neg(g.neg(x)) == x
+        assert all(type(c) is int for c in g.neg(x))
+    for x, y in itertools.product(els[::5], els[::3]):
+        assert g.sub(x, y) == g.add(x, g.neg(y))
     sample = els if len(els) <= 16 else els[::7]
     for x, y, z in itertools.product(sample, repeat=3):
         assert g.add(g.add(x, y), z) == g.add(x, g.add(y, z))
@@ -264,10 +270,12 @@ def test_group_index_translation():
         ts = els[::5]
         rows = gi.translation(ts)
         assert rows.shape == (len(ts), g.order)
-        for t, perm in zip(ts, rows):
-            assert np.array_equal(perm, G.translation_ids(g, t))
+        lefts = G.translation_ids(g, ts, left=True)
+        for t, perm, left in zip(ts, rows, lefts):
+            assert np.array_equal(perm, G.translation_ids(g, [t])[0])
             for i, x in enumerate(els[::3]):
                 assert els[perm[3 * i]] == g.add(x, t)
+                assert els[left[3 * i]] == g.add(t, x)
         assert gi.translation([]).shape == (0, g.order)
 
 
