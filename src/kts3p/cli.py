@@ -29,12 +29,19 @@ def _encode_point(group, p):
     return G.encode_element(group, p)
 
 
-def _decode_point(group, s):
-    if not isinstance(s, str):
-        raise ValueError(f"point {s!r} is not a string")
-    if s in ("inf1", "inf2", "inf3"):
-        return ("inf", int(s[3]))
-    return G.parse_element(group, s)
+def _decode_points(group, labels):
+    """The points named by `labels`: "inf1" to "inf3", or the canonical
+    label of a group element (`groups.element_labels`), looked up in one
+    table; raises ValueError naming the first label that is neither."""
+    table = {f"inf{k}": ("inf", k) for k in (1, 2, 3)}
+    table.update(zip(G.element_labels(group), group.element_list))
+    points = []
+    for s in labels:
+        p = table.get(s) if isinstance(s, str) else None
+        if p is None:
+            raise ValueError(f"point {s!r} is not a point label of {group!r}")
+        points.append(p)
+    return points
 
 
 def _point_labels(system):
@@ -161,7 +168,7 @@ def system_from_json(data):
             raise ValueError(f"{len(labels)} points, but the group labels "
                              f"do not name a group of order {want}")
         g = group_from_labels(data["group"])
-        points = [_decode_point(g, s) for s in labels]
+        points = _decode_points(g, labels)
         ids = {s: i for i, s in enumerate(labels)}
         blocks = _id_rows(ids, list(data["blocks"]))
         classes = list(data["resolution"])
@@ -211,11 +218,12 @@ def cmd_verify(args):
     except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
         print(f"cannot read system: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    parts = {"sts": verify.verify_sts(system)}
+    view = verify.SystemView(system)
+    parts = {"sts": verify.verify_sts(system, view)}
     if args.level in ("kts", "pyramidal", "full"):
-        parts["resolution"] = verify.verify_resolution(system)
+        parts["resolution"] = verify.verify_resolution(system, view)
     if args.level in ("pyramidal", "full"):
-        parts["pyramidal"] = verify.verify_3pyramidal(system)
+        parts["pyramidal"] = verify.verify_3pyramidal(system, view)
     report = {"ok": all(p["ok"] for p in parts.values()), **parts}
     _dump(report, None)
     return EXIT_OK if report["ok"] else EXIT_VERIFY

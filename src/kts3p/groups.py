@@ -424,15 +424,22 @@ def g_chain_embedding(alpha_src, alpha_dst):
 # ---------------------------------------------------------------------------
 # canonical textual element encoding, e.g. "G1:(2,1,1)|V5:3"
 
+def _atom_text(atom, coords):
+    if len(coords) == 1:
+        return f"{atom.label}:{coords[0]}"
+    return f"{atom.label}:({','.join(map(str, coords))})"
+
+
 def encode_element(group, x):
-    parts = []
-    for a, off in zip(group.atoms, group.offsets):
-        coords = x[off:off + a.width]
-        if len(coords) == 1:
-            parts.append(f"{a.label}:{coords[0]}")
-        else:
-            parts.append(f"{a.label}:({','.join(map(str, coords))})")
-    return "|".join(parts)
+    return "|".join(_atom_text(a, x[off:off + a.width])
+                    for a, off in zip(group.atoms, group.offsets))
+
+
+def element_labels(group):
+    """`encode_element` of every element, in `element_list` order: the
+    product of each atom's list of labels."""
+    return ["|".join(parts) for parts in itertools.product(
+        *([_atom_text(a, x) for x in atom_elements(a)] for a in group.atoms))]
 
 
 def parse_element(group, text):
@@ -534,7 +541,11 @@ def block_codes(rows, v, axis=-1):
     """One int64 code per block of an id array with entries below v: its
     sorted ids (a, b, c) give (a·v + b)·v + c, so equal codes mean equal
     blocks (for v below 2^21).  `axis` is as in `sorted_ids`."""
-    a, b, c = sorted_ids(rows, axis)
+    return ordered_codes(*sorted_ids(rows, axis), v)
+
+
+def ordered_codes(a, b, c, v):
+    """`block_codes` of blocks given as the columns of `sorted_ids`."""
     code = a.astype(np.int64)
     code *= v
     code += b

@@ -8,6 +8,9 @@ from the orbit structure.  Nothing trusts the construction bookkeeping.
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain
+
 import numpy as np
 
 from . import groups as G
@@ -18,8 +21,9 @@ MAX_PROBLEMS = 10
 BASE_BLOCK_CAP = 360
 # verify_automorphisms stops enumerating the generated group past this size
 CLOSURE_CAP = 200_000
-# classes per gather when coding a resolution, and group elements per gather
-# when verify_3pyramidal develops the class through the first extra point
+# classes per gather when coding a resolution or checking its ids, and group
+# elements per gather when verify_3pyramidal develops the class through the
+# first extra point
 CLASS_CHUNK = 32
 DEVELOP_CHUNK = 128
 INF = (("inf", 1), ("inf", 2), ("inf", 3))
@@ -37,6 +41,87 @@ def _sorted_codes(rows, v):
     codes = G.block_codes(rows, v)
     codes.sort()
     return codes
+
+
+class SystemView:
+    """The id-level data that the checks of one system share, each piece
+    computed at its first use and kept for the next check.  The pieces
+    that only feed another (each block's sorted ids, the class codes and
+    their sorted copy) are dropped by it, so between checks a view holds
+    the block codes, the class table and the point data at most.
+    `verify_full` and `kts3p verify` pass one view to every check they
+    run; a check called without one makes its own."""
+
+    def __init__(self, system):
+        self.system = system
+        self.v = len(system.points)
+
+    @cached_property
+    def ids(self):
+        """`groups.sorted_ids` of the blocks, read by `verify_sts` and by
+        `blocks`, which drops them once it has coded them."""
+        return G.sorted_ids(self.system.blocks)
+
+    @cached_property
+    def blocks(self):
+        """The block codes, sorted."""
+        codes = G.ordered_codes(*self.ids, self.v)
+        del self.ids
+        if not _increasing(codes):
+            codes.sort()
+        return codes
+
+    @cached_property
+    def class_sizes(self):
+        return np.array([len(rows) for rows in self.system.resolution],
+                        dtype=np.int64)
+
+    @cached_property
+    def class_codes(self):
+        """The codes of the classes' blocks, class after class, coded
+        CLASS_CHUNK classes at a time; `class_table` sorts them in place
+        and drops them."""
+        classes = self.system.resolution
+        codes = np.empty(self.class_sizes.sum(), dtype=np.int64)
+        at = 0
+        for lo in range(0, len(classes), CLASS_CHUNK):
+            part = G.block_codes(np.concatenate(classes[lo:lo + CLASS_CHUNK]),
+                                 self.v)
+            codes[at:at + len(part)] = part
+            at += len(part)
+        return codes
+
+    @cached_property
+    def partitioned(self):
+        """Whether the blocks of the classes are the blocks, as multisets:
+        one sorted copy of the class codes, dropped once compared, equals
+        the sorted block codes."""
+        blocks = self.blocks
+        return np.array_equal(np.sort(self.class_codes), blocks)
+
+    @cached_property
+    def class_table(self):
+        """`_class_set` of the classes."""
+        table = _class_set(self.class_codes, self.class_sizes)
+        del self.class_codes
+        return table
+
+    @cached_property
+    def point_problems(self):
+        """`_point_problems`; a reader copies the list before adding to
+        it."""
+        return _point_problems(self.system)
+
+    @cached_property
+    def point_codes(self):
+        return _point_codes(self.system)
+
+    @cached_property
+    def right(self):
+        """The permutations of the right translations by the group's
+        generators (`_translations`), in `generators()` order."""
+        return _translations(self.system, self.point_codes,
+                             self.system.group.generators())
 
 
 def _pair_problems(system, pairs):
@@ -57,11 +142,13 @@ def _pair_problems(system, pairs):
     return problems
 
 
-def verify_sts(system):
+def verify_sts(system, view=None):
     """Every unordered pair of distinct points lies in exactly one block:
-    the pair codes i·v + j (i < j) of all blocks, sorted, are exactly
-    v(v-1)/2 strictly increasing values."""
-    v = len(system.points)
+    the blocks give v(v-1)/2 pair codes i·v + j (i < j), and they mark as
+    many cells of a v×v bitmap.  The codes are sorted only to name the
+    pairs at fault."""
+    view = view or SystemView(system)
+    v = view.v
     problems = []
     if v != system.order:
         problems.append(f"order says {system.order} but there are {v} points")
@@ -72,29 +159,40 @@ def verify_sts(system):
     if stray:
         problems.append(f"blocks mention unknown point ids: {stray[:3]}")
         return _report(problems, v=v, blocks=len(arr))
-    a, b, c = G.sorted_ids(arr)
+    a, b, c = view.ids
     for row in arr[(a == b) | (b == c)][:MAX_PROBLEMS]:
         problems.append(f"degenerate block {_labels(system, row)}")
-    # the codes of pairs ab, ac and bc, built in place in one int64 array
+    # the codes of pairs ab, ac and bc, marked one column at a time when
+    # there are as many as pairs of points (the bitmap is then smaller than
+    # the blocks); all of them, sorted, only to name the pairs at fault
+    columns = ((a, b), (a, c), (b, c))
+    want = v * (v - 1) // 2
+    if 3 * len(arr) == want:
+        seen = np.zeros(v * v, dtype=bool)
+        code = np.empty(len(arr), dtype=np.int64)
+        for first, second in columns:
+            code[:] = first
+            code *= v
+            code += second
+            seen[code] = True
+        if np.count_nonzero(seen) == want:
+            return _report(problems, v=v, blocks=len(arr))
+        del seen, code
     pairs = np.empty((3, len(arr)), dtype=np.int64)
-    pairs[0] = a
-    pairs[0] *= v
-    pairs[1] = pairs[0]
-    pairs[0] += b
-    pairs[1] += c
-    pairs[2] = b
-    pairs[2] *= v
-    pairs[2] += c
+    for row, (first, second) in zip(pairs, columns):
+        row[:] = first
+        row *= v
+        row += second
     pairs = pairs.ravel()
     pairs.sort()
-    if len(pairs) != v * (v - 1) // 2 or np.any(pairs[1:] <= pairs[:-1]):
-        problems += _pair_problems(system, pairs)
+    problems += _pair_problems(system, pairs)
     return _report(problems, v=v, blocks=len(arr))
 
 
-def verify_resolution(system):
+def verify_resolution(system, view=None):
     """The classes partition the blocks; each class partitions the points."""
-    v = len(system.points)
+    view = view or SystemView(system)
+    v = view.v
     problems = []
     want = (v - 1) // 2
     if len(system.resolution) != want:
@@ -102,18 +200,17 @@ def verify_resolution(system):
             f"{len(system.resolution)} classes, expected {want}")
     if not system.resolution:
         return _report(problems, classes=0)
-    if not np.array_equal(_sorted_codes(np.concatenate(system.resolution), v),
-                          _sorted_codes(system.blocks, v)):
+    if not view.partitioned:
         problems.append("classes do not partition the block set")
     # a class of v / 3 blocks partitions the points when its ids, sorted,
     # are 0, 1, ..., v - 1
-    sizes = np.array([len(rows) for rows in system.resolution])
-    bad = 3 * sizes != v
+    bad = 3 * view.class_sizes != v
     full = np.flatnonzero(~bad)
-    if len(full):
-        ids = np.stack([system.resolution[k].ravel() for k in full])
+    for lo in range(0, len(full), CLASS_CHUNK):
+        part = full[lo:lo + CLASS_CHUNK]
+        ids = np.stack([system.resolution[k].ravel() for k in part])
         ids.sort(axis=1)
-        bad[full] = np.any(ids != np.arange(v), axis=1)
+        bad[part] = np.any(ids != np.arange(v), axis=1)
     for k in np.flatnonzero(bad)[:MAX_PROBLEMS]:
         problems.append(f"class {k} is not a partition of the points")
     return _report(problems, classes=len(system.resolution))
@@ -146,28 +243,16 @@ def _class_set(codes, sizes):
     return rows[G.run_starts(rows)].view(np.int64).reshape(-1, width)
 
 
-def _class_table(classes, v):
-    """`_class_set` of a list of classes, coded CLASS_CHUNK classes at a
-    time."""
-    sizes = np.array([len(rows) for rows in classes], dtype=np.int64)
-    codes = np.empty(sizes.sum(), dtype=np.int64)
-    at = 0
-    for lo in range(0, len(classes), CLASS_CHUNK):
-        part = G.block_codes(np.concatenate(classes[lo:lo + CLASS_CHUNK]), v)
-        codes[at:at + len(part)] = part
-        at += len(part)
-    return _class_set(codes, sizes)
-
-
-def _preservation(system):
+def _preservation(view):
     """A function telling, for a permutation of the point ids, whether it
     preserves the blocks (compared as sorted code arrays) and whether it
-    preserves the classes (compared by `_class_set`)."""
-    v = len(system.points)
+    preserves the classes (compared by `_class_set`), given the system's
+    `SystemView`."""
+    system, v = view.system, view.v
     classes = [np.empty((0, 3), np.int32), *system.resolution]
-    sizes = np.array([len(rows) for rows in system.resolution], dtype=np.int64)
-    base_blocks = _sorted_codes(system.blocks, v)
-    base_classes = _class_table(system.resolution, v)
+    sizes = view.class_sizes
+    base_blocks = view.blocks
+    base_classes = view.class_table
 
     def preserves(perm):
         return (np.array_equal(_sorted_codes(perm[system.blocks], v),
@@ -300,7 +385,10 @@ def _point_problems(system):
     if len(set(system.points)) != v or extra != set(INF):
         return ["points are not the three extra points and the group "
                 "elements"]
-    for ids in (system.blocks, np.concatenate(system.resolution or [[]])):
+    classes = system.resolution
+    for ids in chain([system.blocks], (
+            np.concatenate(classes[lo:lo + CLASS_CHUNK])
+            for lo in range(0, len(classes), CLASS_CHUNK))):
         if ids.size and (ids.min() < 0 or ids.max() >= v):
             return ["blocks or classes mention unknown point ids"]
     return []
@@ -310,7 +398,7 @@ def _increasing(codes):
     return bool(np.all(codes[1:] > codes[:-1]))
 
 
-def _develops(system, right, zero):
+def _develops(view, right, zero):
     """Whether one development of the class through the first extra point
     proves that the group H generated by the permutations `right`
     preserves the blocks and the classes.  Sound only when H acts
@@ -329,7 +417,7 @@ def _develops(system, right, zero):
     preserves the blocks when they are distinct and are the blocks of the
     classes.  Each developed class is looked up in the class set as it
     comes, so a class outside it ends the search."""
-    v = len(system.points)
+    system, v = view.system, view.v
     inf_ids = [system.points.index(p) for p in INF]
     sizes = {len(rows) for rows in system.resolution}
     k = max(sizes, default=0)
@@ -338,15 +426,14 @@ def _develops(system, right, zero):
     moves = np.stack(right)
     if np.any(moves[:, inf_ids] != inf_ids):
         return False
-    blocks = G.block_codes(system.blocks, v)
-    if not _increasing(blocks):
-        blocks.sort()
+    blocks = view.blocks
+    if not (len(blocks) and _increasing(blocks) and view.partitioned):
+        return False
     # classes of equal size give a table without padding, whose rows come
     # in order of their lowest code when no two share it
-    table = _class_table(system.resolution, v)
+    table = view.class_table
     lowest = table[:, 0].copy()
-    if not (len(blocks) and _increasing(blocks) and _increasing(lowest)
-            and np.array_equal(np.sort(table, axis=None), blocks)):
+    if not _increasing(lowest):
         return False
 
     # y, C1 and C∞; every block code is in some row of the table
@@ -359,7 +446,6 @@ def _develops(system, right, zero):
     if not (present.any() and inf_code in blocks):
         return False
     y = int(np.argmax(present))
-    del blocks
     at1, at_inf = (int(np.argmax(table == code)) // k
                    for code in (through[y], inf_code))
     c_inf = G.code_rows(table[at_inf], v)
@@ -392,7 +478,7 @@ def _develops(system, right, zero):
     return tau_ok and bool(hit.all())
 
 
-def verify_3pyramidal(system):
+def verify_3pyramidal(system, view=None):
     """The recorded group acts sharply transitively on the non-extra points,
     fixes the three extra ones, and preserves blocks and classes.  Checked on
     generators: the generated group is regular when it and the left
@@ -401,24 +487,25 @@ def verify_3pyramidal(system):
     proof fails, each generator's images of the blocks and classes are
     compared with them, to name the generators at fault.  The action goes
     through the point labels, wherever they sit in `points`."""
+    view = view or SystemView(system)
     g = system.group
-    v = len(system.points)
-    problems = _point_problems(system)
+    v = view.v
+    problems = list(view.point_problems)
     if problems:
         return _report(problems, group=repr(g))
     inf_ids = sorted(system.points.index(p) for p in INF)
     zero = system.points.index(g.zero)
 
     gens = list(g.generators())
-    points = _point_codes(system)
-    right = _translations(system, points, gens)
+    right = view.right
     fixed = [np.flatnonzero(perm == np.arange(v)) for perm in right]
     moved = [gen != g.zero and f.tolist() != inf_ids
              for gen, f in zip(gens, fixed)]
     regular = _regularity_problems(
-        right, _translations(system, points, gens, left=True), zero, g.order)
-    if any(moved) or regular or not _develops(system, right, zero):
-        preserves = _preservation(system)
+        right, _translations(system, view.point_codes, gens, left=True), zero,
+        g.order)
+    if any(moved) or regular or not _develops(view, right, zero):
+        preserves = _preservation(view)
         kept = [preserves(perm) for perm in right]
     else:
         kept = [(True, True)] * len(right)
@@ -440,7 +527,7 @@ def verify_automorphisms(system, generators):
     generate (up to CLOSURE_CAP elements)."""
     problems = []
     v = len(system.points)
-    preserves = _preservation(system)
+    preserves = _preservation(SystemView(system))
     perms = []
     for name, perm in generators:
         perm = np.asarray(perm, dtype=np.int32)
@@ -478,7 +565,7 @@ def verify_automorphisms(system, generators):
 ORBIT_CHUNK = 4096
 
 
-def _orbits(system):
+def _orbits(view):
     """The orbits of the blocks avoiding the extra points under the right
     translations (the closure of the generators' permutations), as label
     triples of the full-orbit and the short-orbit representatives, and the
@@ -491,9 +578,9 @@ def _orbits(system):
     lies in the block set when that many blocks carry its name.  Each
     orbit's representative is its lowest-code block, and they come in code
     order."""
+    system, v = view.system, view.v
     g = system.group
-    v = len(system.points)
-    problems = _point_problems(system)
+    problems = list(view.point_problems)
     if problems:
         return [], [], problems
     is_inf = np.array([p in INF for p in system.points])
@@ -508,9 +595,7 @@ def _orbits(system):
         G.distinct_codes(G.block_codes(system.blocks[keep], v)), v)
 
     zero = system.points.index(g.zero)
-    shifts = _grow(np.arange(v, dtype=np.int32)[None],
-                   _translations(system, _point_codes(system), g.generators()),
-                   zero)
+    shifts = _grow(np.arange(v, dtype=np.int32)[None], view.right, zero)
     if len(shifts) != g.order:
         return [], [], [f"the generators give {len(shifts)} translations, "
                         f"expected {g.order}"]
@@ -560,19 +645,19 @@ def extract_base_blocks(system):
     family; the single short orbit (size |G|/3) is the developed spread.
     Representatives come back as label triples.  Raises ValueError when the
     blocks are not such a union of orbits."""
-    reps, shorts, problems = _orbits(system)
+    reps, shorts, problems = _orbits(SystemView(system))
     if problems:
         raise ValueError("; ".join(problems))
     return reps, shorts[0]
 
 
-def check_base_blocks(system):
+def check_base_blocks(system, view=None):
     """The re-derived representatives generate the same difference multiset
     as the witness the system was built from."""
     w = system.witness
     if w is None:
         return _report(["no witness attached"])
-    reps, shorts, problems = _orbits(system)
+    reps, shorts, problems = _orbits(view or SystemView(system))
     if problems:
         return _report(problems, orbits=len(reps))
     g = system.group
@@ -597,12 +682,14 @@ def check_base_blocks(system):
 
 def verify_full(system):
     """Aggregate report; the base-block re-derivation runs when the group is
-    small enough for the orbit sweep to stay cheap."""
+    small enough for the orbit sweep to stay cheap.  The checks share one
+    `SystemView`."""
+    view = SystemView(system)
     parts = {
-        "sts": verify_sts(system),
-        "resolution": verify_resolution(system),
-        "pyramidal": verify_3pyramidal(system),
+        "sts": verify_sts(system, view),
+        "resolution": verify_resolution(system, view),
+        "pyramidal": verify_3pyramidal(system, view),
     }
     if system.witness is not None and system.group.order <= BASE_BLOCK_CAP:
-        parts["base_blocks"] = check_base_blocks(system)
+        parts["base_blocks"] = check_base_blocks(system, view)
     return {"ok": all(p["ok"] for p in parts.values()), **parts}

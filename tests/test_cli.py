@@ -381,3 +381,18 @@ def test_verify_unreadable_text_exits_3(clean15_text, tmp_path, capsys, make):
     code, out, err = run(capsys, "verify", "--input", str(path))
     assert code == 3 and not out
     assert "cannot read system" in err
+
+
+def test_verify_rejects_non_canonical_label(tmp_path, capsys):
+    # points are looked up by their canonical labels: "V5:03" names the
+    # element "V5:3" only in a spelling the encoder never writes
+    data = cli.system_to_json(pipeline.construct(33))
+    label = next(p for p in data["points"] if p.endswith("|V5:3"))
+    odd = label.replace("V5:3", "V5:03")
+    data = json.loads(json.dumps(data).replace(f'"{label}"', f'"{odd}"'))
+    with pytest.raises(ValueError, match="malformed system file") as info:
+        cli.system_from_json(data)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert repr(odd) in str(info.value)
+    code, report = _verify_data(tmp_path, capsys, data)
+    assert code == 3 and report is None

@@ -243,6 +243,15 @@ def test_encode_parse_roundtrip():
         assert G.parse_element(g, G.encode_element(g, x)) == x
 
 
+@pytest.mark.parametrize("atoms", [
+    (), (G.DAtom(), G.ZAtom(4)), (G.GAtom(1), G.VAtom(build_ring(45))),
+    (G.GAtom(2), G.VAtom(3), G.VAtom(25))])
+def test_element_labels_encode_every_element_in_order(atoms):
+    g = _descr(*atoms)
+    assert G.element_labels(g) == [G.encode_element(g, x)
+                                   for x in g.element_list]
+
+
 @pytest.mark.parametrize("atom, same", [
     (G.DAtom(), G.DAtom()), (G.GAtom(1), G.GAtom(1)),
     (G.ZAtom(6), G.ZAtom(6)), (G.VAtom(9), G.VAtom(build_ring(9)))])

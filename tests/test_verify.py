@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import tracemalloc
 import types
 
 import numpy as np
@@ -495,3 +496,86 @@ def test_pyramidal_catches_half_orbit_of_a_class_not_fixed_by_tau(request, v):
     rep = V.verify_3pyramidal(bad)
     assert not rep["ok"]
     assert rep == oracle_verify_3pyramidal(bad)
+
+
+# ---------------------------------------------------------------------------
+# verify_full shares one SystemView among its checks; each part of its
+# report must be what the check gives when it makes its own view
+
+def _swap_point(res, rng):
+    """One point swapped between two disjoint blocks of the classes."""
+    rows = [(i, p) for i, cls in enumerate(res) for p in range(len(cls))]
+    i, p = rows[rng.integers(len(rows))]
+    j, q = next((j, q) for j, q in (rows[k] for k in rng.permutation(
+        len(rows))) if not set(res[i][p].tolist()) & set(res[j][q].tolist()))
+    res[i][p, 0], res[j][q, 0] = res[j][q, 0], res[i][p, 0]
+
+
+@pytest.mark.parametrize("with_blocks", (False, True))
+@pytest.mark.parametrize("corrupt", (_swap, _double, _stray, _swap_point)
+                         + UNEVEN)
+@pytest.mark.parametrize("v", (15, 33, 39))
+def test_shared_view_changes_no_report(request, v, corrupt, with_blocks):
+    system = request.getfixturevalue(f"sys{v}")
+    res = [c.copy() for c in system.resolution]
+    corrupt(res, np.random.default_rng(v))
+    bad = _with(system, resolution=res,
+                **({"blocks": np.concatenate(res)} if with_blocks else {}))
+    full = V.verify_full(bad)
+    assert not full["ok"]
+    assert full["sts"] == V.verify_sts(bad)
+    assert full["resolution"] == V.verify_resolution(bad)
+    assert full["pyramidal"] == V.verify_3pyramidal(bad)
+    assert full["base_blocks"] == V.check_base_blocks(bad)
+
+
+@pytest.mark.parametrize("v", (15, 33, 39))
+def test_sts_names_the_pairs_of_a_swapped_point(request, v):
+    system = request.getfixturevalue(f"sys{v}")
+    blocks = system.blocks.copy()
+    rows = blocks.tolist()
+    donor = next(i for i, b in enumerate(rows) if not set(b) & set(rows[0]))
+    blocks[0, 0], blocks[donor, 0] = blocks[donor, 0], blocks[0, 0]
+    bad = _with(system, blocks=blocks)
+    points = bad.points
+    cover = naive_pair_cover(points, [[points[i] for i in b] for b in blocks])
+    index = {p: i for i, p in enumerate(points)}
+    want = [f"{v * (v - 1) // 2 - len(cover)} pairs uncovered"] + [
+        f"pair ({x}, {y}) covered {k} times" for x, y, k in sorted(
+            ((x, y, k) for (x, y), k in cover.items() if k != 1),
+            key=lambda t: (index[t[0]], index[t[1]]))]
+    assert want[0] == "4 pairs uncovered" and len(want) == 5
+    rep = V.verify_sts(bad)
+    assert not rep["ok"]
+    assert rep["problems"] == want
+
+
+def test_verify_full_memory_per_block():
+    # the traced peak of verify_full on a built system, in bytes per block;
+    # the pair check marks a v×v bitmap instead of sorting 3b pair codes
+    system = P.construct(1971)
+    tracemalloc.start()
+    try:
+        assert V.verify_full(system)["ok"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(system.blocks), peak / len(system.blocks)
+
+
+def test_sts_bitmap_needs_the_full_block_count():
+    # the v×v bitmap is built only when the blocks give v(v-1)/2 pairs, so
+    # a file with many points and few blocks allocates no v² array
+    v = 30_000
+    system = types.SimpleNamespace(order=v, points=list(range(v)),
+                                   blocks=np.array([[0, 1, 2], [0, 3, 4]],
+                                                   dtype=np.int32))
+    tracemalloc.start()
+    try:
+        rep = V.verify_sts(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["problems"] == [f"{v * (v - 1) // 2 - 6} pairs uncovered"]
+    # the set of the points is most of it; a bitmap would be v² = 900 MB
+    assert peak < v * v // 100
