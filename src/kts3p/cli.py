@@ -23,12 +23,6 @@ from .designkit import (DifferenceMatrix, dm_to_json, group_from_labels,
 EXIT_OK, EXIT_VERIFY, EXIT_MALFORMED, EXIT_UNSUPPORTED = 0, 2, 3, 4
 
 
-def _encode_point(group, p):
-    if isinstance(p[0], str):
-        return f"inf{p[1]}"
-    return G.encode_element(group, p)
-
-
 def _decode_points(group, labels):
     """The points named by `labels`: "inf1" to "inf3", or the canonical
     label of a group element (`groups.element_labels`), looked up in one
@@ -45,7 +39,14 @@ def _decode_points(group, labels):
 
 
 def _point_labels(system):
-    return [_encode_point(system.group, p) for p in system.points]
+    """The label of each point, read off one table: "inf1" to "inf3", then
+    the elements' canonical labels (`groups.element_labels`) in
+    `element_index` order."""
+    g = system.group
+    table = ["inf1", "inf2", "inf3", *G.element_labels(g)]
+    index = g.element_index
+    return [table[3 + index[p]] if p in index else table[p[1] - 1]
+            for p in system.points]
 
 
 def system_to_json(system, with_trace=False):
@@ -273,7 +274,7 @@ def cmd_selftest(args):
     bad = {k: m for k, m in report.items() if m != "ok"}
     check("catalog integrity", not bad, f"{len(report)} entries")
 
-    for v in (9, 15, 33, 39, 51, 87):
+    for v in (9, 15, 33, 39, 51, 87, 369):
         try:
             system = pipeline.construct(v)
             rep = verify.verify_full(system)

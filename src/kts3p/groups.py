@@ -511,14 +511,23 @@ def atom_negation(atom):
     return neg
 
 
+def atom_digits(group, ids):
+    """The local ids, atom by atom, of the element ids `ids`: one array of
+    the shape of `ids` per atom.  Unravelled flat, since numpy 2.4's
+    `unravel_index` returns wrong digits for some arrays whose last axis
+    has length 1 (a (9000, 1) array, for one)."""
+    ids = np.asarray(ids)
+    return [d.reshape(ids.shape) for d in np.unravel_index(
+        ids.ravel(), [a.order for a in group.atoms])]
+
+
 def id_sum(group, x, y, negate=False):
     """The ids of x + y, or of x −^ y = x + (−y) with `negate`, for id
     arrays x and y (broadcast together): each atom's digits are combined
     through its table."""
-    orders = [a.order for a in group.atoms]
     out = np.int64(0)
-    for a, dx, dy in zip(group.atoms, np.unravel_index(x, orders),
-                         np.unravel_index(y, orders)):
+    for a, dx, dy in zip(group.atoms, atom_digits(group, x),
+                         atom_digits(group, y)):
         out = out * a.order + atom_table(a)[dx, atom_negation(a)[dy]
                                             if negate else dy]
     return out
@@ -581,15 +590,15 @@ def distinct_codes(codes):
 
 
 def translation_ids(group, ts, left=False):
-    """One row per element t of `ts`: the map of element ids (indices into
-    `element_list`) that the right translation x -> x + t, or the left one
-    x -> t + x, induces.  Each atom gives one column (or row) of its table
-    per t, combined as mixed-radix digits."""
+    """One row per element id t of `ts`: the map of element ids (indices
+    into `element_list`) that the right translation x -> x + t, or the left
+    one x -> t + x, induces.  Each atom gives one column (or row) of its
+    table per digit of t, combined as mixed-radix digits."""
+    ts = np.asarray(ts, dtype=np.int64)
     image = np.zeros((len(ts), 1), dtype=np.int64)
-    for a, off in zip(group.atoms, group.offsets):
+    for a, digit in zip(group.atoms, atom_digits(group, ts)):
         table = atom_table(a)
-        digits = (table if left else table.T)[
-            [local_id(a, t[off:off + a.width]) for t in ts]]
+        digits = (table if left else table.T)[digit]
         image = (image[:, :, None] * len(table) + digits[:, None, :]
                  ).reshape(len(ts), image.shape[1] * len(table))
     return image
@@ -604,5 +613,6 @@ class GroupIndex:
         self.group = group
 
     def translation(self, ts):
-        """`translation_ids` of the right translations by `ts`."""
+        """`translation_ids` of the right translations by the element ids
+        `ts`."""
         return translation_ids(self.group, ts)

@@ -568,12 +568,12 @@ def build_kts(rdf, trace=None):
     spread = rdf.spread().order3
     spread_ids = [index[x] for x in spread]
     spread_ids += [index[g.add(x, j1)] for x in spread]
-    reps = np.flatnonzero(G.translation_ids(g, [j1], left=True)[0]
-                          > np.arange(g.order))
+    by_j = G.translation_ids(g, [g.element_index[j1]], left=True)[0]
+    reps = np.flatnonzero(by_j > np.arange(g.order))
     rows = np.empty((len(reps) + 1, v), dtype=np.int32)
     cosets = np.empty((len(reps), 6), dtype=np.int32)
     for start in range(0, len(reps), CHUNK):
-        ts = [g.element_list[t] for t in reps[start:start + CHUNK]]
+        ts = reps[start:start + CHUNK]
         pperm = np.empty((len(ts), v), dtype=np.int32)
         pperm[:, :3] = np.arange(3)
         np.add(gi.translation(ts), 3, out=pperm[:, 3:])

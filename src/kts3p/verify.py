@@ -3,7 +3,8 @@
 Everything here works from the point/block/class data alone: pair coverage,
 partitioning of the resolution, the group action through its generators, and
 (for systems that still carry their witness) re-derivation of the base blocks
-from the orbit structure.  Nothing trusts the construction bookkeeping.
+from the blocks through one point.  Nothing trusts the construction
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from . import groups as G
 from .designkit import difference_counts
 
 MAX_PROBLEMS = 10
-# verify_full re-derives base blocks only for groups up to this order
-BASE_BLOCK_CAP = 360
 # verify_automorphisms stops enumerating the generated group past this size
 CLOSURE_CAP = 200_000
 # classes per gather when coding a resolution or checking its ids, and group
@@ -48,13 +47,16 @@ class SystemView:
     computed at its first use and kept for the next check.  The pieces
     that only feed another (each block's sorted ids, the class codes and
     their sorted copy) are dropped by it, so between checks a view holds
-    the block codes, the class table and the point data at most.
+    the block codes, the class table, the point data and the verdict of
+    `verify_3pyramidal` at most.
     `verify_full` and `kts3p verify` pass one view to every check they
     run; a check called without one makes its own."""
 
     def __init__(self, system):
         self.system = system
         self.v = len(system.points)
+        # the verdict of `verify_3pyramidal` on this view, once it has run
+        self.invariant = None
 
     @cached_property
     def ids(self):
@@ -115,6 +117,14 @@ class SystemView:
     @cached_property
     def point_codes(self):
         return _point_codes(self.system)
+
+    @cached_property
+    def element_of(self):
+        """The element id of each point id, and −1 at the extra points."""
+        ids, elements = self.point_codes
+        element_of = np.full(self.v, -1, dtype=np.int64)
+        element_of[ids] = elements
+        return element_of
 
     @cached_property
     def right(self):
@@ -276,13 +286,14 @@ def _translations(system, points, shifts, left=False):
     the point labels, given as `points = _point_codes(system)`; the extra
     points stay fixed.  The maps of element ids come from the shared
     per-atom tables (`groups.translation_ids`)."""
+    g = system.group
     ids, codes = points
-    id_of = np.empty(system.group.order, dtype=np.int32)
+    id_of = np.empty(g.order, dtype=np.int32)
     id_of[codes] = ids
     perms = np.empty((len(shifts), len(system.points)), dtype=np.int32)
     perms[:] = np.arange(len(system.points), dtype=np.int32)
-    perms[:, ids] = id_of[G.translation_ids(system.group, shifts,
-                                            left)[:, codes]]
+    perms[:, ids] = id_of[G.translation_ids(
+        g, [g.element_index[s] for s in shifts], left)[:, codes]]
     return list(perms)
 
 
@@ -492,6 +503,7 @@ def verify_3pyramidal(system, view=None):
     v = view.v
     problems = list(view.point_problems)
     if problems:
+        view.invariant = False
         return _report(problems, group=repr(g))
     inf_ids = sorted(system.points.index(p) for p in INF)
     zero = system.points.index(g.zero)
@@ -519,6 +531,7 @@ def verify_3pyramidal(system, view=None):
         if bad:
             problems.append(f"translation by {name} fixes {len(f)} points")
     problems += regular
+    view.invariant = not problems
     return _report(problems, group=repr(g), generators=len(gens))
 
 
@@ -561,82 +574,94 @@ def verify_automorphisms(system, generators):
                    closure_order=order, capped=capped)
 
 
-# blocks per pass when extract_base_blocks translates blocks to point 0
-ORBIT_CHUNK = 4096
+def _names(view, rows):
+    """For sorted id rows of blocks of group points: the code of each
+    block's lowest translate through p (the lowest id of a group point),
+    and the number of its distinct translates through p.  These are
+    B − b + p for the points b of B, computed as x −^ b + p from the atom
+    tables (`groups.id_sum`)."""
+    g, v = view.system.group, view.v
+    ids, elements = view.point_codes
+    point_of = np.empty(g.order, dtype=np.int32)
+    point_of[elements] = ids
+    e = view.element_of[rows]
+    codes = np.empty((len(rows), 3), dtype=np.int64)
+    for k in range(3):
+        moved = G.id_sum(g, G.id_sum(g, e, e[:, k:k + 1], negate=True),
+                         elements[0])
+        codes[:, k] = G.block_codes(point_of[moved], v)
+    codes.sort(axis=1)
+    distinct = 1 + (codes[:, 1] != codes[:, 0]) + (codes[:, 2] != codes[:, 1])
+    return codes[:, 0], distinct
 
 
 def _orbits(view):
     """The orbits of the blocks avoiding the extra points under the right
-    translations (the closure of the generators' permutations), as label
-    triples of the full-orbit and the short-orbit representatives, and the
-    problems that keep the blocks from being a union of such orbits.
+    translations, as sorted id rows of the full-orbit and the short-orbit
+    representatives, and the problems that keep the blocks from being a
+    union of such orbits.
 
-    The translations act regularly, so the orbit of a block B meets the
-    blocks through point 0 exactly in the translates B − b (b in B), and the
-    lowest code among them names the orbit.  There are d distinct ones when
-    the stabilizer of B has order 3/d, so the orbit holds |G|·d/3 blocks: it
-    lies in the block set when that many blocks carry its name.  Each
-    orbit's representative is its lowest-code block, and they come in code
-    order."""
+    Let p be the lowest id of a group point.  The translations act
+    regularly, so the orbit of a block B meets the blocks through p exactly
+    in the translates B − b + p (b in B), and the lowest code among them
+    names the orbit.  There are d distinct ones when the stabilizer of B
+    has order 3/d, so the orbit holds |G|·d/3 blocks.  Each orbit's
+    representative is its lowest-code block, which goes through p: a block
+    of group points that misses p has all its ids above p.  The
+    representatives come in code order.
+
+    When `verify_3pyramidal` has proved the blocks invariant, each orbit
+    lies in the block set, and its blocks through p are one slice of the
+    sorted codes: only they are named, d of them per orbit.  Otherwise
+    every block avoiding the extra points is named, and an orbit lies in
+    the block set when |G|·d/3 blocks carry its name."""
     system, v = view.system, view.v
     g = system.group
     problems = list(view.point_problems)
     if problems:
         return [], [], problems
-    is_inf = np.array([p in INF for p in system.points])
-    a, b, c = G.sorted_ids(system.blocks)
-    keep = ~(is_inf[a] | is_inf[b] | is_inf[c])
-    for k in np.flatnonzero(keep & ((a == b) | (b == c)))[:MAX_PROBLEMS]:
-        problems.append(
-            f"degenerate block {_labels(system, system.blocks[k])}")
+    if view.invariant is None:
+        verify_3pyramidal(system, view)
+    ids = view.point_codes[0]
+    p = int(ids[0])
+    blocks = view.blocks
+    lo, hi = np.searchsorted(blocks, [p * v * v, (p + 1) * v * v])
+    through = blocks[lo:hi][G.run_starts(blocks[lo:hi])]
+    if len(through) > (v - 1) // 2:
+        return [], [], [f"{len(through)} distinct blocks through "
+                        f"{system.points[p]}, expected at most {(v - 1) // 2}"]
+    if view.invariant:
+        rows = G.code_rows(through, v)
+    else:
+        rows = G.code_rows(blocks[G.run_starts(blocks)], v)
+    rows = rows[np.all(view.element_of[rows] >= 0, axis=1)]
+    for row in rows[(rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])][
+            :MAX_PROBLEMS]:
+        problems.append(f"degenerate block {_labels(system, row)}")
     if problems:
         return [], [], problems
-    rows = G.code_rows(
-        G.distinct_codes(G.block_codes(system.blocks[keep], v)), v)
 
-    zero = system.points.index(g.zero)
-    shifts = _grow(np.arange(v, dtype=np.int32)[None], view.right, zero)
-    if len(shifts) != g.order:
-        return [], [], [f"the generators give {len(shifts)} translations, "
-                        f"expected {g.order}"]
-    # shifts.flat[to_zero[x] + y] is the image of point y under the
-    # translation that takes point x to point 0
-    hit, point = np.nonzero(shifts == zero)
-    to_zero = np.zeros(v, dtype=np.int64)
-    to_zero[point] = hit * v
-    name = np.empty(len(rows), dtype=np.int64)
-    distinct = np.empty(len(rows), dtype=np.int8)
-    for lo in range(0, len(rows), ORBIT_CHUNK):
-        part = rows[lo:lo + ORBIT_CHUNK]
-        c0, c1, c2 = (
-            G.block_codes(shifts.take(to_zero[x][:, None] + part), v)
-            for x in part.T)
-        name[lo:lo + len(part)] = np.minimum(np.minimum(c0, c1), c2)
-        distinct[lo:lo + len(part)] = (
-            3 - (c0 == c1) - ((c2 == c0) | (c2 == c1)))
+    name, distinct = _names(view, rows)
     # each orbit's lowest-code block, in code order, and its block count
-    by_name = np.argsort(name)
+    by_name = np.argsort(name, kind="stable")
     starts = np.flatnonzero(G.run_starts(name[by_name]))
-    first = np.minimum.reduceat(by_name, starts)
+    first = by_name[starts]
     size = np.diff(starts, append=len(name))
     order = np.argsort(first)
     first, size = first[order], size[order]
-    whole = 3 * size == g.order * distinct[first].astype(np.int64)
+    d = distinct[first].astype(np.int64)
+    whole = size == d if view.invariant else 3 * size == g.order * d
 
-    reps, shorts = [], []
-    for row, n, ok in zip(rows[first], size.tolist(), whole.tolist()):
-        rep = _labels(system, row)
-        if not ok:
-            problems.append(f"orbit of {rep} leaves the block set")
-        elif n == g.order:
-            reps.append(rep)
-        elif 3 * n == g.order:
-            shorts.append(rep)
-        else:
-            problems.append(f"orbit of {rep} has impossible length {n}")
+    length = g.order * d // 3
+    for k in np.flatnonzero(~whole | (d == 2)):
+        rep = _labels(system, rows[first[k]])
+        problems.append(
+            f"orbit of {rep} has impossible length {length[k]}" if whole[k]
+            else f"orbit of {rep} leaves the block set")
+    shorts = rows[first[whole & (d == 1)]]
     if len(shorts) != 1:
         problems.append(f"expected one short orbit, found {len(shorts)}")
-    return reps, shorts, problems[:MAX_PROBLEMS]
+    return rows[first[whole & (d == 3)]], shorts, problems[:MAX_PROBLEMS]
 
 
 def extract_base_blocks(system):
@@ -648,48 +673,56 @@ def extract_base_blocks(system):
     reps, shorts, problems = _orbits(SystemView(system))
     if problems:
         raise ValueError("; ".join(problems))
-    return reps, shorts[0]
+    return [_labels(system, row) for row in reps], _labels(system, shorts[0])
 
 
 def check_base_blocks(system, view=None):
     """The re-derived representatives generate the same difference multiset
-    as the witness the system was built from."""
+    as the witness the system was built from, and the short orbit is a
+    translate of its spread.  Compared as element ids."""
     w = system.witness
     if w is None:
         return _report(["no witness attached"])
-    reps, shorts, problems = _orbits(view or SystemView(system))
+    view = view or SystemView(system)
+    reps, shorts, problems = _orbits(view)
     if problems:
         return _report(problems, orbits=len(reps))
     g = system.group
     if len(reps) != len(w.blocks):
         problems.append(
             f"{len(reps)} full orbits vs {len(w.blocks)} witness blocks")
+    element_of = view.element_of
     index = g.element_index
-    if not all(len(b) == 3 and all(x in index for x in b) for b in w.blocks):
+    witness = [index.get(x, -1) for b in w.blocks for x in b]
+    if -1 in witness or any(len(b) != 3 for b in w.blocks):
         problems.append("witness blocks are not triples of group elements")
-    elif not np.array_equal(
-            difference_counts(g, [[index[x] for x in b] for b in reps]),
-            difference_counts(g, [[index[x] for x in b] for b in w.blocks])):
+    elif not np.array_equal(difference_counts(g, element_of[reps]),
+                            difference_counts(g, witness)):
         problems.append("difference multisets disagree")
     # the spread holds 0, so a coset spread + t equal to the short orbit
     # has its t in the short orbit
-    short = shorts[0]
+    short = np.sort(element_of[shorts[0]])
     spread = w.spread().order3
-    if not any({g.add(x, t) for x in spread} == set(short) for t in short):
+    cosets = np.empty((0, 3), dtype=np.int64)
+    if all(x in index for x in spread):
+        cosets = np.sort(G.id_sum(g, np.array([index[x] for x in spread]),
+                                  short[:, None]), axis=1)
+    if not (cosets == short).all(axis=1).any():
         problems.append("short orbit is not the developed spread")
     return _report(problems, orbits=len(reps))
 
 
 def verify_full(system):
-    """Aggregate report; the base-block re-derivation runs when the group is
-    small enough for the orbit sweep to stay cheap.  The checks share one
-    `SystemView`."""
+    """Aggregate report: pair coverage, resolution, the group action and,
+    when the system carries its witness, the base blocks re-derived from
+    the blocks through one point.  The checks share one `SystemView`, so
+    the base-block check reads the verdict of `verify_3pyramidal` off it."""
     view = SystemView(system)
     parts = {
         "sts": verify_sts(system, view),
         "resolution": verify_resolution(system, view),
         "pyramidal": verify_3pyramidal(system, view),
     }
-    if system.witness is not None and system.group.order <= BASE_BLOCK_CAP:
+    if system.witness is not None:
         parts["base_blocks"] = check_base_blocks(system, view)
     return {"ok": all(p["ok"] for p in parts.values()), **parts}

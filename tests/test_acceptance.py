@@ -223,7 +223,7 @@ def test_criterion_6_base_block_oracle():
         if not c.covered:
             continue
         system = P.construct(v)
-        if system.group.order > 360 or system.witness is None:
+        if system.witness is None:
             continue
         rep = verify.check_base_blocks(system)
         checked += 1
@@ -231,7 +231,7 @@ def test_criterion_6_base_block_oracle():
             failures.append((v, rep))
     dt = time.time() - t0
     _line(6, checked > 10 and not failures,
-          f"{checked} systems with |G| <= 360 re-derived, {dt:.1f}s"
+          f"{checked} systems below 400 re-derived, {dt:.1f}s"
           + (f", failures: {failures[:3]}" if failures else ""))
 
 

@@ -276,16 +276,28 @@ def test_group_index_translation():
               _descr(G.ZAtom(4), G.VAtom(9)), _descr(G.GAtom(1), G.VAtom(25))):
         gi = G.GroupIndex(g)
         els = list(g.element_list)
-        ts = els[::5]
+        ts = range(0, g.order, 5)
         rows = gi.translation(ts)
         assert rows.shape == (len(ts), g.order)
         lefts = G.translation_ids(g, ts, left=True)
-        for t, perm, left in zip(ts, rows, lefts):
-            assert np.array_equal(perm, G.translation_ids(g, [t])[0])
+        for k, perm, left in zip(ts, rows, lefts):
+            t = els[k]
+            assert np.array_equal(perm, G.translation_ids(g, [k])[0])
             for i, x in enumerate(els[::3]):
                 assert els[perm[3 * i]] == g.add(x, t)
                 assert els[left[3 * i]] == g.add(t, x)
         assert gi.translation([]).shape == (0, g.order)
+
+
+def test_id_sum_on_a_column_past_8192_entries():
+    # numpy 2.4's unravel_index misreads some (n, 1) arrays this long
+    g = _descr(G.GAtom(1), G.VAtom(3), G.VAtom(9))
+    els = g.element_list
+    x = np.random.default_rng(3).integers(g.order, size=(9000, 1))
+    got = G.id_sum(g, x, x[::-1], negate=True)
+    assert got.shape == (9000, 1)
+    assert all(els[s] == g.sub(els[a], els[b])
+               for s, a, b in zip(got[:, 0], x[:, 0], x[::-1, 0]))
 
 
 def _reference_codes(rows, v):

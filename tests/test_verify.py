@@ -34,6 +34,13 @@ def sys147():
     return P.construct(147)
 
 
+@pytest.fixture(scope="module")
+def sys369():
+    # |G| = 366, the first covered order above the base-block check's old
+    # cap of |G| = 360
+    return P.construct(369)
+
+
 def test_good_systems_pass_full(sys15, sys33):
     for s in (sys15, sys33):
         report = V.verify_full(s)
@@ -166,8 +173,9 @@ def _base_blocks_oracle(system):
     return reps, short
 
 
-# D heads over a prime and a non-prime field, G1, G2 and G3 heads
-@pytest.mark.parametrize("v", [39, 57, 183, 195, 327])
+# D heads over a prime and a non-prime field, G1, G2 and G3 heads, and
+# the first covered order above |G| = 360
+@pytest.mark.parametrize("v", [39, 57, 183, 195, 327, 369])
 def test_extract_base_blocks_matches_oracle(v):
     s = P.construct(v)
     reps, short = V.extract_base_blocks(s)
@@ -177,6 +185,37 @@ def test_extract_base_blocks_matches_oracle(v):
     # a repeated block is one block of the orbit decomposition
     doubled = _with(s, blocks=np.vstack([s.blocks, s.blocks[::-1]]))
     assert V.extract_base_blocks(doubled) == (reps, short)
+
+
+@pytest.mark.parametrize("v", [39, 183, 327, 369])
+def test_orbits_through_one_point_match_all_blocks(v):
+    # once the blocks are proved invariant only those through the lowest
+    # group point are named; naming every block must give the same orbits
+    s = P.construct(v)
+    fast, slow = V.SystemView(s), V.SystemView(s)
+    assert V.verify_3pyramidal(s, fast)["ok"] and fast.invariant
+    slow.invariant = False
+    reps, shorts, problems = V._orbits(fast)
+    assert not problems
+    want_reps, want_shorts, _ = V._orbits(slow)
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(shorts, want_shorts)
+
+
+def test_check_base_blocks_reports_many_blocks_through_a_point(sys15):
+    # more blocks through the lowest group point than (v - 1)/2 is reported
+    # before any orbit is named
+    v = len(sys15.points)
+    extra = np.array([[3, i, j] for i in range(4, v) for j in range(i + 1, v)],
+                     dtype=np.int32)
+    bad = _with(sys15, blocks=np.vstack([sys15.blocks, extra]))
+    through = len({tuple(sorted(b)) for b in bad.blocks.tolist()
+                   if min(b) == 3})
+    assert through > (v - 1) // 2
+    rep = V.check_base_blocks(bad)
+    assert rep["problems"] == [
+        f"{through} distinct blocks through {sys15.points[3]}, "
+        f"expected at most {(v - 1) // 2}"]
 
 
 def test_check_base_blocks_reports_orbit_leaving_block_set(sys33):
@@ -214,12 +253,13 @@ def test_translations_agree_with_group_law(atoms):
     points = [points[i] for i in rng.permutation(len(points))]
     index = {p: i for i, p in enumerate(points)}
     system = types.SimpleNamespace(group=g, points=points)
-    shifts = [g.element_list[i] for i in rng.integers(g.order, size=5)]
+    shift_ids = rng.integers(g.order, size=5)
+    shifts = [g.element_list[i] for i in shift_ids]
     gi = G.GroupIndex(g)
     points = V._point_codes(system)
     right = V._translations(system, points, shifts)
     left = V._translations(system, points, shifts, left=True)
-    perms = gi.translation(shifts)
+    perms = gi.translation(shift_ids)
     for t, rp, lp, perm in zip(shifts, right, left, perms):
         for i in rng.integers(g.order, size=20):
             x = g.element_list[i]
@@ -233,6 +273,36 @@ def test_translations_agree_with_group_law(atoms):
 def test_check_base_blocks_detects_foreign_witness(sys15, sys33):
     bad = _with(sys33, witness=sys15.witness)
     assert not V.check_base_blocks(bad)["ok"]
+
+
+def test_check_base_blocks_above_old_cap(sys369, sys39):
+    assert V.verify_full(sys369)["base_blocks"]["ok"]
+    bad = _with(sys369, witness=sys39.witness)
+    rep = V.check_base_blocks(bad)
+    assert not rep["ok"]
+    assert not V.verify_full(bad)["ok"]
+
+
+def test_verify_full_checks_base_blocks_at_819():
+    rep = V.verify_full(P.construct(819))
+    assert rep["base_blocks"]["ok"], rep["base_blocks"]
+    assert rep["ok"]
+
+
+def test_check_base_blocks_memory_after_pyramidal():
+    # after verify_3pyramidal on the same view the check reads the blocks
+    # through one point: no table of all translations
+    system = P.construct(1971)
+    view = V.SystemView(system)
+    assert V.verify_3pyramidal(system, view)["ok"]
+    tracemalloc.start()
+    try:
+        rep = V.check_base_blocks(system, view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"], rep
+    assert peak <= 1 << 20, peak
 
 
 def test_check_base_blocks_detects_wrong_spread():
