@@ -8,6 +8,8 @@ Exit codes: 0 success, 2 verification failure, 3 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import sys
 from itertools import accumulate, chain
@@ -184,13 +186,29 @@ def system_from_json(data):
                                   blocks=blocks, resolution=resolution)
 
 
+def _read_system(path):
+    """The system in the file at `path`.  Automatic cyclic garbage
+    collection is paused while it is decoded: `json.load` makes one list
+    per block and class, none of them in a cycle, and every collection
+    would traverse them all.  They are freed before collection resumes;
+    any cyclic garbage made meanwhile goes at the next automatic pass."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as fh:
+            return system_from_json(json.load(fh))
+    finally:
+        if was:
+            gc.enable()
+
+
 def _dump(data, out, **encoder):
     text = json.dumps(data, indent=2, sort_keys=True, **encoder)
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
     else:
-        sys.stdout.write(text + "\n")
+        print(text)
 
 
 def cmd_construct(args):
@@ -213,9 +231,7 @@ LEVELS = ("sts", "kts", "pyramidal", "full")
 
 def cmd_verify(args):
     try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-        system = system_from_json(data)
+        system = _read_system(args.input)
     except (OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
         print(f"cannot read system: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -297,7 +313,10 @@ def cmd_selftest(args):
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The `kts3p` argument parser, built once per process; each
+    `parse_args` call fills a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="kts3p",
         description="Kirkman triple systems with a 3-point-fixing sharply "
@@ -327,8 +346,11 @@ def main(argv=None):
 
     p = sub.add_parser("selftest", help="run the built-in acceptance battery")
     p.set_defaults(fn=cmd_selftest)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import random
@@ -396,3 +397,130 @@ def test_verify_rejects_non_canonical_label(tmp_path, capsys):
     assert repr(odd) in str(info.value)
     code, report = _verify_data(tmp_path, capsys, data)
     assert code == 3 and report is None
+
+
+@pytest.fixture(scope="module")
+def kts183_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("kts183") / "kts183.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["construct", "--order", "183", "--out",
+                         str(path)]) == 0
+    return path.read_text()
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """Turns automatic collection on or off for a test, and restores it
+    afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@contextlib.contextmanager
+def _collections():
+    """Records the generation of every collection that starts."""
+    seen = []
+
+    def hook(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+    gc.callbacks.append(hook)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(hook)
+
+
+@pytest.mark.parametrize("collector", [True], ids=["gc-on"], indirect=True)
+def test_read_system_pauses_collection(kts183_text, tmp_path, collector):
+    path = tmp_path / "kts183.json"
+    path.write_text(kts183_text)
+    # the same decode with the collector running does collect
+    with _collections() as seen:
+        cli.system_from_json(json.loads(kts183_text))
+    assert seen
+    with _collections() as seen:
+        system = cli._read_system(str(path))
+    assert seen == [] and gc.isenabled()
+    assert system.order == 183 and len(system.blocks) == 183 * 182 // 6
+
+
+def _swap_point(text):
+    data = json.loads(text)
+    blocks = data["blocks"]
+    donor = next(i for i, b in enumerate(blocks)
+                 if not set(b) & set(blocks[0]))
+    blocks[0][0], blocks[donor][0] = blocks[donor][0], blocks[0][0]
+    return json.dumps(data).encode()
+
+
+def _invalid_utf8(text):
+    raw = text.encode()
+    at = raw.index(b'"inf1"', len(raw) // 2) + 1
+    return raw[:at] + b"\xff" + raw[at + 1:]
+
+
+def _non_string_point_text(text):
+    data = json.loads(text)
+    _non_string_point(data)
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize("make,want", [
+    (str.encode, 0),
+    (_swap_point, 2),
+    (lambda text: text[:len(text) // 2].encode(), 3),
+    (lambda text: ("[" * 100_000 + "]" * 100_000).encode(), 3),
+    (_invalid_utf8, 3),
+    (_non_string_point_text, 3)],
+    ids=["clean", "swapped-point", "truncated", "deep-nesting",
+         "invalid-utf8", "non-string-point"])
+def test_verify_restores_gc_state(kts183_text, tmp_path, capsys, collector,
+                                  make, want):
+    path = tmp_path / "s.json"
+    path.write_bytes(make(kts183_text))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert gc.isenabled() is collector
+    assert code == want
+    assert ("cannot read system" in err) == (want == 3)
+
+
+def test_system_from_json_leaves_gc_alone(collector):
+    cli.system_from_json(_system15())
+    assert gc.isenabled() is collector
+    data = _system15()
+    _non_string_point(data)
+    with pytest.raises(ValueError, match="malformed system file"):
+        cli.system_from_json(data)
+    assert gc.isenabled() is collector
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_parser_reuse_keeps_no_trace(capsys):
+    code, out, _ = run(capsys, "construct", "--order", "15", "--trace")
+    assert code == 0 and "trace" in json.loads(out)
+    code, out, _ = run(capsys, "construct", "--order", "15")
+    assert code == 0 and "trace" not in json.loads(out)
+
+
+def test_parser_reuse_keeps_no_level(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    run(capsys, "construct", "--order", "15", "--out", str(path))
+    code, out, _ = run(capsys, "verify", "--input", str(path),
+                       "--level", "sts")
+    assert code == 0 and "pyramidal" not in json.loads(out)
+    code, out, _ = run(capsys, "verify", "--input", str(path))
+    assert code == 0 and "pyramidal" in json.loads(out)
+
+
+def test_parser_reuse_requires_input_each_time(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify"])
+        assert info.value.code == 2
+        assert "--input" in capsys.readouterr().err
