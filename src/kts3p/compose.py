@@ -8,6 +8,8 @@ kind flags of their inputs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import groups as G
 from .designkit import (DifferenceMatrix, FamilyWitness, dm_check,
                         is_df, is_doubly_disjoint, is_j_resolvable)
@@ -223,13 +225,15 @@ def _mult_orbit_blocks(fam, mult):
     return ordered
 
 
-def df_compose_dm(group, h_view, proj, section, fam, dm, embed_h,
+def df_compose_dm(group, h_view, section, fam, dm, embed_h,
                   mode="plain", j=None, multipliers=None):
     """Compose a relative DF over the quotient model with a DM over H.
 
-    group: ambient G; h_view: H as a (normal) subgroup of G.
-    proj: G -> quotient model group (the model fam lives over);
-    section: model -> G, a right inverse of proj choosing coset reps.
+    group: ambient G; h_view: H as a (normal) subgroup of G, the kernel of
+    an epimorphism from G onto the model group that fam lives over;
+    section: model -> G, a right inverse of that epimorphism choosing coset
+    reps.  The relative subgroup of the result is the preimage of fam's,
+    the cosets section(r) + H.
     embed_h: DM-home-group -> G, an isomorphism onto H.
     mode "plain": any DF, any DM; mode "i": fam {H, j+H}-resolvable, dm
     homogeneous; mode "ii": fam doubly disjoint with recorded translates, dm
@@ -278,19 +282,26 @@ def df_compose_dm(group, h_view, proj, section, fam, dm, embed_h,
     base_blocks = fam.blocks
     if multipliers is not None and mode == "i":
         base_blocks = _mult_orbit_blocks(fam, multipliers)
-    blocks = []
-    for i, b in enumerate(base_blocks):
-        lifted = [section(x) for x in b]
-        for c, col in enumerate(cols):
-            blk = [group.add(x, m) for x, m in zip(lifted, col)]
-            if mode == "ii" and c >= half:
-                # strong equivalence: the split composition is a blockwise
-                # translate of the plain one
-                blk = [group.add(x, t_for[i]) for x in blk]
-            blocks.append(blk)
-    rel_carrier = [gg for gg in group.element_list
-                   if proj(gg) in fam.relative.carrier]
-    rel = G.SubgroupView(group, rel_carrier)
+    # cell (i, c, r) of the composition is section(block i)[r] + column c[r],
+    # and in mode ii the second half of the columns is then translated by
+    # t_for[i]; the sums run over element ids
+    index, elements = group.element_index, group.element_list
+    lifted = np.array([[index[section(x)] for x in b] for b in base_blocks],
+                      dtype=np.int64).reshape(-1, 1, 3)
+    cells = G.id_sum(group, lifted, np.array(
+        [[index[x] for x in col] for col in cols], dtype=np.int64))
+    if mode == "ii":
+        shift = np.array([index[t] for t in t_for], dtype=np.int64)
+        cells[:, half:] = G.id_sum(group, cells[:, half:],
+                                   shift[:, None, None])
+    blocks = [[elements[x] for x in blk]
+              for blk in cells.reshape(-1, 3).tolist()]
+    reps = np.array([index[section(r)] for r in fam.relative.carrier],
+                    dtype=np.int64)
+    h_ids = np.array([index[x] for x in h_view.carrier], dtype=np.int64)
+    rel = G.SubgroupView(group, map(
+        elements.__getitem__,
+        G.id_sum(group, reps[:, None], h_ids).ravel().tolist()))
     out = FamilyWitness(group, blocks, "RDF" if mode != "plain" else "DF",
                         rel, j=j, multipliers=multipliers)
     if len(out.blocks) != len(fam.blocks) * h:

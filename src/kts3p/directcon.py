@@ -60,9 +60,15 @@ def _mu(group, ring, s):
 
 def verify_multiplier_action(witness, mult: MultiplierGroup):
     """Each μ_s of `mult` maps the set of blocks onto itself and fixes the
-    excluded elements.  μ_s acts on the trailing atom alone (see `_mu`), so
-    it is computed once as a permutation of element ids: the trailing local
-    id is permuted and the rest of each id kept."""
+    excluded elements.  Only the generators are compared: μ_st = μ_s ∘ μ_t,
+    and a composition of two maps that each take the block set onto itself
+    and fix the excluded elements does the same, so the s that pass form a
+    set closed under products.  It holds the generators, hence every
+    member.  μ_s acts on the trailing atom alone (see `_mu`), so it is
+    computed once as a permutation of element ids: the trailing local id is
+    permuted and the rest of each id kept.  Its field slots are multiplied
+    by the entries of s, so the trailing local id, read as mixed-radix
+    digits, is permuted digit by digit."""
     group, ring = witness.group, mult.ring
     if ring.n == 1:
         return True
@@ -75,14 +81,14 @@ def verify_multiplier_action(witness, mult: MultiplierGroup):
     except KeyError:
         return False
     tail = group.atoms[-1]
-    pad = group.zero[:group.width - tail.width]
     head = np.arange(group.order) // tail.order * tail.order
 
     want = G.distinct_codes(G.block_codes(ids, group.order))
-    for s in mult.members:
-        f = _mu(group, ring, s)
-        moved = [G.local_id(tail, f(pad + y)[len(pad):])
-                 for y in G.atom_elements(tail)]
+    for s in mult.generators:
+        moved = np.zeros(1, dtype=np.int64)
+        for f, u in zip(tail.ring.fields, s):
+            moved = (moved[:, None] * f.q
+                     + np.array([f.mul(x, u) for x in range(f.q)])).ravel()
         perm = head + np.tile(moved, group.order // tail.order)
         if not (np.array_equal(
                 G.distinct_codes(G.block_codes(perm[ids], group.order)), want)

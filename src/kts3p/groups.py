@@ -239,8 +239,14 @@ class GroupDescriptor:
 
     @cached_property
     def involutions(self):
-        return tuple(x for x in self.element_list
-                     if x != self.zero and self.add(x, x) == self.zero)
+        """The elements x ≠ 0 with x + x = 0, in `element_list` order: one
+        `id_sum` doubles every element id at once."""
+        if not self.atoms:
+            return ()
+        ids = np.arange(self.order)
+        # every atom's zero has all coordinates 0, so the zero's id is 0
+        return tuple(self.element_list[i] for i in
+                     np.flatnonzero(id_sum(self, ids, ids) == 0) if i != 0)
 
     @cached_property
     def canonical_involution(self):
@@ -343,43 +349,43 @@ class SubgroupView:
         self._verify()
 
     def _verify(self):
-        # Grow the span from 0, taking as generators the carrier's elements
-        # that are not yet spanned.  The span is closed once each of its
-        # elements has been added to each generator, and in a finite group the
-        # closure under + of a set is the subgroup it generates.  Each new
-        # generator at least doubles the span, so this costs at most
-        # |H|·log2|H| add calls.  A carrier of group elements is a subgroup
-        # exactly when no sum leaves it; the span then ends up equal to it.
-        # `add` reduces its arguments, so a non-element could pass for one.
+        # Take as generators, in increasing order, the carrier's elements not
+        # yet in the span of the earlier ones.  Each generator s must map the
+        # carrier into itself by x -> x + s: one `id_sum` over the carrier's
+        # sorted ids, read back as local ids (positions in that list).  The
+        # span is the orbit of 0 under these maps.  Every element is spanned
+        # or becomes a generator, so the span ends up equal to the carrier,
+        # which is then a subgroup: it is closed under + by its generators.
+        # Each new generator at least doubles the span, so there are at most
+        # log2|H| of them.  Membership comes first, since a non-element has
+        # no id.
         G = self.ambient
         carrier = self.carrier
-        strays = carrier - G.element_index.keys()
+        index = G.element_index
+        strays = carrier - index.keys()
         if strays:
             raise ValueError(f"carrier holds non-elements of {G!r}: "
                              f"{sorted(map(repr, strays))[:3]}")
         if G.zero not in carrier:
             raise ValueError("subgroup must contain 0")
-        gens = []
-        span = {G.zero}
-        for s in sorted(carrier):
-            if s in span:
+        ids = np.sort(np.fromiter(map(index.__getitem__, carrier),
+                                  dtype=np.int64, count=len(carrier)))
+        gens, moves = [], []
+        spanned = np.zeros(len(ids), dtype=bool)
+        spanned[0] = True  # the zero's id, 0, is the least
+        for i in range(len(ids)):
+            if spanned[i]:
                 continue
-            gens.append(s)
-            # old elements are closed under the old generators: add s only;
-            # new elements take every generator
-            todo = [(x, gens[-1:]) for x in span]
-            while todo:
-                x, by = todo.pop()
-                for t in by:
-                    y = G.add(x, t)
-                    if y not in carrier:
-                        raise ValueError(
-                            f"subgroup not closed under + at {x},{t}")
-                    if y not in span:
-                        span.add(y)
-                        todo.append((y, gens))
-        if len(span) != len(carrier):
-            raise ValueError("the carrier is not the span of its elements")
+            images = id_sum(G, ids, ids[i])
+            local = np.searchsorted(ids, images)
+            outside = ids[np.minimum(local, len(ids) - 1)] != images
+            if outside.any():
+                x = G.element_list[ids[np.argmax(outside)]]
+                raise ValueError("subgroup not closed under + at "
+                                 f"{x},{G.element_list[ids[i]]}")
+            gens.append(G.element_list[ids[i]])
+            moves.append(map_powers(local[None]))
+            spanned = _orbit(spanned, np.concatenate(moves))
         self.generators = gens
 
     def __len__(self):
@@ -587,6 +593,29 @@ def distinct_codes(codes):
     `codes` itself is sorted in place."""
     codes.sort()
     return codes[run_starts(codes)]
+
+
+def map_powers(moves):
+    """The rows of the (k, n) array `moves`, maps of range(n) into itself,
+    followed by their powers m², m⁴, … up to exponent 2^bits(n): closing a
+    set under all of them reaches a cycle of length L in about log2(L)
+    rounds instead of L."""
+    powers = [moves]
+    for _ in range(moves.shape[1].bit_length()):
+        moves = moves[np.arange(len(moves))[:, None], moves]
+        powers.append(moves)
+    return np.concatenate(powers)
+
+
+def _orbit(found, moves):
+    """The boolean mask `found` closed under the maps `moves` (rows of
+    indices into it): each round marks the images of every entry found."""
+    found = found.copy()
+    while True:
+        size = np.count_nonzero(found)
+        found[moves[:, found]] = True
+        if np.count_nonzero(found) == size:
+            return found
 
 
 def translation_ids(group, ts, left=False):

@@ -11,6 +11,7 @@ the multiplier-carrying part in the trailing slot.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,8 +177,9 @@ def align(w, dst):
 
 
 def _quotient(amb, model):
-    """proj: amb -> model (the canonical epimorphism on coordinates), its
-    zero-filled section, and the kernel as a subgroup of amb."""
+    """The zero-filled section model -> amb of the canonical epimorphism
+    amb -> model on coordinates, and that epimorphism's kernel as a
+    subgroup of amb."""
     ah, mh = _head_atom(amb), _head_atom(model)
     reduce_mod = None
     moves = []
@@ -193,14 +195,6 @@ def _quotient(amb, model):
     for off, q in _odd_slots(model):
         moves.append((table[q], off))
 
-    def proj(g):
-        out = list(model.zero)
-        if reduce_mod is not None:
-            out[0], out[1], out[2] = g[0], g[1] % reduce_mod, g[2] % reduce_mod
-        for ao, mo in moves:
-            out[mo] = g[ao]
-        return tuple(out)
-
     def section(mel):
         out = list(amb.zero)
         if reduce_mod is not None:
@@ -209,9 +203,17 @@ def _quotient(amb, model):
             out[ao] = mel[mo]
         return tuple(out)
 
-    kernel = G.SubgroupView(amb, [g for g in amb.element_list
-                                  if proj(g) == model.zero])
-    return proj, section, kernel
+    # the kernel: each coordinate the epimorphism reads is 0, or a multiple
+    # of m in the two Z_{2^alpha} slots of a head reduced to level m; the
+    # other coordinates are free, so the kernel is a product of ranges
+    ranges = [r for a in amb.atoms for r in a.coord_lists()]
+    for ao, _ in moves:
+        ranges[ao] = range(1)
+    if reduce_mod is not None:
+        ranges[0] = range(1)
+        ranges[1] = ranges[1][::reduce_mod]
+        ranges[2] = ranges[2][::reduce_mod]
+    return section, G.SubgroupView(amb, itertools.product(*ranges))
 
 
 def _embed_z4z4(alpha):
@@ -255,7 +257,7 @@ def _compose(amb, fam, steps=None, homogeneous=None, splittable=None,
     `homogeneous` (mode i) or the catalog's splittable matrix `splittable`
     (mode ii); it enters amb through `embed`, by default the canonical
     monomorphism.  The step is recorded in `steps` when given."""
-    proj, section, hv = _quotient(amb, fam.group)
+    section, hv = _quotient(amb, fam.group)
     if homogeneous is not None:
         dm = compose.homogeneous_dm(homogeneous)
         mode, op = "i", "compose-homogeneous"
@@ -265,7 +267,7 @@ def _compose(amb, fam, steps=None, homogeneous=None, splittable=None,
         mode, op = "ii", "compose-splittable"
         extra["dm"] = splittable
     out = compose.df_compose_dm(
-        amb, hv, proj, section, fam, dm, embed or _place_fn(dm.group, amb),
+        amb, hv, section, fam, dm, embed or _place_fn(dm.group, amb),
         mode=mode, j=amb.canonical_involution, multipliers=fam.multipliers)
     if steps is not None:
         steps.append(_wstep(op, out, **extra))

@@ -346,12 +346,7 @@ def _grow(seed, moves, key):
     of L."""
     if not moves:
         return seed
-    power = np.stack(moves)
-    powers = [power]
-    for _ in range(power.shape[1].bit_length()):
-        power = power[np.arange(len(power))[:, None], power]
-        powers.append(power)
-    moves = np.concatenate(powers)
+    moves = G.map_powers(np.stack(moves))
     return np.concatenate(list(_frontiers(seed, moves, key, moves.shape[1])))
 
 

@@ -275,3 +275,57 @@ def oracle_verify_3pyramidal(system):
         right, V._translations(system, points, gens, left=True),
         system.points.index(g.zero), g.order)
     return V._report(problems, group=repr(g), generators=len(gens))
+
+
+# ---------------------------------------------------------------------------
+# Tuple oracles for the route's group checks, as they were first written: the
+# subgroup closure grown one `add` at a time, and the multiplier action
+# compared for every member of the multiplier group.  The id-level
+# `SubgroupView` and the generator-only `verify_multiplier_action` must give
+# the same verdicts.
+
+def oracle_subgroup_generators(ambient, carrier):
+    """The generators `SubgroupView` finds for `carrier`, or the ValueError
+    it raises."""
+    carrier = frozenset(carrier)
+    strays = carrier - ambient.element_index.keys()
+    if strays:
+        raise ValueError(f"carrier holds non-elements of {ambient!r}: "
+                         f"{sorted(map(repr, strays))[:3]}")
+    if ambient.zero not in carrier:
+        raise ValueError("subgroup must contain 0")
+    gens = []
+    span = {ambient.zero}
+    for s in sorted(carrier):
+        if s in span:
+            continue
+        gens.append(s)
+        todo = [(x, gens[-1:]) for x in span]
+        while todo:
+            x, by = todo.pop()
+            for t in by:
+                y = ambient.add(x, t)
+                if y not in carrier:
+                    raise ValueError(f"subgroup not closed under + at {x},{t}")
+                if y not in span:
+                    span.add(y)
+                    todo.append((y, gens))
+    if len(span) != len(carrier):
+        raise ValueError("the carrier is not the span of its elements")
+    return gens
+
+
+def oracle_multiplier_action(witness, mult):
+    """Every member μ_s of `mult` maps the set of blocks onto itself and
+    fixes the excluded elements, applied to element tuples."""
+    from kts3p.directcon import _mu
+    if mult.ring.n == 1:
+        return True
+    blocks = {frozenset(b) for b in witness.blocks}
+    for s in mult.members:
+        f = _mu(witness.group, mult.ring, s)
+        if {frozenset(map(f, b)) for b in witness.blocks} != blocks:
+            return False
+        if any(f(h) != h for h in witness.excluded()):
+            return False
+    return True

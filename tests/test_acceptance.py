@@ -324,12 +324,12 @@ def test_criterion_7_property_suite():
     for n in (5, 13):
         local = G.GroupDescriptor([G.GAtom(1), G.VAtom(3), G.VAtom(n)])
         F = construct_dddf(n)
-        proj, section, hv = P._quotient(local, F.group)
+        section, hv = P._quotient(local, F.group)
         dm = catalog.get("dm:G1")
         embed = P._place_fn(dm.group, local)
-        split = compose.df_compose_dm(local, hv, proj, section, F, dm, embed,
+        split = compose.df_compose_dm(local, hv, section, F, dm, embed,
                                       mode="ii", j=local.canonical_involution)
-        plain = compose.df_compose_dm(local, hv, proj, section, F, dm, embed,
+        plain = compose.df_compose_dm(local, hv, section, F, dm, embed,
                                       mode="plain")
         for sb, pb in zip(split.blocks, plain.blocks):
             shifts = {local.sub(x, y) for x, y in zip(sb, pb)}

@@ -107,9 +107,9 @@ def test_compose_mode_i_48q():
     # (G_2 x V_5, G_1 x V_5)-RDF out of the fixed head family and a matrix
     local = G.GroupDescriptor([G.GAtom(2), G.VAtom(5)])
     F = catalog.get("rdf:G2:rel-G1")
-    proj, section, hv = P._quotient(local, F.group)
+    section, hv = P._quotient(local, F.group)
     dm = compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(5)]))
-    out = compose.df_compose_dm(local, hv, proj, section, F, dm,
+    out = compose.df_compose_dm(local, hv, section, F, dm,
                                 P._place_fn(dm.group, local),
                                 mode="i", j=local.canonical_involution)
     assert is_j_resolvable(out)
@@ -120,9 +120,9 @@ def test_compose_mode_ii_36q():
     # the 36Q shape: doubly disjoint family over Z3 x V_13, split matrix over G_1
     local = G.GroupDescriptor([G.GAtom(1), G.VAtom(3), G.VAtom(13)])
     F = construct_dddf(13)
-    proj, section, hv = P._quotient(local, F.group)
+    section, hv = P._quotient(local, F.group)
     dm = catalog.get("dm:G1")
-    out = compose.df_compose_dm(local, hv, proj, section, F, dm,
+    out = compose.df_compose_dm(local, hv, section, F, dm,
                                 P._place_fn(dm.group, local),
                                 mode="ii", j=local.canonical_involution)
     assert is_j_resolvable(out)
@@ -134,12 +134,12 @@ def test_compose_mode_ii_strong_equivalence_blockwise():
     # composition and compare block by block
     local = G.GroupDescriptor([G.GAtom(1), G.VAtom(3), G.VAtom(5)])
     F = construct_dddf(5)
-    proj, section, hv = P._quotient(local, F.group)
+    section, hv = P._quotient(local, F.group)
     dm = catalog.get("dm:G1")
     embed = P._place_fn(dm.group, local)
-    split = compose.df_compose_dm(local, hv, proj, section, F, dm, embed,
+    split = compose.df_compose_dm(local, hv, section, F, dm, embed,
                                   mode="ii", j=local.canonical_involution)
-    plain = compose.df_compose_dm(local, hv, proj, section, F, dm, embed,
+    plain = compose.df_compose_dm(local, hv, section, F, dm, embed,
                                   mode="plain")
     g = local
     cols = len(dm.rows[0])
@@ -154,10 +154,10 @@ def test_compose_mode_ii_strong_equivalence_blockwise():
 def test_compose_mode_i_rejects_inside_involution():
     local = G.GroupDescriptor([G.GAtom(2), G.VAtom(5)])
     F = catalog.get("rdf:G2:rel-G1")
-    proj, section, hv = P._quotient(local, F.group)
+    section, hv = P._quotient(local, F.group)
     dm = compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(5)]))
     with pytest.raises(ValueError):
-        compose.df_compose_dm(local, hv, proj, section, F, dm,
+        compose.df_compose_dm(local, hv, section, F, dm,
                               P._place_fn(dm.group, local), mode="i", j=None)
 
 

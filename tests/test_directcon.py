@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import delta_counts, naive_delta
+from conftest import delta_counts, naive_delta, oracle_multiplier_action
 from kts3p import catalog
 from kts3p import directcon as D
 from kts3p.designkit import (FamilyWitness, is_doubly_disjoint,
@@ -108,6 +108,47 @@ def test_multiplier_action_detects_tampering():
     bad = FamilyWitness(w.group, blocks, "RDF", w.relative, j=w.j,
                         a=w.a, b=w.b, multipliers=w.multipliers)
     assert not D.verify_multiplier_action(bad, w.multipliers)
+
+
+def _tampered(w):
+    blocks = [list(b) for b in w.blocks]
+    blocks[0], blocks[1] = (blocks[0][:2] + [blocks[1][2]],
+                            blocks[1][:2] + [blocks[0][2]])
+    return FamilyWitness(w.group, blocks, "RDF", w.relative, j=w.j,
+                         a=w.a, b=w.b, multipliers=w.multipliers)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: D.construct_9mod24(1), lambda: D.construct_9mod24(9),
+    lambda: D.construct_9mod24(16), lambda: D.construct_15mod24(13),
+    lambda: D.construct_15mod24(65), lambda: D.construct_15mod24bis(31),
+    lambda: D.construct_15mod24bis(91),
+    lambda: D.lift_prdf(catalog.get("prdf:G1xV3"), 7),
+    lambda: D.lift_prdf(catalog.get("prdf:G2"), 11),
+    lambda: D.lift_prdf(catalog.get("prdf:G1xV9"), 19)],
+    ids=["9mod24-1", "9mod24-9", "9mod24-16", "15mod24-13", "15mod24-65",
+         "bis-31", "bis-91", "lift-G1xV3-7", "lift-G2-11", "lift-G1xV9-19"])
+def test_multiplier_generators_agree_with_member_oracle(build):
+    # checking the generators decides as checking every member does, on
+    # each construction and on a copy with two blocks' last points swapped
+    w = build()
+    ring = w.multipliers.ring
+    groups = [w.multipliers]
+    if w.multipliers.order > 1:
+        # the same group, by all its members, and one that holds a unit
+        # that does not fix the family
+        groups.append(D.MultiplierGroup(ring, sorted(w.multipliers.members)))
+        stray = next(s for s in sorted(ring.elements()) if ring.is_unit(s)
+                     and s not in w.multipliers.members)
+        groups.append(D.MultiplierGroup(
+            ring, sorted(w.multipliers.members)[:1] + [stray]))
+    for fam in (w, _tampered(w)):
+        for mult in groups:
+            assert (D.verify_multiplier_action(fam, mult)
+                    == oracle_multiplier_action(fam, mult))
+    assert D.verify_multiplier_action(w, w.multipliers)
+    assert (D.verify_multiplier_action(_tampered(w), w.multipliers)
+            == (w.multipliers.order == 1))
 
 
 def test_multiplier_group_closure():

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_subgroup_generators
 from kts3p import groups as G
 from kts3p import pipeline
 from kts3p.finring import build_ring
@@ -198,6 +198,77 @@ def test_subgroup_view_rejects_non_elements():
         G.SubgroupView(g, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0)])
 
 
+def _oracle_verdict(g, carrier):
+    try:
+        return oracle_subgroup_generators(g, carrier)
+    except ValueError as e:
+        # every element is spanned or becomes a generator, and the span
+        # never leaves the carrier, so the last check cannot fire
+        assert "not the span" not in str(e)
+        return None
+
+
+def _view_verdict(g, carrier):
+    try:
+        return G.SubgroupView(g, carrier).generators
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("g", [_descr(G.GAtom(1), G.VAtom(7)),
+                               _descr(G.DAtom(), G.ZAtom(5))], ids=repr)
+@pytest.mark.parametrize("seed", range(6))
+def test_subgroup_view_agrees_with_tuple_oracle(g, seed):
+    # the id-level closure accepts exactly the carriers the tuple closure
+    # accepts, and finds the same generators
+    r = random.Random(seed)
+    els = list(g.element_list)
+    carriers = []
+    for k in (1, 2, 3):
+        span = _span(g, r.sample(els, k))
+        outside = [x for x in els if x not in span]
+        carriers.append(span)
+        carriers.append(span - {r.choice(sorted(span - {g.zero}) or [g.zero])})
+        if outside:
+            carriers.append(span | {r.choice(outside)})
+    carriers += [{g.zero, *r.sample(els, size - 1)}
+                 for size in (2, 3, 4, 6, 7, 12)]
+    carriers.append(set(r.sample(els[1:], 5)))
+    accepted = 0
+    for carrier in carriers:
+        want = _oracle_verdict(g, carrier)
+        assert _view_verdict(g, carrier) == want, sorted(carrier)
+        accepted += want is not None
+    assert accepted >= 3
+
+
+@pytest.mark.parametrize("carrier, message", [
+    ([(0, 0, 0), (3, 0, 0)], "non-elements"),
+    ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0)], "non-elements"),
+    ([(1, 0, 0), (2, 0, 0)], "must contain 0"),
+    ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)], "not closed under +"),
+])
+def test_subgroup_view_errors_match_tuple_oracle(carrier, message):
+    # the fourth message of the tuple closure, "the carrier is not the span
+    # of its elements", cannot fire (see _oracle_verdict)
+    g = _descr(G.GAtom(1))
+    for check in (G.SubgroupView, oracle_subgroup_generators):
+        with pytest.raises(ValueError, match=message):
+            check(g, carrier)
+
+
+def test_involutions_match_brute_force():
+    # the pertinent witness of every covered order v <= 400
+    assert _descr().involutions == ()
+    for v in range(9, 401, 6):
+        if not pipeline.classify_order(v).covered:
+            continue
+        g = G.pertinent_witness(v - 3)
+        assert g.involutions == tuple(
+            x for x in g.element_list
+            if x != g.zero and g.add(x, x) == g.zero), v
+
+
 def _counted(obj, name):
     calls = []
     inner = getattr(obj, name)
@@ -212,14 +283,20 @@ def _counted(obj, name):
 
 @pytest.mark.parametrize("model", [
     [G.GAtom(2)], [G.VAtom(17)], [G.GAtom(1)], [G.GAtom(1), G.VAtom(17)]])
-def test_subgroup_checks_cost_generators(model):
-    # the route's kernels inside G2 x V17 (v = 819): closure costs
-    # O(|H| log |H|) add calls and normality one conj per generator pair
+def test_subgroup_checks_cost_generators(model, monkeypatch):
+    # the route's kernels inside G2 x V17 (v = 819): closure adds no tuples
+    # and makes one id_sum call per generator, and normality costs one conj
+    # per generator pair
     amb = _descr(G.GAtom(2), G.VAtom(17))
     adds = _counted(amb, "add")
-    _, _, kernel = pipeline._quotient(amb, _descr(*model))
-    h = len(kernel)
-    assert 0 < len(adds) <= 2 * h * math.ceil(math.log2(h))
+    sums = []
+    id_sum = G.id_sum
+    monkeypatch.setattr(G, "id_sum", lambda *a, **k: sums.append(a) or
+                        id_sum(*a, **k))
+    _, kernel = pipeline._quotient(amb, _descr(*model))
+    assert adds == []
+    assert 0 < len(sums) <= len(kernel.generators)
+    assert 2 ** len(kernel.generators) <= len(kernel)
     conjs = _counted(amb, "conj")
     assert kernel.is_normal()
     assert len(conjs) <= len(amb.generators()) * len(kernel.generators)

@@ -263,14 +263,23 @@ def test_align_transports_witness():
 
 
 def test_quotient_splits_exactly():
-    amb = G.GroupDescriptor([G.GAtom(1), G.VAtom(5)])
-    model = G.GroupDescriptor([G.VAtom(5)])
-    proj, section, kernel = P._quotient(amb, model)
-    assert len(kernel.carrier) == 12
-    for y in model.element_list:
-        assert proj(section(y)) == y
-    for k in kernel.carrier:
-        assert proj(k) == model.zero
+    # the cosets section(y) + H partition the ambient group, and
+    # y -> section(y) + H respects +: the model is the quotient by the kernel
+    for amb, model in [
+            ([G.GAtom(1), G.VAtom(5)], [G.VAtom(5)]),
+            ([G.GAtom(1), G.VAtom(5)], [G.GAtom(1)]),
+            ([G.GAtom(2), G.VAtom(3)], [G.GAtom(1), G.VAtom(3)]),
+            ([G.DAtom(), G.VAtom(3), G.VAtom(5)], [G.DAtom(), G.VAtom(5)])]:
+        amb, model = G.GroupDescriptor(amb), G.GroupDescriptor(model)
+        section, kernel = P._quotient(amb, model)
+        assert len(kernel.carrier) * model.order == amb.order
+        cosets = {y: {amb.add(section(y), k) for k in kernel.carrier}
+                  for y in model.element_list}
+        assert set().union(*cosets.values()) == set(amb.element_list)
+        for x in model.element_list:
+            for y in model.element_list:
+                assert (amb.add(section(x), section(y))
+                        in cosets[model.add(x, y)])
 
 
 def test_automorphism_lower_bound_structure():
