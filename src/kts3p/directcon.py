@@ -58,17 +58,31 @@ def _mu(group, ring, s):
     return lambda x: group.mu(x, units)
 
 
+def mu_ids(group, ring, s):
+    """`_mu` as a permutation of element ids (indices into `element_list`).
+    μ_s acts on the trailing atom alone, so the trailing local id is
+    permuted and the rest of each id kept.  Its field slots are multiplied
+    by the entries of s, so the trailing local id, read as mixed-radix
+    digits, is permuted digit by digit."""
+    if ring.n == 1:
+        return np.arange(group.order)
+    tail = group.atoms[-1]
+    moved = np.zeros(1, dtype=np.int64)
+    for f, u in zip(tail.ring.fields, s):
+        moved = (moved[:, None] * f.q
+                 + np.array([f.mul(x, u) for x in range(f.q)])).ravel()
+    return (np.arange(group.order) // tail.order * tail.order
+            + np.tile(moved, group.order // tail.order))
+
+
 def verify_multiplier_action(witness, mult: MultiplierGroup):
     """Each μ_s of `mult` maps the set of blocks onto itself and fixes the
     excluded elements.  Only the generators are compared: μ_st = μ_s ∘ μ_t,
     and a composition of two maps that each take the block set onto itself
     and fix the excluded elements does the same, so the s that pass form a
     set closed under products.  It holds the generators, hence every
-    member.  μ_s acts on the trailing atom alone (see `_mu`), so it is
-    computed once as a permutation of element ids: the trailing local id is
-    permuted and the rest of each id kept.  Its field slots are multiplied
-    by the entries of s, so the trailing local id, read as mixed-radix
-    digits, is permuted digit by digit."""
+    member.  Each μ_s is computed once as a permutation of element ids
+    (`mu_ids`)."""
     group, ring = witness.group, mult.ring
     if ring.n == 1:
         return True
@@ -80,16 +94,10 @@ def verify_multiplier_action(witness, mult: MultiplierGroup):
                          dtype=np.int64)
     except KeyError:
         return False
-    tail = group.atoms[-1]
-    head = np.arange(group.order) // tail.order * tail.order
 
     want = G.distinct_codes(G.block_codes(ids, group.order))
     for s in mult.generators:
-        moved = np.zeros(1, dtype=np.int64)
-        for f, u in zip(tail.ring.fields, s):
-            moved = (moved[:, None] * f.q
-                     + np.array([f.mul(x, u) for x in range(f.q)])).ravel()
-        perm = head + np.tile(moved, group.order // tail.order)
+        perm = mu_ids(group, ring, s)
         if not (np.array_equal(
                 G.distinct_codes(G.block_codes(perm[ids], group.order)), want)
                 and np.array_equal(perm[fixed], fixed)):

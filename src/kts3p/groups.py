@@ -385,7 +385,7 @@ class SubgroupView:
                                  f"{x},{G.element_list[ids[i]]}")
             gens.append(G.element_list[ids[i]])
             moves.append(map_powers(local[None]))
-            spanned = _orbit(spanned, np.concatenate(moves))
+            spanned = orbit(spanned, np.concatenate(moves))
         self.generators = gens
 
     def __len__(self):
@@ -607,7 +607,7 @@ def map_powers(moves):
     return np.concatenate(powers)
 
 
-def _orbit(found, moves):
+def orbit(found, moves):
     """The boolean mask `found` closed under the maps `moves` (rows of
     indices into it): each round marks the images of every entry found."""
     found = found.copy()
@@ -616,6 +616,36 @@ def _orbit(found, moves):
         found[moves[:, found]] = True
         if np.count_nonzero(found) == size:
             return found
+
+
+def frontiers(seed, moves, key, chunk):
+    """The rows of `seed`, then every row the moves reach from them (move m
+    takes row r to m[r]), each kept once per entry in column `key`: yielded
+    a frontier at a time, in pieces of at most `chunk` rows, so only two
+    frontiers are ever held.  Seeded with one point this is the point's
+    orbit; seeded with the identity it is the group the moves generate,
+    when that group is semiregular (its elements then differ at every
+    point).  Only the rows kept are ever gathered."""
+    found = np.zeros(moves.shape[1], dtype=bool)
+    found[seed[:, key]] = True
+    level = [seed]
+    while level:
+        reached = []
+        for rows in level:
+            for lo in range(0, len(rows), chunk):
+                part = rows[lo:lo + chunk]
+                yield part
+                hits = moves[:, part[:, key]]
+                m, r = np.nonzero(~found[hits])
+                hit = hits[m, r]
+                by_hit = np.argsort(hit)
+                first = by_hit[run_starts(hit[by_hit])]
+                found[hit[first]] = True
+                if len(first):
+                    # one flat take: row r[i] through move m[i]
+                    reached.append(moves.ravel().take(
+                        part[r[first]] + (m[first] * moves.shape[1])[:, None]))
+        level = reached
 
 
 def translation_ids(group, ts, left=False):

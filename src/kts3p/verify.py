@@ -9,6 +9,7 @@ bookkeeping.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import chain
 
@@ -18,11 +19,9 @@ from . import groups as G
 from .designkit import difference_counts
 
 MAX_PROBLEMS = 10
-# verify_automorphisms stops enumerating the generated group past this size
-CLOSURE_CAP = 200_000
 # classes per gather when coding a resolution or checking its ids, and group
 # elements per gather when verify_3pyramidal develops the class through the
-# first extra point
+# first extra point or verify_automorphisms sifts Schreier generators
 CLASS_CHUNK = 32
 DEVELOP_CHUNK = 128
 INF = (("inf", 1), ("inf", 2), ("inf", 3))
@@ -280,51 +279,28 @@ def _point_codes(system):
     return np.array(ids), np.array([index[system.points[i]] for i in ids])
 
 
-def _translations(system, points, shifts, left=False):
-    """For each shift s, the permutation of point ids that the right
-    translation x -> x + s (or the left one, x -> s + x) induces through
-    the point labels, given as `points = _point_codes(system)`; the extra
-    points stay fixed.  The maps of element ids come from the shared
-    per-atom tables (`groups.translation_ids`)."""
-    g = system.group
-    ids, codes = points
-    id_of = np.empty(g.order, dtype=np.int32)
+def point_perms(system, maps, points=None):
+    """The permutations of point ids that the rows of `maps`, maps of
+    element ids (indices into `element_list`), induce through the point
+    labels, given as `points = _point_codes(system)` or read here; the
+    extra points stay fixed."""
+    ids, codes = _point_codes(system) if points is None else points
+    id_of = np.empty(system.group.order, dtype=np.int32)
     id_of[codes] = ids
-    perms = np.empty((len(shifts), len(system.points)), dtype=np.int32)
+    perms = np.empty((len(maps), len(system.points)), dtype=np.int32)
     perms[:] = np.arange(len(system.points), dtype=np.int32)
-    perms[:, ids] = id_of[G.translation_ids(
-        g, [g.element_index[s] for s in shifts], left)[:, codes]]
+    perms[:, ids] = id_of[maps[:, codes]]
     return list(perms)
 
 
-def _frontiers(seed, moves, key, chunk):
-    """The rows of `seed`, then every row the moves reach from them (move m
-    takes row r to m[r]), each kept once per entry in column `key`: yielded
-    a frontier at a time, in pieces of at most `chunk` rows, so only two
-    frontiers are ever held.  Seeded with one point this is the point's
-    orbit; seeded with the identity it is the group the moves generate,
-    when that group is semiregular (its elements then differ at every
-    point).  Only the rows kept are ever gathered."""
-    found = np.zeros(moves.shape[1], dtype=bool)
-    found[seed[:, key]] = True
-    level = [seed]
-    while level:
-        reached = []
-        for rows in level:
-            for lo in range(0, len(rows), chunk):
-                part = rows[lo:lo + chunk]
-                yield part
-                hits = moves[:, part[:, key]]
-                m, r = np.nonzero(~found[hits])
-                hit = hits[m, r]
-                by_hit = np.argsort(hit)
-                first = by_hit[G.run_starts(hit[by_hit])]
-                found[hit[first]] = True
-                if len(first):
-                    # one flat take: row r[i] through move m[i]
-                    reached.append(moves.ravel().take(
-                        part[r[first]] + (m[first] * moves.shape[1])[:, None]))
-        level = reached
+def _translations(system, points, shifts, left=False):
+    """For each shift s, the permutation of point ids that the right
+    translation x -> x + s (or the left one, x -> s + x) induces
+    (`point_perms`).  The maps of element ids come from the shared per-atom
+    tables (`groups.translation_ids`)."""
+    g = system.group
+    return point_perms(system, G.translation_ids(
+        g, [g.element_index[s] for s in shifts], left), points)
 
 
 def _batched(parts, n):
@@ -338,16 +314,6 @@ def _batched(parts, n):
             held = []
     if held:
         yield np.concatenate(held)
-
-
-def _grow(seed, moves, key):
-    """All rows of `_frontiers` at once.  The moves' powers m^2, m^4, ...
-    join them, so a cycle of length L takes about log2(L) frontiers instead
-    of L."""
-    if not moves:
-        return seed
-    moves = G.map_powers(np.stack(moves))
-    return np.concatenate(list(_frontiers(seed, moves, key, moves.shape[1])))
 
 
 def _regularity_problems(right, left, start, size):
@@ -366,7 +332,8 @@ def _regularity_problems(right, left, start, size):
         return ["a translation is not a permutation"]
     problems = []
     for name, perms in (("generator", right), ("left generator", left)):
-        orbit = len(_grow(np.array([[start]]), list(perms), 0))
+        orbit = np.count_nonzero(G.orbit(np.arange(n) == start,
+                                         G.map_powers(perms))) if n else 1
         if orbit != size:
             problems.append(
                 f"{name} orbit has size {orbit}, expected {size}")
@@ -467,7 +434,7 @@ def _develops(view, right, zero):
     hit = np.zeros(len(table), dtype=bool)
     hit[at_inf] = True
     tau_ok = False
-    for part in _batched(_frontiers(seed[None], moves, pos0, DEVELOP_CHUNK),
+    for part in _batched(G.frontiers(seed[None], moves, pos0, DEVELOP_CHUNK),
                          DEVELOP_CHUNK):
         tau = part[part[:, pos0] == y]
         if len(tau):
@@ -530,9 +497,50 @@ def verify_3pyramidal(system, view=None):
     return _report(problems, group=repr(g), generators=len(gens))
 
 
+def _group_order(perms, v):
+    """The order of the group the permutations `perms` of range(v) generate,
+    by deterministic Schreier–Sims (Seress, Permutation Group Algorithms,
+    2003, ch. 4).  A level's base point b is the first point its first
+    strong generator moves; its transversal u comes from `groups.frontiers`.
+    Sifting takes a row r to u_y⁻¹∘r, y = r(b), level by level (u_y is 1
+    for y outside the orbit), so a level's rows s∘u_x sift to its Schreier
+    generators u_{s(x)}⁻¹∘s∘u_x and on.  The first, from the bottom level
+    up, that ends other than 1 joins the strong generators; once none does,
+    the order is the product of the orbit lengths."""
+    identity = np.arange(v, dtype=np.int32)
+    strong = [p for p in perms if np.any(p != identity)]
+
+    def residues(i):
+        _, gens, u, _, _ = levels[i]
+        for s in gens:
+            for lo in range(0, len(u), DEVELOP_CHUNK):
+                rows = s[u[lo:lo + DEVELOP_CHUNK]]
+                for b, _, _, inverse, row_of in levels[i:]:
+                    y = row_of[rows[:, b]]
+                    rows = inverse.ravel().take(rows + y[:, None] * v)
+                yield from rows[np.any(rows != identity, axis=1)]
+
+    while True:
+        levels, gens = [], strong
+        while gens:
+            b = int(np.argmax(gens[0] != identity))
+            u = np.vstack([*G.frontiers(identity[None], np.stack(gens), b, v)])
+            inverse = np.empty_like(u)
+            np.put_along_axis(inverse, u, identity[None], axis=1)
+            row_of = np.zeros(v, dtype=np.int64)  # u's row 0 is the identity
+            row_of[u[:, b]] = np.arange(len(u))
+            levels.append((b, gens, u, inverse, row_of))
+            gens = [s for s in gens if s[b] == b]
+        residue = next((r for i in reversed(range(len(levels)))
+                        for r in residues(i)), None)
+        if residue is None:
+            return math.prod(len(level[2]) for level in levels)
+        strong.append(residue)
+
+
 def verify_automorphisms(system, generators):
-    """Check explicit permutation witnesses and measure the group they
-    generate (up to CLOSURE_CAP elements)."""
+    """Check explicit permutation witnesses and compute the order of the
+    group they generate (`_group_order`)."""
     problems = []
     v = len(system.points)
     preserves = _preservation(SystemView(system))
@@ -547,26 +555,9 @@ def verify_automorphisms(system, generators):
             problems.append(f"{name}: does not preserve blocks")
         if not classes_kept:
             problems.append(f"{name}: does not preserve classes")
-        perms.append(tuple(perm.tolist()))
-
-    order = None
-    capped = False
-    if not problems:
-        members = {tuple(range(v))}
-        frontier = list(members)
-        while frontier and len(members) <= CLOSURE_CAP:
-            p = frontier.pop()
-            for q in perms:
-                r = tuple(q[i] for i in p)
-                if r not in members:
-                    members.add(r)
-                    frontier.append(r)
-        if frontier:
-            capped = True
-        else:
-            order = len(members)
+        perms.append(perm)
     return _report(problems, generators=len(generators),
-                   closure_order=order, capped=capped)
+                   closure_order=None if problems else _group_order(perms, v))
 
 
 def _names(view, rows):

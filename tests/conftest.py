@@ -329,3 +329,51 @@ def oracle_multiplier_action(witness, mult):
         if any(f(h) != h for h in witness.excluded()):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Tuple oracles for the automorphism witnesses, as they were first written:
+# each witness built point by point with the group's own `add` and `_mu`
+# through a v-entry point index, and the group they generate enumerated as
+# tuples.  `automorphism_lower_bound` and the Schreier–Sims order of
+# `verify_automorphisms` must agree with them.
+
+def oracle_automorphism_lower_bound(system):
+    from kts3p import groups as G
+    from kts3p.directcon import _mu
+    g = system.group
+    w = system.witness
+    mult = w.multipliers if w is not None else None
+    m = mult.order if mult else 1
+    index = {p: i for i, p in enumerate(system.points)}
+
+    def perm_of(fn):
+        out = list(range(len(system.points)))
+        for x in g.element_list:
+            out[index[x]] = index[fn(x)]
+        return out
+
+    gens = []
+    for ggen in g.generators():
+        gens.append((f"translate {G.encode_element(g, ggen)}",
+                     perm_of(lambda x: g.add(x, ggen))))
+    if mult:
+        for s in mult.generators:
+            gens.append((f"multiplier {s}", perm_of(_mu(g, mult.ring, s))))
+    return m * g.order, gens
+
+
+def oracle_closure_order(perms, v):
+    """The order of the group the permutations of range(v) generate: the
+    group enumerated as tuples, from the identity."""
+    perms = [tuple(int(i) for i in p) for p in perms]
+    members = {tuple(range(v))}
+    frontier = list(members)
+    while frontier:
+        p = frontier.pop()
+        for q in perms:
+            r = tuple(q[i] for i in p)
+            if r not in members:
+                members.add(r)
+                frontier.append(r)
+    return len(members)

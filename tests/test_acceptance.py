@@ -154,7 +154,7 @@ def test_criterion_4_case_i_sample():
     rep = verify.verify_automorphisms(system, gens)
     if bound != 450:
         failures.append(("bound", bound))
-    if not rep["ok"] or (rep["closure_order"] or 0) < 450:
+    if not rep["ok"] or rep["closure_order"] != 450:
         failures.append(("automorphisms", rep))
     dt = time.time() - t0
     _line(4, not failures,

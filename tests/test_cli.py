@@ -54,6 +54,13 @@ def test_construct_unpinned_pair_exits_fast(capsys):
     assert time.perf_counter() - t0 < 2
 
 
+def test_construct_composite_lift_exits_4(capsys):
+    # 2775 lifts a PRDF over V77, which fails, so it is not covered
+    code, _, err = run(capsys, "construct", "--order", "2775")
+    assert code == 4
+    assert "V77" in err
+
+
 def test_construct_wrong_residue(capsys):
     code, _, err = run(capsys, "construct", "--order", "10")
     assert code == 4

@@ -8,6 +8,7 @@ from kts3p import catalog, cli, compose
 from kts3p import groups as G
 from kts3p import pipeline as P
 from kts3p.designkit import dm_check, is_j_resolvable
+from kts3p.directcon import lift_prdf
 
 I1, I2, I3 = P.INF
 
@@ -49,6 +50,36 @@ def test_classify_unpinned_pair_not_covered(v, cells):
         P.construct(v)
 
 
+@pytest.mark.parametrize("v, ring", [(2775, 77), (3699, 77), (4791, 133)])
+def test_classify_composite_lift_not_covered(v, ring):
+    # [DERIVED] these routes lift a PRDF over V_P with P of two components
+    # (77 = 7·11, 133 = 7·19), and `lift_prdf` fails there for every seed
+    c = P.classify_order(v)
+    assert c.admissible and not c.covered
+    assert f"lift over V{ring} fails" in c.reason
+    with pytest.raises(P.UnsupportedOrder):
+        P.construct(v)
+
+
+def test_classify_composite_lifts_below_20000():
+    # every order the lift keeps from being covered lies in the headline
+    # classes v ≡ 39 (mod 72) or 48n+3; the lift fails at the three
+    # smallest such P
+    hit = {}
+    for v in range(9, 20000, 6):
+        c = P.classify_order(v)
+        if "PRDF lift" in c.reason:
+            assert c.case in ("24n+15", "48n+3") and not c.covered
+            assert c.case == "48n+3" or v % 72 == 39
+            hit.setdefault(int(c.reason.split("V")[1].split()[0]), []).append(v)
+    assert sum(map(len, hit.values())) == 37 and len(hit) == 19
+    assert min(min(orders) for orders in hit.values()) == 2775
+    seed = catalog.get("prdf:G1xV3")
+    for ring in sorted(hit)[:3]:
+        with pytest.raises(AssertionError, match="resolvability"):
+            lift_prdf(seed, ring)
+
+
 def test_covered_order3_routes_build_their_matrix():
     # every covered order whose route glues an order-3 component takes its
     # homogeneous matrix from the pinned table
@@ -62,7 +93,9 @@ def test_covered_order3_routes_build_their_matrix():
             rep = dm_check(compose.homogeneous_dm(P._odd_part(n)))
             assert rep["valid"] and rep["homogeneous"], v
             built += 1
-    assert built == 27
+    # 27 such routes, less 11091 and 19155: their lifts over V77 and V133
+    # fail, so `classify_order` does not call them covered
+    assert built == 25
 
 
 def test_classify_not_admissible_is_typed():
@@ -280,6 +313,24 @@ def test_quotient_splits_exactly():
             for y in model.element_list:
                 assert (amb.add(section(x), section(y))
                         in cosets[model.add(x, y)])
+
+
+@pytest.mark.parametrize("v", [9, 15, 39, 51, 153])
+def test_build_kts_adds_no_tuples(v, monkeypatch):
+    # Q0, the spread and their translates are element ids: developing the
+    # system makes no `add` call.  Its resolvability check, a designkit
+    # predicate with tests of its own, runs before counting starts.
+    built = P.construct(v)
+    rdf = built.witness
+    checked = is_j_resolvable(rdf)
+    monkeypatch.setattr(P, "is_j_resolvable", lambda w: checked)
+    adds = []
+    add = rdf.group.add
+    monkeypatch.setattr(rdf.group, "add", lambda *a: adds.append(a) or add(*a))
+    system = P.build_kts(rdf)
+    assert adds == []
+    assert np.array_equal(system.blocks, built.blocks)
+    assert all(map(np.array_equal, system.resolution, built.resolution))
 
 
 def test_automorphism_lower_bound_structure():

@@ -1,12 +1,14 @@
 import copy
 import dataclasses
 import itertools
+import random
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from conftest import naive_pair_cover, oracle_verify_3pyramidal
+from conftest import (naive_pair_cover, oracle_automorphism_lower_bound,
+                      oracle_closure_order, oracle_verify_3pyramidal)
 
 from kts3p import groups as G
 from kts3p import pipeline as P
@@ -323,8 +325,7 @@ def test_automorphisms_translations(sys15):
     bound, gens = P.automorphism_lower_bound(sys15)
     rep = V.verify_automorphisms(sys15, gens)
     assert rep["ok"], rep
-    assert rep["closure_order"] >= bound
-    assert not rep["capped"]
+    assert rep["closure_order"] == bound
 
 
 def _reordered(system, seed):
@@ -345,7 +346,115 @@ def test_automorphisms_translations_reordered_points(sys15):
     bound, gens = P.automorphism_lower_bound(moved)
     rep = V.verify_automorphisms(moved, gens)
     assert rep["ok"], rep
-    assert rep["closure_order"] >= bound
+    assert rep["closure_order"] == bound
+
+
+@pytest.mark.parametrize("reordered", (False, True))
+@pytest.mark.parametrize("v", (15, 33, 153))
+def test_automorphism_witnesses_match_tuple_oracle(v, reordered):
+    system = P.construct(v)
+    if reordered:
+        system = _reordered(system, v)
+    bound, gens = P.automorphism_lower_bound(system)
+    assert (bound, gens) == oracle_automorphism_lower_bound(system)
+    assert V.verify_automorphisms(system, gens)["closure_order"] == bound
+
+
+# [DERIVED] the covered orders v <= 400 whose witness carries multipliers
+# of order m > 1, with the bound m·|G|
+MULTIPLIER_BOUNDS = {
+    81: 234, 153: 450, 159: 468, 177: 1218, 225: 1998, 249: 1230, 255: 756,
+    297: 882, 303: 900, 321: 4134, 339: 1008, 351: 2436, 369: 5490,
+    375: 1860, 393: 1170, 399: 1980}
+
+
+def test_closure_order_is_the_bound_with_multipliers():
+    carrying = {}
+    for v in range(9, 401, 6):
+        if not P.classify_order(v).covered:
+            continue
+        system = P.construct(v)
+        mult = system.witness.multipliers
+        if mult and mult.order > 1:
+            bound, gens = P.automorphism_lower_bound(system)
+            rep = V.verify_automorphisms(system, gens)
+            assert rep["ok"], (v, rep)
+            carrying[v] = rep["closure_order"]
+            assert carrying[v] == bound, v
+    assert carrying == MULTIPLIER_BOUNDS
+
+
+def _complete(v):
+    """Every triple of range(v) as a block and no classes, so that every
+    permutation preserves both."""
+    blocks = np.array(list(itertools.combinations(range(v), 3)),
+                      dtype=np.int32).reshape(-1, 3)
+    return P.KirkmanSystem(order=v, group=None, points=list(range(v)),
+                           blocks=blocks, resolution=[])
+
+
+def _random_generator(rng, v):
+    """A permutation of range(v): the identity, a transposition, a cycle
+    through some of the points, a shuffle within each side of a cut (the
+    group they generate is then intransitive), or a shuffle of all."""
+    p = list(range(v))
+    kind = rng.randrange(5)
+    if kind == 1:
+        i, j = rng.sample(p, 2) if v > 1 else (0, 0)
+        p[i], p[j] = p[j], p[i]
+    elif kind == 2:
+        cycle = rng.sample(p, rng.randint(1, v))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            p[a] = b
+    elif kind == 3:
+        cut = rng.randint(0, v)
+        low, high = p[:cut], p[cut:]
+        rng.shuffle(low)
+        rng.shuffle(high)
+        p = low + high
+    elif kind == 4:
+        rng.shuffle(p)
+    return p
+
+
+def test_closure_order_matches_tuple_closure_on_random_groups():
+    rng = random.Random(19)
+    seen, intransitive, not_semiregular = set(), 0, 0
+    for _ in range(300):
+        v = rng.randint(1, 8)
+        gens = [_random_generator(rng, v) for _ in range(rng.randint(0, 3))]
+        if v == 8 and sum(sorted(g) != g for g in gens) > 1:
+            gens = gens[:1]  # keep the tuple closure small
+        rep = V.verify_automorphisms(
+            _complete(v), [(f"g{i}", g) for i, g in enumerate(gens)])
+        assert rep["ok"], rep
+        assert rep["closure_order"] == oracle_closure_order(gens, v), gens
+        seen.add(rep["closure_order"])
+        moves = np.array(gens, dtype=np.int64).reshape(-1, v)
+        start = np.arange(v) == 0
+        intransitive += np.count_nonzero(G.orbit(start, moves)) < v
+        # a generator other than the identity that fixes a point
+        not_semiregular += any(0 < sum(p[i] == i for i in range(v)) < v
+                               for p in gens)
+    assert len(seen) >= 15 and intransitive > 50 and not_semiregular > 50
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([], 1),
+    ([list(range(6)), list(range(6))], 1),
+    # a 4-cycle fixing two points: not semiregular
+    ([[1, 2, 3, 0, 4, 5]], 4),
+    # two 3-cycles on disjoint supports: intransitive, order 9
+    ([[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]], 9),
+    # S4 on the first four points, fixing the rest
+    ([[1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5]], 24),
+    # S6 from a transposition and a 6-cycle
+    ([[1, 0, 2, 3, 4, 5], [1, 2, 3, 4, 5, 0]], 720)])
+def test_closure_order_edge_cases(gens, order):
+    rep = V.verify_automorphisms(
+        _complete(6), [(f"g{i}", g) for i, g in enumerate(gens)])
+    assert rep == {"ok": True, "generators": len(gens),
+                   "closure_order": order, "problems": []}
 
 
 def test_regularity_check_on_hand_made_permutations():
