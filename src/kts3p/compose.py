@@ -13,6 +13,7 @@ import numpy as np
 from . import groups as G
 from .designkit import (DifferenceMatrix, FamilyWitness, dm_check,
                         is_df, is_doubly_disjoint, is_j_resolvable)
+from .directcon import develop
 
 
 def chain_union(families):
@@ -201,16 +202,16 @@ def _mult_orbit_blocks(fam, mult):
     position.  Any per-block ordering gives a valid composition (the matrix
     property is symmetric in its rows); this one is the ordering under which
     the multipliers survive the composition."""
-    from .directcon import _mu
-    g = fam.group
+    members = sorted(mult.members)
+    images = develop(fam.group, mult.ring, fam.blocks, members,
+                     block_major=True)
     ordered = []
     seen = {}
-    for b in fam.blocks:
+    for i, b in enumerate(fam.blocks):
         if tuple(sorted(b)) in seen:
             continue
-        for s in sorted(mult.members):
-            f = _mu(g, mult.ring, s)
-            img = tuple(f(x) for x in b)
+        for img in images[i * len(members):(i + 1) * len(members)]:
+            img = tuple(img)
             key = tuple(sorted(img))
             if key in seen:
                 if seen[key] != img:

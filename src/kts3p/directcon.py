@@ -44,35 +44,38 @@ class MultiplierGroup:
         return len(self.members)
 
 
-def _attach_ring_atom(g_atoms, ring):
-    if ring.n == 1:
-        return G.GroupDescriptor(g_atoms)
-    return G.GroupDescriptor(list(g_atoms) + [G.VAtom(ring)])
-
-
-def _mu(group, ring, s):
-    """mu_s on the trailing V atom (identity when the ring is trivial)."""
-    if ring.n == 1:
-        return lambda x: x
-    units = group.unit_vector(len(group.atoms) - 1, s)
-    return lambda x: group.mu(x, units)
+def mu_local(ring, s):
+    """μ_s, x -> s·x, on the ring's local ids: the ids of the trailing V
+    atom, read as mixed-radix digits with one field slot each, so the map
+    is built digit by digit.  The trivial ring gives the one-entry map."""
+    moved = np.zeros(1, dtype=np.int64)
+    for f, u in zip(ring.fields, s):
+        moved = (moved[:, None] * f.q
+                 + np.array([f.mul(x, u) for x in range(f.q)])).ravel()
+    return moved
 
 
 def mu_ids(group, ring, s):
-    """`_mu` as a permutation of element ids (indices into `element_list`).
-    μ_s acts on the trailing atom alone, so the trailing local id is
-    permuted and the rest of each id kept.  Its field slots are multiplied
-    by the entries of s, so the trailing local id, read as mixed-radix
-    digits, is permuted digit by digit."""
-    if ring.n == 1:
-        return np.arange(group.order)
-    tail = group.atoms[-1]
-    moved = np.zeros(1, dtype=np.int64)
-    for f, u in zip(tail.ring.fields, s):
-        moved = (moved[:, None] * f.q
-                 + np.array([f.mul(x, u) for x in range(f.q)])).ravel()
-    return (np.arange(group.order) // tail.order * tail.order
-            + np.tile(moved, group.order // tail.order))
+    """μ_s as a permutation of element ids (indices into `element_list`):
+    it acts on the trailing atom alone, so `mu_local` is tiled over the
+    rest of each id."""
+    return (np.arange(group.order) // ring.n * ring.n
+            + np.tile(mu_local(ring, s), group.order // ring.n))
+
+
+def develop(group, ring, initial, units, block_major=False):
+    """The blocks μ_s(B) for s in `units` and B in `initial`, ordered by
+    unit and then by block, or by block and then by unit.  Each unit maps
+    the blocks' element ids to head·n + μ_s[id mod n]."""
+    index, n = group.element_index, ring.n
+    head, local = np.divmod(np.array(
+        [[index[x] for x in b] for b in initial], dtype=np.int64), n)
+    ids = np.array([head * n + mu_local(ring, s)[local] for s in units],
+                   dtype=np.int64).reshape(len(units), *head.shape)
+    if block_major:
+        ids = ids.swapaxes(0, 1)
+    elements = group.element_list
+    return [[elements[x] for x in b] for b in ids.reshape(-1, 3).tolist()]
 
 
 def verify_multiplier_action(witness, mult: MultiplierGroup):
@@ -118,103 +121,81 @@ def _check(witness, label):
     return witness
 
 
+def _semiregular_family(head, n, lam, initial, label):
+    """A resolvable DF over head x V_n relative to head x V_1, for n whose
+    components are all 1 mod lam: the blocks `initial(ring, u)`, u the
+    order-lam unit of the semiregular system, developed by μ_s over its
+    transversal S."""
+    ring = build_ring(n)
+    if any(f.q % lam != 1 for f in ring.fields):
+        raise ValueError(f"all components of {n} must be 1 mod {lam}")
+    sr = semiregular_system(ring, lam)
+    group = G.GroupDescriptor([head, G.VAtom(ring)])
+    blocks = develop(group, ring, initial(ring, sr.u), sorted(sr.S))
+    H = G.SubgroupView(group, [h + ring.zero for h in G.atom_elements(head)])
+    mult = MultiplierGroup(ring, sr.T_generators)
+    assert mult.order == coprime_part(ring.psi, lam)
+    w = FamilyWitness(group, blocks, "RDF", H,
+                      j=head.canonical_involution + ring.zero,
+                      multipliers=mult)
+    return _check(w, label)
+
+
 def construct_9mod24(n):
     """A resolvable DF over D x V_{4n+1} relative to D x V_1."""
-    m = 4 * n + 1
-    ring = build_ring(m)
-    if any(f.q % 4 != 1 for f in ring.fields):
-        raise ValueError(f"all components of {m} must be 1 mod 4")
-    sr = semiregular_system(ring, 4)
-    u, nu = sr.u, ring.neg(sr.u)
-    one, none = ring.one, ring.neg(ring.one)
-    initial = [
-        [(0, 0) + u, (0, 0) + nu, (0, 2) + none],
-        [(0, 0) + one, (0, 1) + u, (1, 2) + nu],
-        [(0, 0) + none, (0, 2) + u, (1, 1) + one],
-        [(0, 1) + one, (0, 1) + none, (1, 1) + nu],
-    ]
-    group = _attach_ring_atom([G.DAtom()], ring)
-    blocks = []
-    for s in sorted(sr.S):
-        f = _mu(group, ring, s)
-        blocks.extend([f(x) for x in b] for b in initial)
-    H = G.SubgroupView(group, [(a, b) + ring.zero for a in range(2) for b in range(3)])
-    mult = MultiplierGroup(ring, sr.T_generators)
-    assert mult.order == coprime_part(ring.psi, 2)
-    w = FamilyWitness(group, blocks, "RDF", H, j=(1, 0) + ring.zero,
-                      multipliers=mult)
-    return _check(w, f"9mod24(n={n})")
+    def initial(ring, u):
+        nu, one, none = ring.neg(u), ring.one, ring.neg(ring.one)
+        return [
+            [(0, 0) + u, (0, 0) + nu, (0, 2) + none],
+            [(0, 0) + one, (0, 1) + u, (1, 2) + nu],
+            [(0, 0) + none, (0, 2) + u, (1, 1) + one],
+            [(0, 1) + one, (0, 1) + none, (1, 1) + nu],
+        ]
+    return _semiregular_family(G.DAtom(), 4 * n + 1, 4, initial,
+                               f"9mod24(n={n})")
 
 
 def construct_15mod24(n):
     """A resolvable DF over G_1 x V_n relative to G_1 x V_1 (components 1 mod 4)."""
-    ring = build_ring(n)
-    if any(f.q % 4 != 1 for f in ring.fields):
-        raise ValueError(f"all components of {n} must be 1 mod 4")
-    sr = semiregular_system(ring, 4)
-    u, nu = sr.u, ring.neg(sr.u)
-    one, none = ring.one, ring.neg(ring.one)
-    initial = [
-        [(0, 0, 0) + none, (0, 0, 0) + one, (2, 1, 0) + nu],
-        [(0, 0, 0) + nu, (0, 0, 0) + u, (2, 1, 1) + one],
-        [(0, 0, 1) + one, (0, 1, 0) + none, (1, 1, 0) + nu],
-        [(0, 0, 1) + u, (0, 1, 0) + nu, (1, 1, 0) + one],
-        [(1, 0, 0) + none, (1, 1, 1) + one, (2, 0, 1) + u],
-        [(1, 0, 0) + u, (1, 1, 1) + nu, (2, 1, 1) + none],
-        [(1, 0, 1) + none, (2, 0, 0) + nu, (2, 1, 1) + u],
-        [(1, 0, 1) + u, (2, 0, 1) + none, (2, 1, 0) + one],
-    ]
-    group = _attach_ring_atom([G.GAtom(1)], ring)
-    blocks = []
-    for s in sorted(sr.S):
-        f = _mu(group, ring, s)
-        blocks.extend([f(x) for x in b] for b in initial)
-    H = G.SubgroupView(group, [(a, b, c) + ring.zero
-                               for a in range(3) for b in range(2) for c in range(2)])
-    mult = MultiplierGroup(ring, sr.T_generators)
-    w = FamilyWitness(group, blocks, "RDF", H, j=(0, 1, 1) + ring.zero,
-                      multipliers=mult)
-    return _check(w, f"15mod24(n={n})")
+    def initial(ring, u):
+        nu, one, none = ring.neg(u), ring.one, ring.neg(ring.one)
+        return [
+            [(0, 0, 0) + none, (0, 0, 0) + one, (2, 1, 0) + nu],
+            [(0, 0, 0) + nu, (0, 0, 0) + u, (2, 1, 1) + one],
+            [(0, 0, 1) + one, (0, 1, 0) + none, (1, 1, 0) + nu],
+            [(0, 0, 1) + u, (0, 1, 0) + nu, (1, 1, 0) + one],
+            [(1, 0, 0) + none, (1, 1, 1) + one, (2, 0, 1) + u],
+            [(1, 0, 0) + u, (1, 1, 1) + nu, (2, 1, 1) + none],
+            [(1, 0, 1) + none, (2, 0, 0) + nu, (2, 1, 1) + u],
+            [(1, 0, 1) + u, (2, 0, 1) + none, (2, 1, 0) + one],
+        ]
+    return _semiregular_family(G.GAtom(1), n, 4, initial, f"15mod24(n={n})")
 
 
 def construct_15mod24bis(n):
     """A resolvable DF over G_1 x V_n relative to G_1 x V_1 (components 1 mod 6)."""
-    ring = build_ring(n)
-    if any(f.q % 6 != 1 for f in ring.fields):
-        raise ValueError(f"all components of {n} must be 1 mod 6")
-    sr = semiregular_system(ring, 6)
-    u = sr.u
-    u2 = ring.mul(u, u)
-    # the order-6 unit satisfies u^2 - u + 1 = 0
-    assert ring.add(ring.sub(u2, u), ring.one) == ring.zero
-    one = ring.one
-    neg = ring.neg
-    initial = [
-        [(0, 0, 0) + one, (0, 0, 0) + neg(u), (0, 0, 0) + u2],
-        [(0, 0, 0) + u, (0, 1, 0) + neg(u2), (1, 1, 0) + neg(one)],
-        [(0, 0, 1) + neg(u), (1, 0, 0) + u2, (2, 0, 1) + one],
-        [(0, 0, 1) + u2, (1, 0, 1) + one, (1, 1, 1) + neg(u)],
-        [(0, 0, 1) + one, (1, 1, 0) + u2, (2, 0, 0) + neg(u)],
-        [(0, 1, 0) + u, (0, 1, 1) + neg(u2), (2, 0, 1) + neg(one)],
-        [(0, 1, 0) + neg(one), (1, 1, 1) + u, (2, 0, 0) + neg(u2)],
-        [(0, 1, 1) + neg(one), (1, 0, 0) + neg(u2), (2, 0, 1) + u],
-        [(1, 0, 0) + one, (1, 0, 1) + neg(u), (2, 0, 1) + u2],
-        [(1, 0, 1) + neg(u2), (1, 1, 1) + neg(one), (2, 1, 1) + u],
-        [(1, 0, 1) + u, (2, 0, 1) + neg(u2), (2, 1, 1) + neg(one)],
-        [(2, 0, 0) + u2, (2, 0, 1) + neg(u), (2, 1, 1) + one],
-    ]
-    group = _attach_ring_atom([G.GAtom(1)], ring)
-    blocks = []
-    for s in sorted(sr.S):
-        f = _mu(group, ring, s)
-        blocks.extend([f(x) for x in b] for b in initial)
-    H = G.SubgroupView(group, [(a, b, c) + ring.zero
-                               for a in range(3) for b in range(2) for c in range(2)])
-    mult = MultiplierGroup(ring, sr.T_generators)
-    assert mult.order == coprime_part(ring.psi, 6)
-    w = FamilyWitness(group, blocks, "RDF", H, j=(0, 1, 1) + ring.zero,
-                      multipliers=mult)
-    return _check(w, f"15mod24bis(n={n})")
+    def initial(ring, u):
+        u2 = ring.mul(u, u)
+        # the order-6 unit satisfies u^2 - u + 1 = 0
+        assert ring.add(ring.sub(u2, u), ring.one) == ring.zero
+        one = ring.one
+        neg = ring.neg
+        return [
+            [(0, 0, 0) + one, (0, 0, 0) + neg(u), (0, 0, 0) + u2],
+            [(0, 0, 0) + u, (0, 1, 0) + neg(u2), (1, 1, 0) + neg(one)],
+            [(0, 0, 1) + neg(u), (1, 0, 0) + u2, (2, 0, 1) + one],
+            [(0, 0, 1) + u2, (1, 0, 1) + one, (1, 1, 1) + neg(u)],
+            [(0, 0, 1) + one, (1, 1, 0) + u2, (2, 0, 0) + neg(u)],
+            [(0, 1, 0) + u, (0, 1, 1) + neg(u2), (2, 0, 1) + neg(one)],
+            [(0, 1, 0) + neg(one), (1, 1, 1) + u, (2, 0, 0) + neg(u2)],
+            [(0, 1, 1) + neg(one), (1, 0, 0) + neg(u2), (2, 0, 1) + u],
+            [(1, 0, 0) + one, (1, 0, 1) + neg(u), (2, 0, 1) + u2],
+            [(1, 0, 1) + neg(u2), (1, 1, 1) + neg(one), (2, 1, 1) + u],
+            [(1, 0, 1) + u, (2, 0, 1) + neg(u2), (2, 1, 1) + neg(one)],
+            [(2, 0, 0) + u2, (2, 0, 1) + neg(u), (2, 1, 1) + one],
+        ]
+    return _semiregular_family(G.GAtom(1), n, 6, initial,
+                               f"15mod24bis(n={n})")
 
 
 def lift_prdf(prdf, n):
@@ -241,22 +222,16 @@ def lift_prdf(prdf, n):
     ny = ring.neg(y)
     one, none = ring.one, ring.neg(ring.one)
 
-    group = _attach_ring_atom(list(base.atoms), ring)
+    group = G.GroupDescriptor([*base.atoms, G.VAtom(ring)])
     lift = lambda g, r: g + r  # concatenate base element with ring element
 
     a1 = [lift(base.zero, one), lift(x, y), lift(x, ny)]
     a2 = [lift(base.zero, none), lift(j2, y), lift(j3, ny)]
-    blocks = []
-    for s in sorted(halving(ring)):
-        f = _mu(group, ring, s)
-        blocks.append([f(e) for e in a1])
-        blocks.append([f(e) for e in a2])
     triple = (one, none, y)
-    for b in prdf.blocks:
-        lifted = [lift(g, t) for g, t in zip(b, triple)]
-        for z in sorted(z for z in ring.elements() if ring.is_unit(z)):
-            f = _mu(group, ring, z)
-            blocks.append([f(e) for e in lifted])
+    lifted = [[lift(g, t) for g, t in zip(b, triple)] for b in prdf.blocks]
+    blocks = (develop(group, ring, [a1, a2], sorted(halving(ring)))
+              + develop(group, ring, lifted, sorted(ring.units()),
+                        block_major=True))
 
     H = G.SubgroupView(group, [g + ring.zero for g in base.element_list])
     gens = []
@@ -292,17 +267,15 @@ def construct_dddf(n):
     x2 = ring.mul(x, x)
     A = [(0,) + ring.one, (1,) + x, (1,) + ring.sub(two, x)]
     B = [(0,) + x, (2,) + x2, (2,) + ring.sub(ring.mul(two, x), x2)]
-    group = _attach_ring_atom([G.ZAtom(3)], ring)
+    group = G.GroupDescriptor([G.ZAtom(3), G.VAtom(ring)])
 
     S = halving(ring)
     assert S == {ring.neg(s) for s in S}, "halving must be symmetric here"
     T = sorted({min(s, ring.neg(s)) for s in S})
-    blocks, translates = [], []
+    blocks = develop(group, ring, [A, B], T)
+    translates = []
     for t in T:
-        f = _mu(group, ring, t)
-        blocks.append([f(e) for e in A])
         translates.append((0,) + ring.neg(ring.mul(two, t)))
-        blocks.append([f(e) for e in B])
         translates.append((0,) + ring.neg(ring.mul(ring.mul(two, x), t)))
     H = G.SubgroupView(group, [(h,) + ring.zero for h in range(3)])
     w = FamilyWitness(group, blocks, "DDDF", H, translates=translates)

@@ -275,30 +275,6 @@ class GroupDescriptor:
                 gens.append(pre + g + post)
         return gens
 
-    def mu(self, x, units):
-        """Apply the slot-wise multiplication x_slot * units[slot]; entries of
-        `units` that are None leave the slot unchanged.  `units` is a full-width
-        tuple whose V-atom slots hold field elements."""
-        out = list(x)
-        for a, off in zip(self.atoms, self.offsets):
-            if isinstance(a, VAtom):
-                for i, f in enumerate(a.ring.fields):
-                    u = units[off + i]
-                    if u is not None:
-                        out[off + i] = f.mul(out[off + i], u)
-        return tuple(out)
-
-    def unit_vector(self, atom_index, ring_element):
-        """Full-width multiplier tuple: ring_element on the given V atom, None elsewhere."""
-        units = [None] * self.width
-        a = self.atoms[atom_index]
-        off = self.offsets[atom_index]
-        if not isinstance(a, VAtom):
-            raise ValueError("multipliers act on V atoms only")
-        for i, u in enumerate(ring_element):
-            units[off + i] = u
-        return tuple(units)
-
 
 # ---------------------------------------------------------------------------
 # pertinent orders

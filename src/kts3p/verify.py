@@ -501,35 +501,47 @@ def _group_order(perms, v):
     """The order of the group the permutations `perms` of range(v) generate,
     by deterministic Schreier–Sims (Seress, Permutation Group Algorithms,
     2003, ch. 4).  A level's base point b is the first point its first
-    strong generator moves; its transversal u comes from `groups.frontiers`.
-    Sifting takes a row r to u_y⁻¹∘r, y = r(b), level by level (u_y is 1
-    for y outside the orbit), so a level's rows s∘u_x sift to its Schreier
-    generators u_{s(x)}⁻¹∘s∘u_x and on.  The first, from the bottom level
-    up, that ends other than 1 joins the strong generators; once none does,
-    the order is the product of the orbit lengths."""
+    strong generator moves; its transversal u comes from `groups.frontiers`
+    and only its inverse is kept, one row per point of b's orbit.  Sifting
+    takes a row r to u_y⁻¹∘r, y = r(b), level by level (u_y is 1 for y
+    outside the orbit), so a level's rows s∘u_x, with u_x inverted a chunk
+    at a time, sift to its Schreier generators u_{s(x)}⁻¹∘s∘u_x and on.
+    The first, from the bottom level up, that ends other than 1 joins the
+    strong generators; once none does, the order is the product of the
+    orbit lengths."""
     identity = np.arange(v, dtype=np.int32)
     strong = [p for p in perms if np.any(p != identity)]
 
+    def invert(rows):
+        out = np.empty_like(rows)
+        out.ravel()[rows + np.arange(0, rows.size, v)[:, None]] = identity
+        return out
+
     def residues(i):
-        _, gens, u, _, _ = levels[i]
-        for s in gens:
-            for lo in range(0, len(u), DEVELOP_CHUNK):
-                rows = s[u[lo:lo + DEVELOP_CHUNK]]
-                for b, _, _, inverse, row_of in levels[i:]:
+        _, gens, inverse, _ = levels[i]
+        for lo in range(0, len(inverse), DEVELOP_CHUNK):
+            u = invert(inverse[lo:lo + DEVELOP_CHUNK])
+            for s in gens:
+                rows = s[u]
+                for b, _, inverse_b, row_of in levels[i:]:
                     y = row_of[rows[:, b]]
-                    rows = inverse.ravel().take(rows + y[:, None] * v)
+                    rows = inverse_b.ravel().take(rows + y[:, None] * v)
                 yield from rows[np.any(rows != identity, axis=1)]
 
     while True:
         levels, gens = [], strong
         while gens:
             b = int(np.argmax(gens[0] != identity))
-            u = np.vstack([*G.frontiers(identity[None], np.stack(gens), b, v)])
-            inverse = np.empty_like(u)
-            np.put_along_axis(inverse, u, identity[None], axis=1)
-            row_of = np.zeros(v, dtype=np.int64)  # u's row 0 is the identity
-            row_of[u[:, b]] = np.arange(len(u))
-            levels.append((b, gens, u, inverse, row_of))
+            moves = np.stack(gens)
+            inverse = np.empty((np.count_nonzero(G.orbit(
+                identity == b, G.map_powers(moves))), v), dtype=np.int32)
+            row_of = np.zeros(v, dtype=np.int64)  # row 0 is the identity
+            lo = 0
+            for part in G.frontiers(identity[None], moves, b, v):
+                inverse[lo:lo + len(part)] = invert(part)
+                row_of[part[:, b]] = np.arange(lo, lo + len(part))
+                lo += len(part)
+            levels.append((b, gens, inverse, row_of))
             gens = [s for s in gens if s[b] == b]
         residue = next((r for i in reversed(range(len(levels)))
                         for r in residues(i)), None)

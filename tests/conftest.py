@@ -315,15 +315,20 @@ def oracle_subgroup_generators(ambient, carrier):
     return gens
 
 
+def oracle_mu(ring, s):
+    """μ_s on element tuples: the trailing ring slots multiplied by s."""
+    w = ring.omega
+    return lambda x: x[:len(x) - w] + ring.mul(x[len(x) - w:], s)
+
+
 def oracle_multiplier_action(witness, mult):
     """Every member μ_s of `mult` maps the set of blocks onto itself and
     fixes the excluded elements, applied to element tuples."""
-    from kts3p.directcon import _mu
     if mult.ring.n == 1:
         return True
     blocks = {frozenset(b) for b in witness.blocks}
     for s in mult.members:
-        f = _mu(witness.group, mult.ring, s)
+        f = oracle_mu(mult.ring, s)
         if {frozenset(map(f, b)) for b in witness.blocks} != blocks:
             return False
         if any(f(h) != h for h in witness.excluded()):
@@ -333,14 +338,13 @@ def oracle_multiplier_action(witness, mult):
 
 # ---------------------------------------------------------------------------
 # Tuple oracles for the automorphism witnesses, as they were first written:
-# each witness built point by point with the group's own `add` and `_mu`
-# through a v-entry point index, and the group they generate enumerated as
-# tuples.  `automorphism_lower_bound` and the Schreier–Sims order of
-# `verify_automorphisms` must agree with them.
+# each witness built point by point with the group's own `add` and the tuple
+# μ_s (`oracle_mu`) through a v-entry point index, and the group they
+# generate enumerated as tuples.  `automorphism_lower_bound` and the
+# Schreier–Sims order of `verify_automorphisms` must agree with them.
 
 def oracle_automorphism_lower_bound(system):
     from kts3p import groups as G
-    from kts3p.directcon import _mu
     g = system.group
     w = system.witness
     mult = w.multipliers if w is not None else None
@@ -359,7 +363,7 @@ def oracle_automorphism_lower_bound(system):
                      perm_of(lambda x: g.add(x, ggen))))
     if mult:
         for s in mult.generators:
-            gens.append((f"multiplier {s}", perm_of(_mu(g, mult.ring, s))))
+            gens.append((f"multiplier {s}", perm_of(oracle_mu(mult.ring, s))))
     return m * g.order, gens
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import delta_counts, naive_delta, oracle_multiplier_action
+from conftest import (delta_counts, naive_delta, oracle_mu,
+                      oracle_multiplier_action)
 from kts3p import catalog
 from kts3p import directcon as D
 from kts3p.designkit import (FamilyWitness, is_doubly_disjoint,
@@ -98,6 +99,38 @@ def test_dddf_x_count_and_choice():
                 if x not in f.squares and f.sub(x, two) in f.squares]
         assert len(good) == (q - 1) // 4
         assert D.find_dddf_x(f) == good[0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: D.construct_9mod24(2), lambda: D.construct_9mod24(11),
+    lambda: D.construct_15mod24(25), lambda: D.construct_15mod24(65),
+    lambda: D.construct_15mod24bis(49), lambda: D.construct_15mod24bis(91),
+    lambda: D.lift_prdf(catalog.get("prdf:G1xV3"), 27),
+    lambda: D.lift_prdf(catalog.get("prdf:G2"), 7),
+    lambda: D.construct_dddf(9), lambda: D.construct_dddf(65)],
+    ids=["9mod24-V9", "9mod24-V45", "15mod24-V25", "15mod24-V65",
+         "bis-V49", "bis-V91", "lift-V27", "lift-V7", "dddf-V9", "dddf-V65"])
+def test_develop_matches_tuple_oracle(build, monkeypatch):
+    # every block a constructor develops equals μ_s applied to element
+    # tuples, in the same order, over extension fields and two-component
+    # rings alike
+    calls = []
+    develop = D.develop
+
+    def recorded(group, ring, initial, units, block_major=False):
+        out = develop(group, ring, initial, units, block_major)
+        calls.append((ring, initial, units, block_major, out))
+        return out
+
+    monkeypatch.setattr(D, "develop", recorded)
+    w = build()
+    assert calls
+    for ring, initial, units, block_major, out in calls:
+        pairs = ([(b, s) for b in initial for s in units] if block_major
+                 else [(b, s) for s in units for b in initial])
+        assert out == [[oracle_mu(ring, s)(x) for x in b] for b, s in pairs]
+    assert w.blocks == tuple(tuple(sorted(b)) for *_, out in calls
+                             for b in out)
 
 
 def test_multiplier_action_detects_tampering():

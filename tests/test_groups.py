@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_subgroup_generators
+from conftest import oracle_mu, oracle_subgroup_generators
 from kts3p import groups as G
 from kts3p import pipeline
+from kts3p.directcon import mu_ids
 from kts3p.finring import build_ring
 
 # frozen [DERIVED]: orders <= 120 whose 2-part/odd-part shape admits a group
@@ -419,14 +420,24 @@ def test_code_rows_and_distinct_codes():
                           [True, False, True, True, False, False, True])
 
 
-def test_mu_endomorphism_and_unit_vector():
-    ring = build_ring(5)
-    g = _descr(G.GAtom(1), G.VAtom(ring))
-    units = g.unit_vector(1, (2,))
-    f = lambda x: g.mu(x, units)
-    for x in list(g.element_list)[::7]:
-        for y in list(g.element_list)[::11]:
-            assert f(g.add(x, y)) == g.add(f(x), f(y))
+def test_mu_ids_endomorphism():
+    # μ_s on element ids is a permutation that respects the group law,
+    # fixes head x {0} and agrees with μ_s on tuples, over a prime field,
+    # over GF(9) x GF(5) and over GF(25)
+    for head, n in ((G.GAtom(1), 5), (G.DAtom(), 45), (G.GAtom(2), 25)):
+        ring = build_ring(n)
+        g = _descr(head, G.VAtom(ring))
+        units = sorted(ring.units())
+        x, y = np.divmod(np.arange(g.order * g.order), g.order)
+        for s in units[1::max(1, len(units) // 2)]:
+            mu = mu_ids(g, ring, s)
+            assert np.array_equal(np.sort(mu), np.arange(g.order))
+            assert np.array_equal(mu[G.id_sum(g, x, y)],
+                                  G.id_sum(g, mu[x], mu[y]))
+            fixed = np.arange(head.order) * n
+            assert np.array_equal(mu[fixed], fixed)
+            assert ([g.element_list[i] for i in mu]
+                    == list(map(oracle_mu(ring, s), g.element_list)))
 
 
 def test_trivial_atoms_dropped():

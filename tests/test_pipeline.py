@@ -365,6 +365,14 @@ GOLDEN_DIGESTS = {
     435: "fa37051f0b2c066483a62c97ba1a11d9d840d5857506bdd1a0829105b7dfb6ca",
     579: "c45e5e679cdc7babb5df8421ff83aec505bcadd4004c6e7abde3bd785d83faf5",
     771: "d19be9d8635547da51e198dbc1a33087695d50925db42bf4c3fbc8b43822e983",
+    # μ_s over GF(9) x GF(5), over GF(9), over GF(9) x GF(5), over GF(27),
+    # and at 1095 over GF(7) x GF(13) with a composition carrying 3
+    # multipliers through `compose._mult_orbit_blocks`
+    273: "834698e7733ab11d04846802ccf1ddb0c4f7b7e9ea6daecea099ed465c301e5e",
+    327: "90b0a7d87d180dc649c23c0060f8fb39f2a6d011107c4fab59f29cc2a68c00e8",
+    543: "7af5d06987a1dd372ba3618931a708e763532b996be1fec62a15142b98192e88",
+    975: "65ebfd04b5380df2099aec4725b9ffc4aaa283d63a8f0823a73c4d573f40379d",
+    1095: "6dec5d782b1b2a56ff4ea1e7406ddfcf6863c42bd79f5e1dcd20e2ad8820e5cc",
 }
 
 

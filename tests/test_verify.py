@@ -742,6 +742,24 @@ def test_verify_full_memory_per_block():
     assert peak <= 40 * len(system.blocks), peak / len(system.blocks)
 
 
+def test_group_order_holds_one_table_per_level():
+    # at 1095 the first level's orbit holds the 1092 group points; a level
+    # keeps only its inverse rows, so the traced peak of the Schreier–Sims
+    # order stays below two (orbit × v) int32 tables
+    system = P.construct(1095)
+    bound, gens = P.automorphism_lower_bound(system)
+    perms = [np.asarray(p, dtype=np.int32) for _, p in gens]
+    v = len(system.points)
+    tracemalloc.start()
+    try:
+        order = V._group_order(perms, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == bound == 3276
+    assert peak < 2 * (v - 3) * v * 4, peak
+
+
 def test_sts_bitmap_needs_the_full_block_count():
     # the v×v bitmap is built only when the blocks give v(v-1)/2 pairs, so
     # a file with many points and few blocks allocates no v² array
