@@ -23,6 +23,12 @@ def _g(*atoms):
     return G.GroupDescriptor(atoms)
 
 
+def _family(group, rows, kind, relative, **kw):
+    """A witness of the literal element triples `rows`."""
+    return FamilyWitness(group, G.triple_ids(group, rows), kind, relative,
+                         **kw)
+
+
 def _v9(d, e):
     # GF(9) elements are stored as base-3 digit strings d + 3e
     return d + 3 * e
@@ -43,15 +49,15 @@ Z4xZ4 = _g(G.ZAtom(4), G.ZAtom(4))
 
 
 def _entry_rdf_d_empty():
-    w = FamilyWitness(D, [], "RDF", Spread(D, (0, 1)),
-                      j=(1, 0), a=(1, 2), b=(1, 1))
+    w = _family(D, [], "RDF", Spread(D, (0, 1)),
+                j=(1, 0), a=(1, 2), b=(1, 1))
     return w
 
 
 def _entry_rdf_g1():
-    w = FamilyWitness(G1, [[(0, 0, 1), (1, 1, 0), (2, 1, 1)]], "RDF",
-                      Spread(G1, (1, 0, 0)),
-                      j=(0, 1, 1), a=(1, 1, 1), b=(2, 0, 1))
+    w = _family(G1, [[(0, 0, 1), (1, 1, 0), (2, 1, 1)]], "RDF",
+                Spread(G1, (1, 0, 0)),
+                j=(0, 1, 1), a=(1, 1, 1), b=(2, 0, 1))
     return w
 
 
@@ -62,8 +68,8 @@ def _entry_rdf_dxv5():
         [(0, 0, 4), (0, 2, 3), (1, 1, 1)],
         [(0, 1, 1), (0, 1, 4), (1, 1, 2)],
     ]
-    return FamilyWitness(DxV5, blocks, "RDF", Spread(DxV5, (0, 1, 0)),
-                         j=(1, 0, 0), a=(1, 1, 0), b=(1, 2, 0))
+    return _family(DxV5, blocks, "RDF", Spread(DxV5, (0, 1, 0)),
+                   j=(1, 0, 0), a=(1, 1, 0), b=(1, 2, 0))
 
 
 def _entry_rdf_g1xv3():
@@ -74,8 +80,8 @@ def _entry_rdf_g1xv3():
         [(0, 1, 0, 1), (1, 1, 1, 0), (2, 0, 0, 0)],
         [(1, 0, 1, 1), (1, 1, 0, 0), (2, 1, 1, 2)],
     ]
-    return FamilyWitness(G1xV3, blocks, "RDF", Spread(G1xV3, (0, 0, 0, 1)),
-                         j=(0, 1, 1, 0), a=(1, 0, 0, 2), b=(2, 0, 0, 1))
+    return _family(G1xV3, blocks, "RDF", Spread(G1xV3, (0, 0, 0, 1)),
+                   j=(0, 1, 1, 0), a=(1, 0, 0, 2), b=(2, 0, 0, 1))
 
 
 _G2_B16 = [
@@ -101,12 +107,12 @@ def _g_sub(group, i):
 
 
 def _entry_rdf_g2_rel_g1():
-    return FamilyWitness(G2, _G2_B16, "RDF", _g_sub(G2, 1), j=(0, 2, 2))
+    return _family(G2, _G2_B16, "RDF", _g_sub(G2, 1), j=(0, 2, 2))
 
 
 def _entry_rdf_g2():
-    return FamilyWitness(G2, _G2_B16 + [_G2_B7], "RDF", Spread(G2, (1, 0, 0)),
-                         j=(0, 2, 2))
+    return _family(G2, _G2_B16 + [_G2_B7], "RDF", Spread(G2, (1, 0, 0)),
+                   j=(0, 2, 2))
 
 
 def _entry_prdf_g1xv3():
@@ -117,7 +123,7 @@ def _entry_prdf_g1xv3():
         [(1, 0, 1, 1), (1, 1, 0, 0), (2, 1, 0, 2)],
         [(1, 1, 0, 2), (2, 0, 0, 2), (2, 0, 1, 1)],
     ]
-    return FamilyWitness(G1xV3, blocks, "PRDF", Spread(G1xV3, (1, 0, 0, 0)))
+    return _family(G1xV3, blocks, "PRDF", Spread(G1xV3, (1, 0, 0, 0)))
 
 
 _A_RAW = [
@@ -144,7 +150,7 @@ _A_RAW = [
 def _entry_prdf_g1xv9():
     blocks = [[(a, b, c, _v9(d, e)) for (a, b, c, d, e) in blk]
               for blk in _A_RAW]
-    return FamilyWitness(G1xV9, blocks, "PRDF", Spread(G1xV9, (1, 0, 0, 0)))
+    return _family(G1xV9, blocks, "PRDF", Spread(G1xV9, (1, 0, 0, 0)))
 
 
 def _entry_prdf_g2():
@@ -157,7 +163,7 @@ def _entry_prdf_g2():
         [(1, 1, 0), (1, 2, 3), (1, 3, 1)],
         [(1, 1, 2), (2, 0, 3), (2, 3, 3)],
     ]
-    return FamilyWitness(G2, blocks, "PRDF", Spread(G2, (1, 0, 0)))
+    return _family(G2, blocks, "PRDF", Spread(G2, (1, 0, 0)))
 
 
 def _entry_rdf_g2xv3_rel_g1xv3():
@@ -184,7 +190,7 @@ def _entry_rdf_g2xv3_rel_g1xv3():
     H = G.SubgroupView(G2xV3, [(a, b, c, v) for a in range(3)
                                for b in (0, 2) for c in (0, 2)
                                for v in range(3)])
-    return FamilyWitness(G2xV3, blocks, "RDF", H, j=(0, 2, 2, 0))
+    return _family(G2xV3, blocks, "RDF", H, j=(0, 2, 2, 0))
 
 
 def _entry_rdf_g3_rel_g2():
@@ -214,7 +220,7 @@ def _entry_rdf_g3_rel_g2():
         [(1, 6, 3), (1, 7, 4), (2, 5, 7)],
         [(1, 6, 5), (1, 7, 0), (1, 7, 5)],
     ]
-    return FamilyWitness(G3, blocks, "RDF", _g_sub(G3, 1), j=(0, 4, 4))
+    return _family(G3, blocks, "RDF", _g_sub(G3, 1), j=(0, 4, 4))
 
 
 def _entry_dm_g1():
@@ -293,7 +299,10 @@ def _verify_entry(obj):
 
 @lru_cache(maxsize=None)
 def _load(eid):
-    obj = _BUILDERS[eid]()
+    try:
+        obj = _BUILDERS[eid]()
+    except ValueError as exc:  # a literal entry outside the group
+        raise CatalogError(f"catalog entry {eid!r} quarantined: {exc}")
     problem = _verify_entry(obj)
     if problem is not None:
         raise CatalogError(f"catalog entry {eid!r} quarantined: {problem}")
@@ -303,7 +312,7 @@ def _load(eid):
         g = obj.group
         canon = g.canonical_involution
         index = g.element_index
-        head = [index[x] for b in obj.blocks for x in b]
+        head = obj.blocks.ravel().tolist()
         head += [index[g.zero], index[obj.spread().x]]
         for ja in g.involutions:
             if ja == canon:

@@ -30,14 +30,13 @@ def chain_union(families):
         if w.j != j:
             raise ValueError("chain members must share the resolving involution")
     for inner, outer in zip(families, families[1:]):
-        gap = inner.relative.carrier - outer.relative.carrier
-        # inner is a DF inside outer's relative subgroup
-        if not all(x in outer.relative.carrier
-                   for b in inner.blocks for x in b):
+        # inner is a DF inside outer's relative subgroup; isin by table,
+        # since its sorting kind imports numpy.ma at first use
+        if not np.isin(inner.blocks, outer.excluded(), kind="table").all():
             raise ValueError("chain mismatch: inner blocks leave the next subgroup")
-        if gap:
+        if not np.isin(inner.excluded(), outer.excluded(), kind="table").all():
             raise ValueError("chain mismatch: subgroups are not nested")
-    blocks = [b for w in families for b in w.blocks]
+    blocks = np.concatenate([w.blocks for w in families])
     out = FamilyWitness(g, blocks, "RDF", families[0].relative, j=j,
                         multipliers=families[-1].multipliers)
     d = is_j_resolvable(out)
@@ -53,10 +52,9 @@ def pertinent_union(outer, inner):
         raise ValueError("inner family must be embedded in the ambient group first")
     if inner.j != outer.j:
         raise ValueError("resolving involutions disagree")
-    H = outer.relative.carrier
-    if not all(x in H for b in inner.blocks for x in b):
+    if not np.isin(inner.blocks, outer.excluded(), kind="table").all():
         raise ValueError("inner blocks must lie in the outer relative subgroup")
-    out = FamilyWitness(g, list(outer.blocks) + list(inner.blocks), "RDF",
+    out = FamilyWitness(g, np.concatenate((outer.blocks, inner.blocks)), "RDF",
                         inner.spread(), j=inner.j, a=inner.a, b=inner.b,
                         multipliers=outer.multipliers)
     d = is_j_resolvable(out)
@@ -69,7 +67,8 @@ def as_doubly_disjoint(w):
     """Re-read a {0,j}-resolvable family as doubly disjoint: translating every
     block by j produces a twin that tiles the complement alongside it."""
     out = FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
-                        translates=[w.j] * len(w.blocks),
+                        translates=np.full(len(w.blocks),
+                                           w.group.element_index[w.j]),
                         multipliers=w.multipliers)
     d = is_doubly_disjoint(out)
     if not d:
@@ -202,28 +201,20 @@ def _mult_orbit_blocks(fam, mult):
     position.  Any per-block ordering gives a valid composition (the matrix
     property is symmetric in its rows); this one is the ordering under which
     the multipliers survive the composition."""
-    members = sorted(mult.members)
-    images = develop(fam.group, mult.ring, fam.blocks, members,
-                     block_major=True)
-    ordered = []
-    seen = {}
-    for i, b in enumerate(fam.blocks):
-        if tuple(sorted(b)) in seen:
-            continue
-        for img in images[i * len(members):(i + 1) * len(members)]:
-            img = tuple(img)
-            key = tuple(sorted(img))
-            if key in seen:
-                if seen[key] != img:
+    m = len(mult.members)
+    images = develop(mult.ring, fam.blocks, sorted(mult.members),
+                     block_major=True).tolist()
+    seen = {}  # each block, sorted, to its first image in sweep order
+    for i, b in enumerate(fam.blocks.tolist()):
+        if tuple(b) not in seen:
+            for img in map(tuple, images[i * m:(i + 1) * m]):
+                if seen.setdefault(tuple(sorted(img)), img) != img:
                     raise AssertionError(
                         "multiplier action permutes a block internally; "
                         "orbit-coherent ordering is impossible")
-                continue
-            seen[key] = img
-            ordered.append(img)
-    if len(ordered) != len(fam.blocks):
+    if len(seen) != len(fam.blocks):
         raise AssertionError("multiplier orbit sweep lost blocks")
-    return ordered
+    return list(seen.values())
 
 
 def df_compose_dm(group, h_view, section, fam, dm, embed_h,
@@ -245,34 +236,35 @@ def df_compose_dm(group, h_view, section, fam, dm, embed_h,
         raise ValueError("H must be normal in G")
     if dm.group.order != h:
         raise ValueError("difference matrix order must match |H|")
-    cols = [[embed_h(x) for x in col] for col in dm.columns]
-    for col in cols:
-        for x in col:
-            if x not in h_view.carrier:
-                raise ValueError("embed_h does not land in H")
-
-    t_for = [group.zero] * len(fam.blocks)
-    rep = dm_check(dm)
+    rep = dm_check(dm)  # first, so every matrix entry is an element
     if not rep["valid"]:
         raise ValueError(f"difference matrix is broken: {rep['problems']}")
+    embed = G.map_ids(embed_h, dm.group, group)
+    lift = G.map_ids(section, fam.group, group)
+    dm_index = dm.group.element_index
+    cols = embed[[[dm_index[x] for x in r] for r in dm.rows]].T
+    if not np.isin(cols, h_view.ids, kind="table").all():
+        raise ValueError("embed_h does not land in H")
+
+    t_for = np.zeros(len(fam.blocks), dtype=np.int64)  # the zero's id
     if mode == "ii":
         if fam.translates is None:
             raise ValueError("mode ii needs a doubly disjoint family with translates")
         if j not in h_view.carrier:
             raise ValueError("mode ii needs j inside H")
-        j_dm = next(x for x in dm.group.element_list if embed_h(x) == j)
+        j_id = group.element_index[j]
+        j_dm = dm.group.element_list[np.flatnonzero(embed == j_id)[0]]
         if j_dm not in rep["splittable"]:
             raise ValueError("matrix is not splittable by the involution")
-        for i, tau in enumerate(fam.translates):
-            tau_hat = section(tau)
-            ji = group.conj(tau_hat, j)
-            for hh in sorted(h_view.carrier):
-                if group.conj(hh, ji) == j:
-                    t_for[i] = group.add(hh, tau_hat)
-                    break
-            else:
-                raise AssertionError(
-                    "no conjugating element in H: H is not pertinent?")
+        # t_for[i] = hh + section(tau_i) for the least hh in H such that
+        # conjugating j by it gives j back
+        t = G.id_sum(group, h_view.ids[:, None], lift[fam.translates])
+        fixes = G.id_sum(group, G.id_sum(group, t, j_id), t,
+                         negate=True) == j_id
+        if not fixes.any(axis=0).all():
+            raise AssertionError(
+                "no conjugating element in H: H is not pertinent?")
+        t_for = t[fixes.argmax(axis=0), np.arange(t.shape[1])]
     elif mode == "i":
         if j is None or j in h_view.carrier:
             raise ValueError("mode i needs an involution outside H")
@@ -286,24 +278,15 @@ def df_compose_dm(group, h_view, section, fam, dm, embed_h,
     # cell (i, c, r) of the composition is section(block i)[r] + column c[r],
     # and in mode ii the second half of the columns is then translated by
     # t_for[i]; the sums run over element ids
-    index, elements = group.element_index, group.element_list
-    lifted = np.array([[index[section(x)] for x in b] for b in base_blocks],
-                      dtype=np.int64).reshape(-1, 1, 3)
-    cells = G.id_sum(group, lifted, np.array(
-        [[index[x] for x in col] for col in cols], dtype=np.int64))
+    cells = G.id_sum(group, lift[np.reshape(base_blocks, (-1, 1, 3))], cols)
     if mode == "ii":
-        shift = np.array([index[t] for t in t_for], dtype=np.int64)
         cells[:, half:] = G.id_sum(group, cells[:, half:],
-                                   shift[:, None, None])
-    blocks = [[elements[x] for x in blk]
-              for blk in cells.reshape(-1, 3).tolist()]
-    reps = np.array([index[section(r)] for r in fam.relative.carrier],
-                    dtype=np.int64)
-    h_ids = np.array([index[x] for x in h_view.carrier], dtype=np.int64)
-    rel = G.SubgroupView(group, map(
-        elements.__getitem__,
-        G.id_sum(group, reps[:, None], h_ids).ravel().tolist()))
-    out = FamilyWitness(group, blocks, "RDF" if mode != "plain" else "DF",
+                                   t_for[:, None, None])
+    elements = group.element_list
+    rel = G.SubgroupView(group, map(elements.__getitem__, G.id_sum(
+        group, lift[fam.relative.ids][:, None], h_view.ids).ravel().tolist()))
+    out = FamilyWitness(group, cells.reshape(-1, 3),
+                        "RDF" if mode != "plain" else "DF",
                         rel, j=j, multipliers=multipliers)
     if len(out.blocks) != len(fam.blocks) * h:
         raise AssertionError("compose: size bookkeeping failed")

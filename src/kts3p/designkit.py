@@ -3,10 +3,9 @@
 These predicates double as independent oracles for the construction code:
 they recompute every multiset from the definitions and never trust flags
 carried by a witness.  They count over element ids (indices into
-`element_list`): a witness's elements are mapped to ids once, an entry
-outside the group is a reported problem, and sums and differences come from
-the per-atom tables of `groups.atom_table`, built with each atom's own `add`.
-Multisets are compared as `np.bincount` histograms.
+`element_list`), which a witness holds for its blocks and translates: sums
+and differences come from the per-atom tables of `groups.atom_table`, built
+with each atom's own `add`, and multisets are `np.bincount` histograms.
 
 Difference convention: the entry of a block's difference table at row r,
 column c is r -^ c.  In a non-abelian group the order matters and this is
@@ -72,28 +71,36 @@ def _compare_counts(group, actual, expected, what):
     return Diagnosis(not problems, problems)
 
 
-def _ids(group, rows):
-    """The ids of the entries of `rows`, flattened, and None; or None and
-    (i, x) for the first entry x, in row i, that is not a group element."""
-    index = group.element_index
-    try:
-        return np.fromiter((index[x] for r in rows for x in r),
-                           dtype=np.int64), None
-    except KeyError:
-        return None, next((i, x) for i, r in enumerate(rows) for x in r
-                          if x not in index)
-
-
-def _foreign(group, what, x):
-    return f"{what} holds {x}, which is not an element of {group!r}"
-
-
 def _outside(witness):
     """The id histogram of the elements outside witness.excluded(): 1 for
     each of them, 0 elsewhere."""
-    excluded = witness.excluded()
-    return np.fromiter((x not in excluded for x in witness.group.element_list),
-                       dtype=np.int64, count=witness.group.order)
+    outside = np.ones(witness.group.order, dtype=np.int64)
+    outside[witness.excluded()] = 0
+    return outside
+
+
+def _frozen_ids(group, ids, what, rows=False):
+    """A read-only int64 copy of the element ids `ids`: k ids, or with
+    `rows` k rows of 3, each sorted.  Another shape (rows are never
+    reshaped), a non-integer entry or an id outside range(|G|) raises
+    ValueError."""
+    tail = (3,) if rows else ()
+    arr = np.asarray(ids)  # ragged rows raise ValueError here
+    if arr.shape == (0,):
+        arr = arr.reshape(0, *tail)
+    if (arr.ndim == 0 or arr.shape[1:] != tail
+            or arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError(f"{what} must be a (k{', 3' if rows else ','}) "
+                         f"array of integer element ids, not {arr.dtype} "
+                         f"{arr.shape}")
+    arr = arr.astype(np.int64)
+    if arr.size and not 0 <= arr.min() <= arr.max() < group.order:
+        raise ValueError(f"{what} hold ids outside 0 to {group.order - 1}, "
+                         f"the element ids of {group!r}")
+    if rows:
+        arr.sort(axis=1)
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -113,38 +120,38 @@ class Spread:
         if group.add(x, group.add(x, x)) != group.zero or x == group.zero:
             raise ValueError("spread generator must have order 3")
         self.order3 = (group.zero, x, group.neg(x))
-        self.members = [frozenset((group.zero, j)) for j in group.involutions]
-        self.members.append(frozenset(self.order3))
-        union = set().union(*self.members)
+        # the members {0, j} and {0, x, -x} meet only in 0 when their
+        # union has six elements
+        index = group.element_index
+        union = {index[y] for y in (*self.order3, *group.involutions)}
         if len(union) != 6:
             raise ValueError("spread members must intersect trivially")
-        self.union = frozenset(union)
-
-    def __eq__(self, other):
-        return isinstance(other, Spread) and self.group == other.group and set(self.order3) == set(other.order3)
+        self.ids = _frozen_ids(group, sorted(union), "spread")
 
 
 class FamilyWitness:
     """A difference family (lambda 1) plus what is needed to check its kind.
 
+    blocks: element ids, a read-only int64 (k, 3) array, rows sorted here
     kind: "DF" | "RDF" | "PRDF" | "DDDF"
     relative: SubgroupView (possibly trivial) or Spread
     j: resolving involution (J = {0, j}); a, b: the Definition-of-resolvable
-    elements in the spread case; translates: per-block twin translates for
-    doubly disjoint families; prdf_pair: the (j_alpha, j_beta) witness.
+    elements in the spread case; translates: per-block twin translates (ids)
+    for doubly disjoint families; prdf_pair: the (j_alpha, j_beta) witness.
     """
 
     def __init__(self, group, blocks, kind, relative, j=None, a=None, b=None,
                  translates=None, multipliers=None, prdf_pair=None,
                  trace=None):
         self.group = group
-        self.blocks = tuple(tuple(sorted(b)) for b in blocks)
+        self.blocks = _frozen_ids(group, blocks, "blocks", rows=True)
         self.kind = kind
         self.relative = relative
         self.j = j
         self.a = a
         self.b = b
-        self.translates = tuple(translates) if translates is not None else None
+        self.translates = (None if translates is None else
+                           _frozen_ids(group, translates, "translates"))
         self.multipliers = multipliers
         self.prdf_pair = prdf_pair
         self.trace = trace
@@ -154,16 +161,9 @@ class FamilyWitness:
             raise ValueError("witness is not relative to a spread")
         return self.relative
 
-    def subgroup(self):
-        if not isinstance(self.relative, G.SubgroupView):
-            raise ValueError("witness is not relative to a subgroup")
-        return self.relative
-
     def excluded(self):
-        """The union of the spread members, or the subgroup carrier."""
-        if isinstance(self.relative, Spread):
-            return self.relative.union
-        return self.relative.carrier
+        """The sorted ids of the spread members' union or the carrier."""
+        return self.relative.ids
 
     def __repr__(self):
         rel = "spread" if isinstance(self.relative, Spread) else f"H{len(self.relative)}"
@@ -174,25 +174,15 @@ class FamilyWitness:
 # predicates
 
 def is_df(witness):
-    """The difference-family verdict; when it holds, `ids` carries the
-    witness's block ids (k × 3) for the checks built on it."""
+    """The difference-family verdict."""
     g = witness.group
-    bad = next((b for b in witness.blocks if len(b) != 3), None)
-    if bad is not None:
-        return _fail(f"block {bad} is not a triple")
-    ids, bad = _ids(g, witness.blocks)
-    if bad is not None:
-        return _fail(_foreign(g, f"block {witness.blocks[bad[0]]}", bad[1]))
-    ids = ids.reshape(-1, 3)
-    repeated = ((ids[:, 0] == ids[:, 1]) | (ids[:, 0] == ids[:, 2])
-                | (ids[:, 1] == ids[:, 2]))
+    ids = witness.blocks  # rows are sorted, so repeats are adjacent
+    repeated = (ids[:, 0] == ids[:, 1]) | (ids[:, 1] == ids[:, 2])
     if repeated.any():
-        return _fail(f"block {witness.blocks[np.argmax(repeated)]} has "
-                     "repeated elements")
-    d = _compare_counts(g, difference_counts(g, ids), _outside(witness),
-                        "delta")
-    d.ids = ids
-    return d
+        block = tuple(g.element_list[x] for x in ids[np.argmax(repeated)])
+        return _fail(f"block {block} has repeated elements")
+    return _compare_counts(g, difference_counts(g, ids), _outside(witness),
+                           "delta")
 
 
 def _coset_rep_check(group, reps, j, expected):
@@ -213,7 +203,7 @@ def is_j_resolvable(witness):
     j = witness.j
     if j not in index or g.add(j, j) != g.zero or j == g.zero:
         return _fail(f"resolving element {j} is not an involution")
-    phi = base.ids.ravel()
+    phi = witness.blocks.ravel()
 
     if isinstance(witness.relative, G.SubgroupView):
         if j not in witness.relative.carrier:
@@ -237,9 +227,10 @@ def is_j_resolvable(witness):
         return _coset_rep_check(g, reps, index[j], everything)
 
     if witness.a is not None and witness.b is not None:
-        bad = next((x for x in (witness.a, witness.b) if x not in index), None)
-        if bad is not None:
-            return _fail(_foreign(g, "(a, b)", bad))
+        bad = [x for x in (witness.a, witness.b) if x not in index]
+        if bad:
+            return _fail(f"(a, b) holds {bad[0]}, which is not an element "
+                         f"of {g!r}")
         return full_check(witness.a, witness.b)
 
     # the flatten plus 0 hits all J-cosets but two; a and b live there
@@ -282,7 +273,7 @@ def is_pseudo_resolvable(witness):
     everything = np.ones(g.order, dtype=np.int64)
     pairs = list(itertools.permutations(g.involutions, 2))
     for ja, jb in pairs:
-        reps = np.append(base.ids, head + [index[ja]])
+        reps = np.append(witness.blocks, head + [index[ja]])
         if _coset_rep_check(g, reps, index[jb], everything):
             witness.prdf_pair = (ja, jb)
             return Diagnosis(True)
@@ -298,17 +289,14 @@ def is_doubly_disjoint(witness):
     base = is_df(witness)
     if not base:
         return base
-    ids = base.ids
+    ids = witness.blocks
     outside = _outside(witness)
     phi = ids.ravel()
     if np.any(np.bincount(phi, minlength=g.order) > 1):
         return _fail("blocks are not pairwise disjoint")
     if not outside[phi].all():
         return _fail("blocks meet the relative subgroup")
-    t, bad = _ids(g, [witness.translates])
-    if bad is not None:
-        return _fail(_foreign(g, "translates", bad[1]))
-    twins = G.id_sum(g, ids, t[:, None])
+    twins = G.id_sum(g, ids, witness.translates[:, None])
     twin_df = _compare_counts(g, difference_counts(g, twins), outside, "delta")
     if not twin_df:
         return _fail("translated twin is not a DF: " + str(twin_df))
@@ -331,18 +319,16 @@ class DifferenceMatrix:
         self.rows = rows
         self.j = j  # declared splitting involution, if any
 
-    @property
-    def columns(self):
-        return list(zip(*self.rows))
-
 
 def dm_check(dm):
     g = dm.group
-    ids, bad = _ids(g, dm.rows)
-    if bad is not None:
+    index = g.element_index
+    bad = [f"row {i} holds {x}, which is not an element of {g!r}"
+           for i, r in enumerate(dm.rows) for x in r if x not in index]
+    if bad:
         return {"valid": False, "homogeneous": False, "splittable": [],
-                "problems": [_foreign(g, f"row {bad[0]}", bad[1])]}
-    rows = ids.reshape(3, g.order)
+                "problems": bad[:1]}
+    rows = np.array([[index[x] for x in r] for r in dm.rows], dtype=np.int64)
     once = np.ones(g.order, dtype=np.int64)
 
     def permutes(x):
@@ -363,7 +349,6 @@ def dm_check(dm):
 
     splittable = []
     if valid and g.order % 2 == 0:
-        index = g.element_index
         candidates = [dm.j] if dm.j is not None else list(g.involutions)
         splittable = [j for j in candidates
                       if j in index and splits_with(index[j])]
@@ -397,6 +382,7 @@ def group_from_labels(labels):
 def witness_to_json(witness):
     g = witness.group
     enc = lambda x: G.encode_element(g, x)
+    labels = np.array(G.element_labels(g), dtype=object)
     rel = ({"spread_x": enc(witness.relative.x)}
            if isinstance(witness.relative, Spread)
            else {"subgroup": sorted(map(enc, witness.relative.carrier))})
@@ -404,7 +390,7 @@ def witness_to_json(witness):
         "group": group_labels(g),
         "kind": witness.kind,
         "relative": rel,
-        "blocks": [[enc(x) for x in b] for b in witness.blocks],
+        "blocks": labels[witness.blocks].tolist(),
         "lam": 1,
     }
     for name in ("j", "a", "b"):
@@ -412,7 +398,7 @@ def witness_to_json(witness):
         if v is not None:
             out[name] = enc(v)
     if witness.translates is not None:
-        out["translates"] = [enc(t) for t in witness.translates]
+        out["translates"] = labels[witness.translates].tolist()
     return out
 
 
@@ -429,10 +415,22 @@ def witness_from_json(data):
     for name in ("j", "a", "b"):
         if name in data:
             kw[name] = dec(data[name])
+    # blocks and translates name elements by their canonical labels
+    table = dict(zip(G.element_labels(g), itertools.count()))
+
+    def ids(labels, what, width=None):
+        if width and (not isinstance(labels, list) or len(labels) != width):
+            raise ValueError(f"{what} is not a triple")
+        bad = [s for s in labels if not isinstance(s, str) or s not in table]
+        if bad:
+            raise ValueError(f"{what} holds {bad[0]!r}, which is not an "
+                             f"element label of {g!r}")
+        return [table[s] for s in labels]
+
     if "translates" in data:
-        kw["translates"] = [dec(t) for t in data["translates"]]
-    return FamilyWitness(g, [[dec(s) for s in b] for b in data["blocks"]],
-                         data["kind"], relative, **kw)
+        kw["translates"] = ids(data["translates"], "translates")
+    blocks = [ids(b, f"block {b!r}", 3) for b in data["blocks"]]
+    return FamilyWitness(g, blocks, data["kind"], relative, **kw)
 
 
 def dm_to_json(dm):

@@ -63,19 +63,17 @@ def mu_ids(group, ring, s):
             + np.tile(mu_local(ring, s), group.order // ring.n))
 
 
-def develop(group, ring, initial, units, block_major=False):
-    """The blocks μ_s(B) for s in `units` and B in `initial`, ordered by
-    unit and then by block, or by block and then by unit.  Each unit maps
-    the blocks' element ids to head·n + μ_s[id mod n]."""
-    index, n = group.element_index, ring.n
-    head, local = np.divmod(np.array(
-        [[index[x] for x in b] for b in initial], dtype=np.int64), n)
+def develop(ring, initial, units, block_major=False):
+    """The blocks μ_s(B), entries in B's order, for s in `units` and B in
+    `initial` (ids of a group whose trailing atom is V_n), ordered by unit
+    and then block, or block and then unit: id -> head·n + μ_s[id mod n]."""
+    n = ring.n
+    head, local = np.divmod(np.asarray(initial, dtype=np.int64), n)
     ids = np.array([head * n + mu_local(ring, s)[local] for s in units],
                    dtype=np.int64).reshape(len(units), *head.shape)
     if block_major:
         ids = ids.swapaxes(0, 1)
-    elements = group.element_list
-    return [[elements[x] for x in b] for b in ids.reshape(-1, 3).tolist()]
+    return ids.reshape(-1, 3)
 
 
 def verify_multiplier_action(witness, mult: MultiplierGroup):
@@ -89,15 +87,7 @@ def verify_multiplier_action(witness, mult: MultiplierGroup):
     group, ring = witness.group, mult.ring
     if ring.n == 1:
         return True
-    index = group.element_index
-    try:
-        ids = np.array([[index[x] for x in b] for b in witness.blocks],
-                       dtype=np.int64).reshape(-1, 3)
-        fixed = np.array([index[h] for h in witness.excluded()],
-                         dtype=np.int64)
-    except KeyError:
-        return False
-
+    ids, fixed = witness.blocks, witness.excluded()
     want = G.distinct_codes(G.block_codes(ids, group.order))
     for s in mult.generators:
         perm = mu_ids(group, ring, s)
@@ -131,7 +121,8 @@ def _semiregular_family(head, n, lam, initial, label):
         raise ValueError(f"all components of {n} must be 1 mod {lam}")
     sr = semiregular_system(ring, lam)
     group = G.GroupDescriptor([head, G.VAtom(ring)])
-    blocks = develop(group, ring, initial(ring, sr.u), sorted(sr.S))
+    blocks = develop(ring, G.triple_ids(group, initial(ring, sr.u)),
+                     sorted(sr.S))
     H = G.SubgroupView(group, [h + ring.zero for h in G.atom_elements(head)])
     mult = MultiplierGroup(ring, sr.T_generators)
     assert mult.order == coprime_part(ring.psi, lam)
@@ -201,6 +192,8 @@ def construct_15mod24bis(n):
 def lift_prdf(prdf, n):
     """Lift a pseudo-resolvable family over a doubly even pertinent group G to
     a resolvable DF over G x V_n, components of n all 3 mod 4 and > 3."""
+    if n <= 1:
+        raise ValueError("lifting a PRDF needs n > 1")
     ring = build_ring(n)
     if any(f.q % 4 != 3 or f.q == 3 for f in ring.fields):
         raise ValueError(f"components of {n} must be 3 mod 4 and exceed 3")
@@ -223,15 +216,14 @@ def lift_prdf(prdf, n):
     one, none = ring.one, ring.neg(ring.one)
 
     group = G.GroupDescriptor([*base.atoms, G.VAtom(ring)])
-    lift = lambda g, r: g + r  # concatenate base element with ring element
-
-    a1 = [lift(base.zero, one), lift(x, y), lift(x, ny)]
-    a2 = [lift(base.zero, none), lift(j2, y), lift(j3, ny)]
-    triple = (one, none, y)
-    lifted = [[lift(g, t) for g, t in zip(b, triple)] for b in prdf.blocks]
-    blocks = (develop(group, ring, [a1, a2], sorted(halving(ring)))
-              + develop(group, ring, lifted, sorted(ring.units()),
-                        block_major=True))
+    # (g, r) in G x V_n is the tuple g + r, with id id(g)·n + id(r)
+    a1 = [base.zero + one, x + y, x + ny]
+    a2 = [base.zero + none, j2 + y, j3 + ny]
+    shift = [G.local_id(group.atoms[-1], t) for t in (one, none, y)]
+    blocks = np.concatenate((
+        develop(ring, G.triple_ids(group, [a1, a2]), sorted(halving(ring))),
+        develop(ring, prdf.blocks * n + shift, sorted(ring.units()),
+                block_major=True)))
 
     H = G.SubgroupView(group, [g + ring.zero for g in base.element_list])
     gens = []
@@ -259,6 +251,8 @@ def find_dddf_x(f):
 
 def construct_dddf(n):
     """A doubly disjoint DF over Z_3 x V_n relative to Z_3 x V_1."""
+    if n <= 1:
+        raise ValueError("a doubly disjoint family needs n > 1")
     ring = build_ring(n)
     if any(f.q % 4 != 1 for f in ring.fields):
         raise ValueError(f"all components of {n} must be 1 mod 4")
@@ -272,11 +266,10 @@ def construct_dddf(n):
     S = halving(ring)
     assert S == {ring.neg(s) for s in S}, "halving must be symmetric here"
     T = sorted({min(s, ring.neg(s)) for s in S})
-    blocks = develop(group, ring, [A, B], T)
-    translates = []
-    for t in T:
-        translates.append((0,) + ring.neg(ring.mul(two, t)))
-        translates.append((0,) + ring.neg(ring.mul(ring.mul(two, x), t)))
+    blocks = develop(ring, G.triple_ids(group, [A, B]), T)
+    # -2t and -2xt for each t; a translate (0, r) has the id of r in V_n
+    translates = [G.local_id(group.atoms[-1], ring.neg(ring.mul(c, t)))
+                  for t in T for c in (two, ring.mul(two, x))]
     H = G.SubgroupView(group, [(h,) + ring.zero for h in range(3)])
     w = FamilyWitness(group, blocks, "DDDF", H, translates=translates)
     d = is_doubly_disjoint(w)

@@ -317,7 +317,8 @@ def pertinent_witness(n):
 
 class SubgroupView:
     """A subset of an ambient group, checked on construction to be a subgroup.
-    `generators` holds the generating set the check found."""
+    `generators` holds the generating set the check found, `ids` the
+    carrier's sorted element ids."""
 
     def __init__(self, ambient, carrier):
         self.ambient = ambient
@@ -363,19 +364,11 @@ class SubgroupView:
             moves.append(map_powers(local[None]))
             spanned = orbit(spanned, np.concatenate(moves))
         self.generators = gens
+        ids.flags.writeable = False
+        self.ids = ids
 
     def __len__(self):
         return len(self.carrier)
-
-    def __contains__(self, x):
-        return x in self.carrier
-
-    def __eq__(self, other):
-        return (isinstance(other, SubgroupView) and self.ambient == other.ambient
-                and self.carrier == other.carrier)
-
-    def __hash__(self):
-        return hash((self.ambient, self.carrier))
 
     def is_normal(self):
         # conjugation by g is an automorphism, so g<S>g⁻¹ = <gSg⁻¹> ⊆ H when
@@ -401,6 +394,30 @@ def g_chain_embedding(alpha_src, alpha_dst):
         return (a, f * b, f * c)
 
     return fn
+
+
+def triple_ids(group, rows):
+    """The element ids of `rows`, triples of elements, as an int64 (k, 3)
+    array; a row that is not a triple or holds a non-element raises."""
+    index = group.element_index
+    for row in map(tuple, rows):
+        stray = [x for x in row if x not in index]
+        if len(row) != 3 or stray:
+            raise ValueError(f"block {row} " + (
+                f"holds {stray[0]}, which is not an element of {group!r}"
+                if stray else "is not a triple"))
+    return np.array([[index[x] for x in row] for row in rows],
+                    dtype=np.int64).reshape(-1, 3)
+
+
+def map_ids(fn, src, dst):
+    """The element-id map of fn: src -> dst, a map of coordinate tuples
+    written with indexing and integer arithmetic alone, applied once to
+    src's coordinate columns; an image outside dst raises ValueError."""
+    sizes = [[len(r) for a in g.atoms for r in a.coord_lists()]
+             for g in (src, dst)]
+    cols = np.unravel_index(np.arange(src.order), sizes[0])
+    return np.ravel_multi_index(fn(cols), sizes[1]).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,7 @@ def align(w, dst):
     """Transport a witness along the canonical monomorphism into dst.
     Multipliers survive only when their ring is the trailing atom of dst."""
     fn = _place_fn(w.group, dst)
+    ids = G.map_ids(fn, w.group, dst)
     if isinstance(w.relative, Spread):
         rel = Spread(dst, fn(w.relative.x))
     else:
@@ -184,11 +185,11 @@ def align(w, dst):
         if not (isinstance(tail, G.VAtom) and tail.ring.n == mult.ring.n):
             mult = None
     return FamilyWitness(
-        dst, [[fn(x) for x in b] for b in w.blocks], w.kind, rel,
+        dst, ids[w.blocks], w.kind, rel,
         j=None if w.j is None else fn(w.j),
         a=None if w.a is None else fn(w.a),
         b=None if w.b is None else fn(w.b),
-        translates=None if w.translates is None else [fn(t) for t in w.translates],
+        translates=None if w.translates is None else ids[w.translates],
         multipliers=mult)
 
 
@@ -258,7 +259,9 @@ def _embed_klein_v3(beta):
 def _wstep(op, w=None, **extra):
     step = {"op": op, **extra}
     if w is not None:
-        blob = repr((repr(w.group), w.blocks)).encode()
+        el = w.group.element_list  # the digest reads element tuples
+        blocks = tuple(tuple(el[x] for x in b) for b in w.blocks.tolist())
+        blob = repr((repr(w.group), blocks)).encode()
         step["group"] = repr(w.group)
         step["blocks"] = len(w.blocks)
         step["digest"] = hashlib.sha1(blob).hexdigest()[:12]
@@ -574,13 +577,11 @@ def build_kts(rdf, trace=None):
     # Q0 as point ids, 3 + element id: {∞k, x, x + j} for x = 0, a, b (the
     # zero's id is 0), then each block and its j-translate
     heads = np.array([0, index[rdf.a], index[rdf.b]])
-    blocks = np.array([[index[x] for x in blk] for blk in rdf.blocks],
-                      dtype=np.int64).reshape(-1, 3)
-    q0_ids = np.empty((3 + 2 * len(blocks), 3), dtype=np.int64)
+    q0_ids = np.empty((3 + 2 * len(rdf.blocks), 3), dtype=np.int64)
     q0_ids[:3] = np.stack([np.arange(3), 3 + heads,
                            3 + G.id_sum(g, heads, j)], axis=1)
-    q0_ids[3::2] = 3 + blocks
-    q0_ids[4::2] = 3 + G.id_sum(g, blocks, j)
+    q0_ids[3::2] = 3 + rdf.blocks
+    q0_ids[4::2] = 3 + G.id_sum(g, rdf.blocks, j)
 
     # develop the spread and the moving class by right translation through
     # an index view, CHUNK translates at a time; each class becomes one row

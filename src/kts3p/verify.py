@@ -686,25 +686,21 @@ def check_base_blocks(system, view=None):
     if problems:
         return _report(problems, orbits=len(reps))
     g = system.group
+    if w.group != g:
+        return _report([f"witness is over {w.group!r}, not {g!r}"],
+                       orbits=len(reps))
     if len(reps) != len(w.blocks):
         problems.append(
             f"{len(reps)} full orbits vs {len(w.blocks)} witness blocks")
     element_of = view.element_of
-    index = g.element_index
-    witness = [index.get(x, -1) for b in w.blocks for x in b]
-    if -1 in witness or any(len(b) != 3 for b in w.blocks):
-        problems.append("witness blocks are not triples of group elements")
-    elif not np.array_equal(difference_counts(g, element_of[reps]),
-                            difference_counts(g, witness)):
+    if not np.array_equal(difference_counts(g, element_of[reps]),
+                          difference_counts(g, w.blocks)):
         problems.append("difference multisets disagree")
     # the spread holds 0, so a coset spread + t equal to the short orbit
     # has its t in the short orbit
     short = np.sort(element_of[shorts[0]])
-    spread = w.spread().order3
-    cosets = np.empty((0, 3), dtype=np.int64)
-    if all(x in index for x in spread):
-        cosets = np.sort(G.id_sum(g, np.array([index[x] for x in spread]),
-                                  short[:, None]), axis=1)
+    spread = G.triple_ids(g, [w.spread().order3])[0]
+    cosets = np.sort(G.id_sum(g, spread, short[:, None]), axis=1)
     if not (cosets == short).all(axis=1).any():
         problems.append("short orbit is not the developed spread")
     return _report(problems, orbits=len(reps))

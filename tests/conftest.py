@@ -1,11 +1,22 @@
 import random
 
+import numpy as np
 import pytest
 
 
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def tuple_view(group, ids):
+    """The element tuples of an array of element ids: a tuple of elements
+    for 1-D ids, a tuple of such tuples for (k, 3) blocks.  The tuple
+    oracles below read witnesses through it."""
+    ids = np.asarray(ids)
+    if ids.ndim > 1:
+        return tuple(tuple_view(group, row) for row in ids)
+    return tuple(group.element_list[x] for x in ids.tolist())
 
 
 def naive_delta(group, blocks):
@@ -46,8 +57,9 @@ def naive_pair_cover(points, blocks):
 # ---------------------------------------------------------------------------
 # Counter oracle for the designkit predicates: the definitions applied to
 # group tuples with the group's own add and sub, as the predicates were first
-# written.  The id-level predicates must give the same verdicts, problem
-# strings, spread-search solutions and resolving pairs on group elements.
+# written, on the witness read through `tuple_view`.  The id-level
+# predicates must give the same verdicts, problem strings, spread-search
+# solutions and resolving pairs on group elements.
 
 def _oracle_delta(group, blocks):
     """Ordered differences by position, so a repeated entry gives 0s."""
@@ -78,15 +90,28 @@ def _oracle_compare(group, actual, expected, what):
     return Diagnosis(False, probs)
 
 
-def oracle_is_df(w):
+def _oracle_df(g, blocks, excluded):
     from collections import Counter
     from kts3p.designkit import Diagnosis
-    g = w.group
-    for b in w.blocks:
+    for b in blocks:
         if len(set(b)) != 3:
             return Diagnosis(False, [f"block {b} has repeated elements"])
-    expected = Counter(x for x in g.element_list if x not in w.excluded())
-    return _oracle_compare(g, _oracle_delta(g, w.blocks), expected, "delta")
+    expected = Counter(x for x in g.element_list if x not in excluded)
+    return _oracle_compare(g, _oracle_delta(g, blocks), expected, "delta")
+
+
+def oracle_excluded(w):
+    """The elements a witness's relative excludes, from its carrier or its
+    spread's members: {0, x, -x} and the involutions."""
+    from kts3p.designkit import Spread
+    if isinstance(w.relative, Spread):
+        return {*w.relative.order3, *w.group.involutions}
+    return set(w.relative.carrier)
+
+
+def oracle_is_df(w):
+    return _oracle_df(w.group, tuple_view(w.group, w.blocks),
+                      oracle_excluded(w))
 
 
 def oracle_coset_rep_check(group, reps, j, universe):
@@ -107,7 +132,7 @@ def oracle_is_j_resolvable(w):
     if not base:
         return base
     j = w.j
-    phi = [x for b in w.blocks for x in b]
+    phi = list(tuple_view(g, w.blocks.ravel()))
     if j is None or g.add(j, j) != g.zero or j == g.zero:
         return Diagnosis(False, [f"resolving element {j} is not an involution"])
     if isinstance(w.relative, G.SubgroupView):
@@ -157,7 +182,7 @@ def oracle_is_pseudo_resolvable(w):
     base = oracle_is_df(w)
     if not base:
         return base
-    phi = [x for b in w.blocks for x in b]
+    phi = list(tuple_view(g, w.blocks.ravel()))
     pairs = list(itertools.permutations(g.involutions, 2))
     for ja, jb in pairs:
         if oracle_coset_rep_check(g, phi + [g.zero, ja, w.spread().x], jb,
@@ -170,7 +195,7 @@ def oracle_is_pseudo_resolvable(w):
 
 def oracle_is_doubly_disjoint(w):
     from collections import Counter
-    from kts3p.designkit import Diagnosis, FamilyWitness
+    from kts3p.designkit import Diagnosis
     g = w.group
     if w.translates is None:
         return Diagnosis(False, ["doubly disjoint check needs per-block "
@@ -180,15 +205,16 @@ def oracle_is_doubly_disjoint(w):
     base = oracle_is_df(w)
     if not base:
         return base
-    H = w.excluded()
-    phi = [x for b in w.blocks for x in b]
+    H = oracle_excluded(w)
+    blocks = tuple_view(g, w.blocks)
+    phi = [x for b in blocks for x in b]
     if len(set(phi)) != len(phi):
         return Diagnosis(False, ["blocks are not pairwise disjoint"])
-    if set(phi) & set(H):
+    if set(phi) & H:
         return Diagnosis(False, ["blocks meet the relative subgroup"])
-    twins = [tuple(g.add(x, t) for x in b)
-             for b, t in zip(w.blocks, w.translates)]
-    twin_df = oracle_is_df(FamilyWitness(g, twins, "DF", w.relative))
+    twins = [tuple(sorted(g.add(x, t) for x in b))
+             for b, t in zip(blocks, tuple_view(g, w.translates))]
+    twin_df = _oracle_df(g, twins, H)
     if not twin_df:
         return Diagnosis(False, ["translated twin is not a DF: "
                                  + str(twin_df)])
@@ -326,12 +352,14 @@ def oracle_multiplier_action(witness, mult):
     fixes the excluded elements, applied to element tuples."""
     if mult.ring.n == 1:
         return True
-    blocks = {frozenset(b) for b in witness.blocks}
+    g = witness.group
+    tuples = tuple_view(g, witness.blocks)
+    blocks = {frozenset(b) for b in tuples}
     for s in mult.members:
         f = oracle_mu(mult.ring, s)
-        if {frozenset(map(f, b)) for b in witness.blocks} != blocks:
+        if {frozenset(map(f, b)) for b in tuples} != blocks:
             return False
-        if any(f(h) != h for h in witness.excluded()):
+        if any(f(h) != h for h in oracle_excluded(witness)):
             return False
     return True
 

@@ -5,6 +5,7 @@ import random
 import time
 
 import pytest
+from conftest import tuple_view
 
 from kts3p import catalog, compose, verify
 from kts3p import groups as G
@@ -316,7 +317,7 @@ def test_criterion_7_property_suite():
         w = catalog.get(eid)
         dd = compose.as_doubly_disjoint(w)
         check(is_doubly_disjoint(dd), ("dddf", eid))
-        check(list(dd.translates) == [w.j] * len(w.blocks),
+        check(tuple_view(w.group, dd.translates) == (w.j,) * len(w.blocks),
               ("translates", eid))
 
     # compose: the split composition is blockwise a translate of the plain one
@@ -331,7 +332,8 @@ def test_criterion_7_property_suite():
                                       mode="ii", j=local.canonical_involution)
         plain = compose.df_compose_dm(local, hv, section, F, dm, embed,
                                       mode="plain")
-        for sb, pb in zip(split.blocks, plain.blocks):
+        for sb, pb in zip(tuple_view(local, split.blocks),
+                          tuple_view(local, plain.blocks)):
             shifts = {local.sub(x, y) for x, y in zip(sb, pb)}
             check(len(shifts) == 1, ("strong-equivalence", n))
 

@@ -1,11 +1,13 @@
+import numpy as np
 import pytest
+from conftest import tuple_view
 
 from kts3p import catalog
 from kts3p.designkit import is_j_resolvable
 
 
-def _blockset(blocks):
-    return {frozenset(b) for b in blocks}
+def _blockset(w):
+    return {frozenset(b) for b in tuple_view(w.group, w.blocks)}
 
 
 def test_entry_ids_frozen():
@@ -28,7 +30,7 @@ def test_rdf_g1_paper_values():
     # [PAPER] the single base block over the twisted order-12 group, with the
     # resolving subgroup J and coset representatives a, b
     w = catalog.get("rdf:G1")
-    assert _blockset(w.blocks) == {frozenset({(0, 0, 1), (1, 1, 0), (2, 1, 1)})}
+    assert _blockset(w) == {frozenset({(0, 0, 1), (1, 1, 0), (2, 1, 1)})}
     assert w.j == (0, 1, 1)
     assert (w.a, w.b) == ((1, 1, 1), (2, 0, 1))
 
@@ -36,7 +38,7 @@ def test_rdf_g1_paper_values():
 def test_rdf_dxv5_paper_values():
     # [PAPER] the four triples over D x V_5 and their resolving data
     w = catalog.get("rdf:DxV5")
-    assert _blockset(w.blocks) == {
+    assert _blockset(w) == {
         frozenset({(0, 0, 3), (0, 0, 2), (0, 2, 4)}),
         frozenset({(0, 0, 1), (0, 1, 3), (1, 2, 2)}),
         frozenset({(0, 0, 4), (0, 2, 3), (1, 1, 1)}),
@@ -50,7 +52,7 @@ def test_rdf_g1xv3_paper_values():
     # [PAPER] five triples over the order-36 product, spread generator
     # (0,0,0,1), J generated by (0,1,1,0)
     w = catalog.get("rdf:G1xV3")
-    assert _blockset(w.blocks) == {
+    assert _blockset(w) == {
         frozenset({(0, 0, 0, 2), (0, 1, 1, 1), (1, 0, 0, 1)}),
         frozenset({(0, 0, 1, 2), (2, 0, 1, 2), (2, 1, 0, 1)}),
         frozenset({(0, 1, 0, 0), (1, 0, 1, 2), (2, 0, 1, 0)}),
@@ -75,7 +77,7 @@ def test_rdf_g2_paper_triples_present():
         frozenset({(0, 1, 0), (2, 2, 3), (1, 3, 3)}),
         frozenset({(0, 0, 2), (1, 2, 0), (2, 2, 2)}),
     }
-    assert _blockset(w.blocks) == expected
+    assert _blockset(w) == expected
     assert w.spread().x == (1, 0, 0)
 
 
@@ -109,7 +111,9 @@ def test_rdf_entries_resolvable():
 def test_get_is_cached_and_isolated():
     a = catalog.get("rdf:G1")
     b = catalog.get("rdf:G1")
-    assert a.blocks == b.blocks
+    assert np.array_equal(a.blocks, b.blocks)
+    # the cached witness is shared, so its blocks cannot be written
+    assert not a.blocks.flags.writeable
 
 
 def test_unknown_id():

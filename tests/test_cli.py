@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kts3p import cli, pipeline
+from kts3p import catalog, cli, pipeline
 
 
 def run(capsys, *argv):
@@ -121,6 +122,38 @@ def test_catalog_list_and_show(capsys):
     assert code == 3
     code, _, _ = run(capsys, "catalog", "show")
     assert code == 3
+
+
+# sha256 of `kts3p catalog show <id>`, frozen from the build that still held
+# witness blocks as element tuples
+CATALOG_SHOW_DIGESTS = {
+    "rdf:D:empty": "f8bae8f0974a3b1a28c413f987ac63dc08494e801776ff1cfa0e6c18373530b7",
+    "rdf:G1": "7c40a8a957b8d53da45aee4675f433f276ba44858f06f8d9b71c8ed543c5615d",
+    "rdf:DxV5": "1ed79b370dbddf4b9850eceb393684bece7f8723a41322f28b9d639c87eb722b",
+    "rdf:G1xV3": "57acc9dcdbfe41f339a33e3852232f0209a124749d841e730770825f90a5194d",
+    "rdf:G2:rel-G1": "d5874c538ad4a1dcc45bd004ec864490fcc9242740b4c8a9f91e152b14fd9b56",
+    "rdf:G2": "bc103d8ed845cd51bfde8621a9d4d72b7aea5d73cc925d760d717197617cc35b",
+    "prdf:G1xV3": "dcb774348b745ccbe1893a8aa88120f1a6e9f53ac56e086b20fa002ff08497d3",
+    "prdf:G1xV9": "68b6c76cae4a5e55867076e30052cee5f7fb40d7f2f0b12262d09672b9e3cd53",
+    "prdf:G2": "ebb41a024a24b206895be9063b902f732935a79b83fc449207ee1667aefa750c",
+    "rdf:G2xV3:rel-G1xV3": "e984efd7863ce5079a044cf429d6c47b66dee70ac8d4408d35324d126e1b8592",
+    "rdf:G3:rel-G2": "211c09f14dca5785e8b7cf1c8049a72f25fca230e6adab3506db86c419f5e21a",
+    "dm:G1": "5d0c49dfe5af591861fb5252bf673436138772a662c26bdaf082a3d1879360ef",
+    "dm:Z2xZ6": "9b907491690162f1bb2f312109bf4ba1e0b4b0af3128dcc6dbadb03431a368e2",
+    "dm:Z4xZ4": "492a058caa8ed3afcffb536961f3b805b434928d6e2ddb1f91f933b33417c883",
+}
+
+
+def test_catalog_show_digests_cover_every_entry():
+    assert sorted(CATALOG_SHOW_DIGESTS) == sorted(catalog.ENTRY_IDS)
+
+
+@pytest.mark.parametrize("eid", sorted(CATALOG_SHOW_DIGESTS))
+def test_catalog_show_output_frozen(eid, capsys):
+    code, out, _ = run(capsys, "catalog", "show", eid)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CATALOG_SHOW_DIGESTS[eid]
 
 
 def test_coverage(capsys):

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 from conftest import (delta_counts, naive_delta, oracle_dm_check, oracle_is_df,
                       oracle_is_doubly_disjoint, oracle_is_j_resolvable,
-                      oracle_is_pseudo_resolvable)
+                      oracle_is_pseudo_resolvable, tuple_view)
 
 from kts3p import catalog, compose
 from kts3p import groups as G
@@ -38,9 +39,10 @@ def test_spread_members():
     g = g1()
     s = Spread(g, (1, 0, 0))
     assert sorted(s.order3) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
-    # identity + two order-3 elements + three involutions
-    assert len(set(s.union)) == 6
-    assert g.zero in s.union
+    # identity + two order-3 elements + three involutions, as sorted ids
+    assert s.ids.tolist() == sorted(
+        g.element_index[x] for x in (*s.order3, *g.involutions))
+    assert s.ids[0] == g.element_index[g.zero]
 
 
 def test_spread_rejects_non_element():
@@ -55,10 +57,12 @@ def test_is_df_catalog_positive_and_perturbed():
     w = catalog.get("rdf:G1xV3")
     assert is_df(w)
     # [TRIVIAL] perturbation breaks the multiset equality
-    blocks = [list(b) for b in w.blocks]
+    g = w.group
+    blocks = [list(b) for b in tuple_view(g, w.blocks)]
     x = blocks[0][0]
-    blocks[0][0] = w.group.add(x, (0, 0, 0, 1))
-    bad = FamilyWitness(w.group, blocks, "DF", w.relative, j=w.j, a=w.a, b=w.b)
+    blocks[0][0] = g.add(x, (0, 0, 0, 1))
+    bad = FamilyWitness(g, G.triple_ids(g, blocks), "DF", w.relative,
+                        j=w.j, a=w.a, b=w.b)
     assert not is_df(bad)
 
 
@@ -84,7 +88,8 @@ def test_doubly_disjoint_requires_translates():
     probe = FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j)
     assert not is_doubly_disjoint(probe)
     good = FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
-                         translates=[w.j] * len(w.blocks))
+                         translates=[w.group.element_index[w.j]]
+                         * len(w.blocks))
     assert is_doubly_disjoint(good)
 
 
@@ -117,7 +122,7 @@ def test_witness_json_roundtrip():
         w = catalog.get(eid)
         back = witness_from_json(witness_to_json(w))
         assert back.group == w.group
-        assert back.blocks == w.blocks
+        assert np.array_equal(back.blocks, w.blocks)
         assert back.kind == w.kind
         assert back.j == w.j
 
@@ -150,7 +155,8 @@ def _witness(name):
     if kind == "dd":
         w = catalog.get(rest)
         return FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
-                             translates=[w.j] * len(w.blocks))
+                             translates=[w.group.element_index[w.j]]
+                             * len(w.blocks))
     return catalog.get(name)
 
 
@@ -161,16 +167,18 @@ WITNESSES = ([e for e in catalog.ENTRY_IDS if not e.startswith("dm:")]
 def _variants(w, rng):
     """The witness's own fields, then seeded mutations: a changed entry, a
     dropped and a duplicated block, a wrong j, a wrong, swapped or missing
-    (a, b), and a changed translate."""
+    (a, b), and a changed translate.  Blocks and translates are element
+    ids; j, a and b are elements."""
     els = w.group.element_list
-    base = {"blocks": [list(b) for b in w.blocks], "j": w.j, "a": w.a,
+    ids = range(w.group.order)
+    base = {"blocks": w.blocks.tolist(), "j": w.j, "a": w.a,
             "b": w.b, "translates": w.translates}
     out = [base]
-    if w.blocks:
+    if len(w.blocks):
         for _ in range(3):
-            blocks = [list(b) for b in w.blocks]
+            blocks = w.blocks.tolist()
             blocks[rng.randrange(len(blocks))][rng.randrange(3)] = \
-                rng.choice(els)
+                rng.choice(ids)
             out.append({**base, "blocks": blocks})
         i = rng.randrange(len(w.blocks))
         out.append({**base, "blocks": base["blocks"][:i]
@@ -181,9 +189,9 @@ def _variants(w, rng):
     out.append({**base, "a": rng.choice(els), "b": rng.choice(els)})
     out.append({**base, "a": w.b, "b": w.a})
     out.append({**base, "a": None, "b": None})
-    if w.translates:
-        translates = list(w.translates)
-        translates[rng.randrange(len(translates))] = rng.choice(els)
+    if w.translates is not None and len(w.translates):
+        translates = w.translates.tolist()
+        translates[rng.randrange(len(translates))] = rng.choice(ids)
         out.append({**base, "translates": translates})
     return out
 
@@ -215,7 +223,7 @@ def test_predicates_agree_with_counter_oracle(name):
             seen.add((check.__name__, d.ok))
     # every check met both verdicts (no block of an empty family can break)
     want = {(c.__name__, ok) for c, _ in checks for ok in (True, False)}
-    if not w.blocks:
+    if not len(w.blocks):
         want.discard(("is_df", False))
     assert seen == want
 
@@ -245,37 +253,95 @@ def test_dm_check_agrees_with_counter_oracle(dm):
 
 
 # ---------------------------------------------------------------------------
-# entries outside the group: (3, 0, 0, 2) has G1 head 3, outside Z3
+# the witness boundary: element tuples become ids in `groups.triple_ids` and
+# in `witness_from_json`, and a witness holds only (k, 3) ids of its group.
+# (3, 0, 0, 2) has G1 head 3, outside Z3.
 
 FOREIGN = (3, 0, 0, 2)
 
 
-def _foreign_block(eid, **kw):
+@pytest.mark.parametrize("eid", ["rdf:G1xV3", "prdf:G1xV3"])
+def test_triple_ids_rejects_entries_outside_the_group(eid):
     w = catalog.get(eid)
-    blocks = [list(b) for b in w.blocks]
-    blocks[0][0] = FOREIGN
-    return FamilyWitness(w.group, blocks, w.kind, w.relative, j=w.j, a=w.a,
-                         b=w.b, **kw)
+    rows = [list(b) for b in tuple_view(w.group, w.blocks)]
+    rows[0][0] = FOREIGN
+    with pytest.raises(ValueError) as exc:
+        G.triple_ids(w.group, rows)
+    assert str(exc.value) == (f"block {tuple(rows[0])} holds {FOREIGN}, "
+                              f"which is not an element of {w.group!r}")
 
 
-@pytest.mark.parametrize("check, eid", [
-    (is_df, "rdf:G1xV3"), (is_j_resolvable, "rdf:G1xV3"),
-    (is_pseudo_resolvable, "prdf:G1xV3"), (is_doubly_disjoint, "rdf:G1xV3")])
-def test_predicates_reject_entries_outside_the_group(check, eid):
-    src = catalog.get(eid)
-    w = _foreign_block(eid, translates=[src.j] * len(src.blocks))
-    d = check(w)
-    assert not d
-    assert d.problems == [f"block {w.blocks[0]} holds {FOREIGN}, which is "
-                          f"not an element of {w.group!r}"]
+def test_triple_ids_rejects_rows_that_are_not_triples():
+    w = catalog.get("rdf:G1xV3")
+    rows = [list(b) for b in tuple_view(w.group, w.blocks)]
+    for bad in (rows[0][:2], rows[0] + [rows[1][0]], []):
+        with pytest.raises(ValueError, match="is not a triple"):
+            G.triple_ids(w.group, [bad] + rows[1:])
+
+
+def test_witness_rejects_blocks_that_are_not_id_triples():
+    w = catalog.get("rdf:G1xV3")
+    g, ids = w.group, w.blocks
+    pairs = ids.ravel()[:6].reshape(3, 2)
+    for bad in (pairs,                      # three pairs, never two triples
+                ids.ravel(),                # a flat run of ids
+                ids[:, :2],                 # blocks of two
+                [list(b) for b in tuple_view(g, ids)],  # element tuples
+                ids.astype(float),          # not integers
+                [[0, 1, 2], [3, 4]]):       # ragged rows
+        with pytest.raises(ValueError):
+            FamilyWitness(g, bad, "RDF", w.relative, j=w.j)
+
+
+@pytest.mark.parametrize("bad", [-1, 36, 1000])
+def test_witness_rejects_ids_outside_the_group(bad):
+    w = catalog.get("rdf:G1xV3")
+    blocks = w.blocks.tolist()
+    blocks[0][0] = bad
+    with pytest.raises(ValueError, match="blocks hold ids outside 0 to 35, "
+                       "the element ids of G1 x V3"):
+        FamilyWitness(w.group, blocks, "RDF", w.relative, j=w.j)
 
 
 def test_doubly_disjoint_rejects_translates_outside_the_group():
     w = _witness("dd:rdf:G2:rel-G1")
-    bad = FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
-                        translates=[(3, 0, 0)] + list(w.translates[1:]))
-    d = is_doubly_disjoint(bad)
-    assert not d and "(3, 0, 0)" in str(d)
+    for bad in (w.group.order, -1):
+        with pytest.raises(ValueError, match="translates hold ids outside"):
+            FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
+                          translates=[bad] + w.translates[1:].tolist())
+    with pytest.raises(ValueError, match=r"translates must be a \(k,\)"):
+        FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
+                      translates=[w.translates.tolist()])
+
+
+def test_witness_from_json_rejects_foreign_labels_and_short_blocks():
+    data = witness_to_json(catalog.get("rdf:G1xV3"))
+    for label in ("G1:(3,0,0)|V3:2", "G1:(0,0,01)|V3:2", 5):
+        bad = {**data, "blocks": [[label] + data["blocks"][0][1:]]
+               + data["blocks"][1:]}
+        with pytest.raises(ValueError, match="not an element label"):
+            witness_from_json(bad)
+    bad = {**data, "blocks": [data["blocks"][0][:2]] + data["blocks"][1:]}
+    with pytest.raises(ValueError, match="is not a triple"):
+        witness_from_json(bad)
+    dd = witness_to_json(_witness("dd:rdf:G2:rel-G1"))
+    dd["translates"][0] = "G2:(0,4,0)"
+    with pytest.raises(ValueError, match="not an element label"):
+        witness_from_json(dd)
+
+
+def test_witness_arrays_are_read_only():
+    w = catalog.get("rdf:G1xV3")
+    with pytest.raises(ValueError):
+        w.blocks[0, 0] = 0
+    dd = _witness("dd:rdf:G2:rel-G1")
+    with pytest.raises(ValueError):
+        dd.translates[0] = 0
+    # the witness copies what it is given
+    rows = w.blocks.copy()
+    again = FamilyWitness(w.group, rows, w.kind, w.relative, j=w.j)
+    rows[0, 0] = 0
+    assert np.array_equal(again.blocks, w.blocks)
 
 
 def test_dm_check_rejects_entries_outside_the_group():

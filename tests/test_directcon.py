@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from conftest import (delta_counts, naive_delta, oracle_mu,
-                      oracle_multiplier_action)
+                      oracle_multiplier_action, tuple_view)
 from kts3p import catalog
 from kts3p import directcon as D
 from kts3p.designkit import (FamilyWitness, is_doubly_disjoint,
@@ -51,7 +52,8 @@ def test_15mod24bis_small(n):
 
 def test_15mod24_delta_matches_naive_oracle():
     w = D.construct_15mod24(5)
-    assert delta_counts(w.group, w.blocks) == naive_delta(w.group, w.blocks)
+    blocks = tuple_view(w.group, w.blocks)
+    assert delta_counts(w.group, blocks) == naive_delta(w.group, blocks)
 
 
 @pytest.mark.parametrize("eid,n", [("prdf:G1xV3", 7), ("prdf:G2", 7),
@@ -73,6 +75,21 @@ def test_lift_prdf_rejects_bad_ring():
         D.lift_prdf(prdf, 3)  # component equal to 3
 
 
+@pytest.mark.parametrize("build", [
+    lambda: D.lift_prdf(catalog.get("prdf:G2"), 1),
+    lambda: D.lift_prdf(catalog.get("prdf:G1xV3"), 1),
+    lambda: D.construct_dddf(1)], ids=["lift-G2", "lift-G1xV3", "dddf"])
+def test_trivial_ring_raises_before_developing(build, monkeypatch):
+    # V_1 has no component to check, so the constructors guard n > 1
+    # themselves, as semiregular_system does
+    def develop(*args, **kwargs):
+        raise AssertionError("developed over the trivial ring")
+
+    monkeypatch.setattr(D, "develop", develop)
+    with pytest.raises(ValueError, match="needs n > 1"):
+        build()
+
+
 @pytest.mark.parametrize("n", [5, 13, 25])
 def test_dddf_small(n):
     w = D.construct_dddf(n)
@@ -80,7 +97,7 @@ def test_dddf_small(n):
     assert len(w.translates) == len(w.blocks)
     assert is_doubly_disjoint(w)
     # every translate sits in the relative subgroup's ring-zero coset shape
-    for t in w.translates:
+    for t in tuple_view(w.group, w.translates):
         assert t[0] == 0
 
 
@@ -117,26 +134,29 @@ def test_develop_matches_tuple_oracle(build, monkeypatch):
     calls = []
     develop = D.develop
 
-    def recorded(group, ring, initial, units, block_major=False):
-        out = develop(group, ring, initial, units, block_major)
+    def recorded(ring, initial, units, block_major=False):
+        out = develop(ring, initial, units, block_major)
         calls.append((ring, initial, units, block_major, out))
         return out
 
     monkeypatch.setattr(D, "develop", recorded)
     w = build()
+    g = w.group
     assert calls
     for ring, initial, units, block_major, out in calls:
+        initial = tuple_view(g, initial)
         pairs = ([(b, s) for b in initial for s in units] if block_major
                  else [(b, s) for s in units for b in initial])
-        assert out == [[oracle_mu(ring, s)(x) for x in b] for b, s in pairs]
-    assert w.blocks == tuple(tuple(sorted(b)) for *_, out in calls
-                             for b in out)
+        assert tuple_view(g, out) == tuple(
+            tuple(oracle_mu(ring, s)(x) for x in b) for b, s in pairs)
+    assert np.array_equal(w.blocks, np.sort(np.concatenate(
+        [out for *_, out in calls]), axis=1))
 
 
 def test_multiplier_action_detects_tampering():
     w = D.construct_15mod24(13)
     assert D.verify_multiplier_action(w, w.multipliers)
-    blocks = [list(b) for b in w.blocks]
+    blocks = w.blocks.tolist()
     blocks[0], blocks[1] = blocks[0][:2] + [blocks[1][2]], blocks[1][:2] + [blocks[0][2]]
     bad = FamilyWitness(w.group, blocks, "RDF", w.relative, j=w.j,
                         a=w.a, b=w.b, multipliers=w.multipliers)
@@ -144,7 +164,7 @@ def test_multiplier_action_detects_tampering():
 
 
 def _tampered(w):
-    blocks = [list(b) for b in w.blocks]
+    blocks = w.blocks.tolist()
     blocks[0], blocks[1] = (blocks[0][:2] + [blocks[1][2]],
                             blocks[1][:2] + [blocks[0][2]])
     return FamilyWitness(w.group, blocks, "RDF", w.relative, j=w.j,

@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import delta_counts, naive_pair_cover
+from conftest import (delta_counts, naive_pair_cover, oracle_excluded,
+                      tuple_view)
 from kts3p import catalog, cli, compose
 from kts3p import groups as G
 from kts3p import pipeline as P
@@ -218,8 +219,8 @@ def _full_development(rdf):
     v = len(points)
     q0 = [(P.INF[0], g.zero, j), (P.INF[1], a, g.add(a, j)),
           (P.INF[2], b, g.add(b, j))]
-    for blk in rdf.blocks:
-        q0.append(tuple(blk))
+    for blk in tuple_view(g, rdf.blocks):
+        q0.append(blk)
         q0.append(tuple(g.add(x, j) for x in blk))
     q0_ids = np.array([[index[x] for x in blk] for blk in q0])
     spread_ids = [index[x] for x in rdf.spread().order3]
@@ -269,6 +270,80 @@ def test_build_kts_chunks_match_full_development(monkeypatch):
                for x, y in zip(system.resolution, resolution))
 
 
+def _producers():
+    """One witness from each producer of the route, by name."""
+    from kts3p import directcon as D
+    from kts3p.designkit import witness_from_json, witness_to_json
+    out = {eid: catalog.get(eid) for eid in catalog.ENTRY_IDS
+           if not eid.startswith("dm:")}
+    out.update({
+        "9mod24": D.construct_9mod24(1), "15mod24": D.construct_15mod24(5),
+        "15mod24bis": D.construct_15mod24bis(7), "dddf": D.construct_dddf(5),
+        "lift": lift_prdf(catalog.get("prdf:G2"), 7)})
+    local = G.GroupDescriptor([G.GAtom(2), G.VAtom(5)])
+    F = catalog.get("rdf:G2:rel-G1")
+    section, hv = P._quotient(local, F.group)
+    dm = compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(5)]))
+    out["compose-i"] = compose.df_compose_dm(
+        local, hv, section, F, dm, P._place_fn(dm.group, local), mode="i",
+        j=local.canonical_involution)
+    local = G.GroupDescriptor([G.GAtom(1), G.VAtom(3), G.VAtom(5)])
+    section, hv = P._quotient(local, out["dddf"].group)
+    dm = catalog.get("dm:G1")
+    for mode in ("ii", "plain"):
+        out[f"compose-{mode}"] = compose.df_compose_dm(
+            local, hv, section, out["dddf"], dm, P._place_fn(dm.group, local),
+            mode=mode, j=local.canonical_involution if mode == "ii" else None)
+    amb = G.GroupDescriptor([G.GAtom(2)])
+    out["align"] = P.align(catalog.get("rdf:G1"), amb)
+    out["chain_union"] = compose.chain_union([catalog.get("rdf:G2:rel-G1")])
+    out["pertinent_union"] = compose.pertinent_union(out["chain_union"],
+                                                     out["align"])
+    out["as_doubly_disjoint"] = compose.as_doubly_disjoint(F)
+    out["witness_from_json"] = witness_from_json(
+        witness_to_json(out["as_doubly_disjoint"]))
+    out["route"] = P.construct(87).witness
+    return out
+
+
+def test_every_producer_holds_read_only_id_blocks():
+    # the catalog and the route cache their witnesses and share them, so
+    # every producer must hand out arrays nobody can write
+    for name, w in _producers().items():
+        for ids, ndim in ((w.blocks, 2), (w.translates, 1)):
+            if ids is None:
+                continue
+            assert ids.dtype == np.int64 and ids.ndim == ndim, name
+            assert not ids.flags.writeable and ids.base is None, name
+            assert ((0 <= ids) & (ids < w.group.order)).all(), name
+        assert w.blocks.shape[1:] == (3,), name
+        assert (np.diff(w.blocks, axis=1) > 0).all(), name
+        assert (tuple_view(w.group, w.excluded())
+                == tuple(sorted(oracle_excluded(w)))), name
+        assert not w.excluded().flags.writeable, name
+
+
+@pytest.mark.parametrize("src, dst", [
+    ([G.GAtom(1)], [G.GAtom(1), G.VAtom(5)]),
+    ([G.GAtom(1), G.VAtom(3)], [G.GAtom(3), G.VAtom(5), G.VAtom(3)]),
+    ([G.DAtom(), G.VAtom(5)], [G.DAtom(), G.VAtom(3), G.VAtom(5)]),
+    ([G.VAtom(5)], [G.GAtom(2), G.VAtom(5)])])
+def test_map_ids_matches_the_map_on_elements(src, dst):
+    # the id map of a coordinate map, from one call on coordinate columns,
+    # equals the map applied element by element
+    src, dst = G.GroupDescriptor(src), G.GroupDescriptor(dst)
+    for fn in (P._place_fn(src, dst), P._quotient(dst, src)[0]):
+        want = [dst.element_index[fn(x)] for x in src.element_list]
+        assert G.map_ids(fn, src, dst).tolist() == want
+
+
+def test_map_ids_rejects_images_outside_the_group():
+    src = G.GroupDescriptor([G.VAtom(5)])
+    dst = G.GroupDescriptor([G.VAtom(3)])
+    with pytest.raises(ValueError):
+        G.map_ids(lambda x: x, src, dst)
+
+
 def test_place_fn_is_monomorphism():
     src = G.GroupDescriptor([G.GAtom(1)])
     dst = G.GroupDescriptor([G.GAtom(1), G.VAtom(5)])
@@ -290,9 +365,11 @@ def test_align_transports_witness():
     assert moved.group == amb
     assert moved.j in amb.involutions
     fn = P._place_fn(src.group, amb)
-    assert [tuple(fn(x) for x in b) for b in src.blocks] == list(moved.blocks)
-    lifted = {fn(d) for d in delta_counts(src.group, src.blocks)}
-    assert set(delta_counts(amb, moved.blocks)) == lifted
+    blocks = tuple_view(src.group, src.blocks)
+    assert (tuple(tuple(fn(x) for x in b) for b in blocks)
+            == tuple_view(amb, moved.blocks))
+    lifted = {fn(d) for d in delta_counts(src.group, blocks)}
+    assert set(delta_counts(amb, tuple_view(amb, moved.blocks))) == lifted
 
 
 def test_quotient_splits_exactly():
