@@ -258,17 +258,38 @@ def test_dm_check_agrees_with_counter_oracle(dm):
 # (3, 0, 0, 2) has G1 head 3, outside Z3.
 
 FOREIGN = (3, 0, 0, 2)
+ORACLES = {is_df: oracle_is_df, is_j_resolvable: oracle_is_j_resolvable,
+           is_pseudo_resolvable: oracle_is_pseudo_resolvable,
+           is_doubly_disjoint: oracle_is_doubly_disjoint}
 
 
-@pytest.mark.parametrize("eid", ["rdf:G1xV3", "prdf:G1xV3"])
-def test_triple_ids_rejects_entries_outside_the_group(eid):
-    w = catalog.get(eid)
-    rows = [list(b) for b in tuple_view(w.group, w.blocks)]
+@pytest.mark.parametrize("check, eid", [
+    (is_df, "rdf:G1xV3"), (is_j_resolvable, "rdf:G1xV3"),
+    (is_pseudo_resolvable, "prdf:G1xV3"), (is_doubly_disjoint, "rdf:G1xV3")])
+def test_predicates_reject_entries_outside_the_group(check, eid):
+    """A foreign entry never reaches a predicate: as an element it is refused
+    where tuples become ids, as an id where the witness is made.  The
+    witness it was put into still gets the oracle's verdict."""
+    src = catalog.get(eid)
+    g = src.group
+    translates = [g.element_index[g.zero]] * len(src.blocks)
+
+    def witness(blocks):
+        return FamilyWitness(g, blocks, src.kind, src.relative, j=src.j,
+                             a=src.a, b=src.b, translates=translates)
+
+    d, e = check(witness(src.blocks)), ORACLES[check](witness(src.blocks))
+    assert (d.ok, d.problems) == (e.ok, e.problems)
+    rows = [list(b) for b in tuple_view(g, src.blocks)]
     rows[0][0] = FOREIGN
     with pytest.raises(ValueError) as exc:
-        G.triple_ids(w.group, rows)
+        witness(G.triple_ids(g, rows))
     assert str(exc.value) == (f"block {tuple(rows[0])} holds {FOREIGN}, "
-                              f"which is not an element of {w.group!r}")
+                              f"which is not an element of {g!r}")
+    ids = src.blocks.tolist()
+    ids[0][0] = g.order
+    with pytest.raises(ValueError, match="blocks hold ids outside"):
+        witness(ids)
 
 
 def test_triple_ids_rejects_rows_that_are_not_triples():
