@@ -230,6 +230,13 @@ def df_compose_dm(group, h_view, section, fam, dm, embed_h,
     mode "plain": any DF, any DM; mode "i": fam {H, j+H}-resolvable, dm
     homogeneous; mode "ii": fam doubly disjoint with recorded translates, dm
     splittable by the preimage of j.
+
+    section and embed_h are each called once, on the source group's whole
+    coordinate columns (`groups.map_ids`): given a tuple of equal-length
+    int arrays, one per coordinate, they return the image's coordinate
+    arrays.  So they must be written with indexing and integer arithmetic
+    alone, as `Atom.add` is for `groups.atom_table`; a dict lookup or a
+    branch on a coordinate fails there.
     """
     h = len(h_view)
     if not h_view.is_normal():

@@ -415,21 +415,10 @@ def witness_from_json(data):
     for name in ("j", "a", "b"):
         if name in data:
             kw[name] = dec(data[name])
-    # blocks and translates name elements by their canonical labels
-    table = dict(zip(G.element_labels(g), itertools.count()))
-
-    def ids(labels, what, width=None):
-        if width and (not isinstance(labels, list) or len(labels) != width):
-            raise ValueError(f"{what} is not a triple")
-        bad = [s for s in labels if not isinstance(s, str) or s not in table]
-        if bad:
-            raise ValueError(f"{what} holds {bad[0]!r}, which is not an "
-                             f"element label of {g!r}")
-        return [table[s] for s in labels]
-
     if "translates" in data:
-        kw["translates"] = ids(data["translates"], "translates")
-    blocks = [ids(b, f"block {b!r}", 3) for b in data["blocks"]]
+        kw["translates"] = [g.element_index[dec(t)]
+                            for t in data["translates"]]
+    blocks = G.triple_ids(g, [[dec(s) for s in b] for b in data["blocks"]])
     return FamilyWitness(g, blocks, data["kind"], relative, **kw)
 
 

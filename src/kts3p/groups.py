@@ -400,7 +400,8 @@ def triple_ids(group, rows):
     """The element ids of `rows`, triples of elements, as an int64 (k, 3)
     array; a row that is not a triple or holds a non-element raises."""
     index = group.element_index
-    for row in map(tuple, rows):
+    rows = [tuple(r) for r in rows]
+    for row in rows:
         stray = [x for x in row if x not in index]
         if len(row) != 3 or stray:
             raise ValueError(f"block {row} " + (

@@ -259,8 +259,9 @@ def _embed_klein_v3(beta):
 def _wstep(op, w=None, **extra):
     step = {"op": op, **extra}
     if w is not None:
-        el = w.group.element_list  # the digest reads element tuples
-        blocks = tuple(tuple(el[x] for x in b) for b in w.blocks.tolist())
+        # the digest reads element tuples, three to a block
+        it = map(w.group.element_list.__getitem__, w.blocks.ravel().tolist())
+        blocks = tuple(zip(it, it, it))
         blob = repr((repr(w.group), blocks)).encode()
         step["group"] = repr(w.group)
         step["blocks"] = len(w.blocks)

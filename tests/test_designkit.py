@@ -293,11 +293,14 @@ def test_predicates_reject_entries_outside_the_group(check, eid):
 
 
 def test_triple_ids_rejects_rows_that_are_not_triples():
+    # one-shot iterators too: the rows are read once, checked and mapped
     w = catalog.get("rdf:G1xV3")
     rows = [list(b) for b in tuple_view(w.group, w.blocks)]
+    assert np.array_equal(G.triple_ids(w.group, iter(rows)), w.blocks)
     for bad in (rows[0][:2], rows[0] + [rows[1][0]], []):
-        with pytest.raises(ValueError, match="is not a triple"):
-            G.triple_ids(w.group, [bad] + rows[1:])
+        for given in ([bad] + rows[1:], iter([bad] + rows[1:])):
+            with pytest.raises(ValueError, match="is not a triple"):
+                G.triple_ids(w.group, given)
 
 
 def test_witness_rejects_blocks_that_are_not_id_triples():
@@ -337,17 +340,16 @@ def test_doubly_disjoint_rejects_translates_outside_the_group():
 
 def test_witness_from_json_rejects_foreign_labels_and_short_blocks():
     data = witness_to_json(catalog.get("rdf:G1xV3"))
-    for label in ("G1:(3,0,0)|V3:2", "G1:(0,0,01)|V3:2", 5):
-        bad = {**data, "blocks": [[label] + data["blocks"][0][1:]]
-               + data["blocks"][1:]}
-        with pytest.raises(ValueError, match="not an element label"):
-            witness_from_json(bad)
+    bad = {**data, "blocks": [["G1:(3,0,0)|V3:2"] + data["blocks"][0][1:]]
+           + data["blocks"][1:]}
+    with pytest.raises(ValueError, match="is not an element of"):
+        witness_from_json(bad)
     bad = {**data, "blocks": [data["blocks"][0][:2]] + data["blocks"][1:]}
     with pytest.raises(ValueError, match="is not a triple"):
         witness_from_json(bad)
     dd = witness_to_json(_witness("dd:rdf:G2:rel-G1"))
     dd["translates"][0] = "G2:(0,4,0)"
-    with pytest.raises(ValueError, match="not an element label"):
+    with pytest.raises(ValueError, match="is not an element of"):
         witness_from_json(dd)
 
 
