@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from . import groups as G
-from .designkit import (DifferenceMatrix, FamilyWitness, Spread,
-                        _coset_rep_check, dm_check, is_df, is_j_resolvable,
-                        is_pseudo_resolvable)
+from .designkit import (DifferenceMatrix, FamilyWitness, Spread, dm_check,
+                        is_df, is_j_resolvable, is_pseudo_resolvable)
 
 
 def _g(*atoms):
@@ -306,24 +303,12 @@ def _load(eid):
     problem = _verify_entry(obj)
     if problem is not None:
         raise CatalogError(f"catalog entry {eid!r} quarantined: {problem}")
-    if isinstance(obj, FamilyWitness) and obj.kind == "PRDF":
-        # prefer the ordered pair whose coset subgroup is the canonical
-        # involution, since that is what the lifting step resolves by
-        g = obj.group
-        canon = g.canonical_involution
-        index = g.element_index
-        head = obj.blocks.ravel().tolist()
-        head += [index[g.zero], index[obj.spread().x]]
-        for ja in g.involutions:
-            if ja == canon:
-                continue
-            if _coset_rep_check(g, head + [index[ja]], index[canon],
-                                np.ones(g.order, dtype=np.int64)):
-                obj.prdf_pair = (ja, canon)
-                break
-        else:
-            raise CatalogError(
-                f"{eid!r}: no pseudo-resolving pair with the canonical involution")
+    if (isinstance(obj, FamilyWitness) and obj.kind == "PRDF"
+            and obj.prdf_pair[1] != obj.group.canonical_involution):
+        # the lifting step resolves by the canonical involution
+        raise CatalogError(f"{eid!r}: the pseudo-resolving pair "
+                           f"{obj.prdf_pair} does not end in the canonical "
+                           f"involution")
     return obj
 
 

@@ -19,33 +19,40 @@ import numpy as np
 
 from . import catalog, pipeline, verify
 from . import groups as G
-from .designkit import (DifferenceMatrix, dm_to_json, group_from_labels,
-                        group_labels, witness_to_json)
+from .designkit import DifferenceMatrix, dm_to_json, witness_to_json
 
 EXIT_OK, EXIT_VERIFY, EXIT_MALFORMED, EXIT_UNSUPPORTED = 0, 2, 3, 4
 
 
+def _point_table(group):
+    """Point label -> point number, for the points of a system over `group`
+    in the order `pipeline.build_kts` lists them (`pipeline.INF`, then
+    `element_list`): "inf1" to "inf3" are 0 to 2, and an element's
+    canonical label (`label_index`) is 3 plus its id.  The keys run in
+    point-number order."""
+    table = {"inf1": 0, "inf2": 1, "inf3": 2}
+    table.update((s, 3 + i) for s, i in group.label_index.items())
+    return table
+
+
 def _decode_points(group, labels):
-    """The points named by `labels`: "inf1" to "inf3", or the canonical
-    label of a group element (`groups.element_labels`), looked up in one
-    table; raises ValueError naming the first label that is neither."""
-    table = {f"inf{k}": ("inf", k) for k in (1, 2, 3)}
-    table.update(zip(G.element_labels(group), group.element_list))
+    """The points named by `labels`, looked up in `_point_table`; raises
+    ValueError naming the first label that is no point label."""
+    table = _point_table(group)
+    canon = [*pipeline.INF, *group.element_list]
     points = []
     for s in labels:
-        p = table.get(s) if isinstance(s, str) else None
-        if p is None:
+        k = table.get(s) if isinstance(s, str) else None
+        if k is None:
             raise ValueError(f"point {s!r} is not a point label of {group!r}")
-        points.append(p)
+        points.append(canon[k])
     return points
 
 
 def _point_labels(system):
-    """The label of each point, read off one table: "inf1" to "inf3", then
-    the elements' canonical labels (`groups.element_labels`) in
-    `element_index` order."""
+    """The label of each point, read off `_point_table`."""
     g = system.group
-    table = ["inf1", "inf2", "inf3", *G.element_labels(g)]
+    table = list(_point_table(g))
     index = g.element_index
     return [table[3 + index[p]] if p in index else table[p[1] - 1]
             for p in system.points]
@@ -55,7 +62,7 @@ def system_to_json(system, with_trace=False):
     labels = np.array(_point_labels(system), dtype=object)
     data = {
         "order": system.order,
-        "group": group_labels(system.group),
+        "group": G.group_labels(system.group),
         "points": labels.tolist(),
         "blocks": labels[system.blocks].tolist(),
         "resolution": [labels[cls].tolist() for cls in system.resolution],
@@ -113,7 +120,7 @@ class _SystemEncoder(json.JSONEncoder):
         self.with_trace = with_trace
 
     def encode(self, system):
-        fields = {"order": system.order, "group": group_labels(system.group)}
+        fields = {"order": system.order, "group": G.group_labels(system.group)}
         if self.with_trace and system.trace is not None:
             fields["trace"] = system.trace
         dump = super().encode
@@ -141,25 +148,6 @@ def _id_rows(ids, rows):
     return np.fromiter(flat, np.int32, count=3 * len(rows)).reshape(-1, 3)
 
 
-def _group_order(labels, limit):
-    """The order the atom labels name (D: 6, G_a: 3·4^a, Z_m: m, V_n: n),
-    computed without building any atom; an order above `limit` comes back
-    as limit + 1."""
-    order = 1
-    for lab in labels:
-        if lab == "D":
-            k = 6
-        else:
-            kind, n = lab[:1], int(lab[1:])
-            if kind not in ("G", "Z", "V") or n < 1:
-                raise ValueError(f"unknown atom label {lab!r}")
-            k = 3 * 4 ** min(n, limit.bit_length()) if kind == "G" else n
-        order *= k
-        if order > limit:
-            return limit + 1
-    return order
-
-
 def system_from_json(data):
     """Decode a system file; raises ValueError unless the group labels name
     an order that fits the point count, every point is a string label and
@@ -167,10 +155,10 @@ def system_from_json(data):
     try:
         labels = data["points"]
         want = len(labels) - 3
-        if _group_order(data["group"], want) != want:
+        g = G.group_from_labels(data["group"], max_order=want)
+        if g.order != want:
             raise ValueError(f"{len(labels)} points, but the group labels "
                              f"do not name a group of order {want}")
-        g = group_from_labels(data["group"])
         points = _decode_points(g, labels)
         ids = {s: i for i, s in enumerate(labels)}
         blocks = _id_rows(ids, list(data["blocks"]))

@@ -359,26 +359,6 @@ def dm_check(dm):
 # ---------------------------------------------------------------------------
 # JSON round-trip
 
-def group_labels(group):
-    return [a.label for a in group.atoms]
-
-
-def group_from_labels(labels):
-    atoms = []
-    for lab in labels:
-        if lab == "D":
-            atoms.append(G.DAtom())
-        elif lab.startswith("G"):
-            atoms.append(G.GAtom(int(lab[1:])))
-        elif lab.startswith("Z"):
-            atoms.append(G.ZAtom(int(lab[1:])))
-        elif lab.startswith("V"):
-            atoms.append(G.VAtom(int(lab[1:])))
-        else:
-            raise ValueError(f"unknown atom label {lab!r}")
-    return G.GroupDescriptor(atoms)
-
-
 def witness_to_json(witness):
     g = witness.group
     enc = lambda x: G.encode_element(g, x)
@@ -387,7 +367,7 @@ def witness_to_json(witness):
            if isinstance(witness.relative, Spread)
            else {"subgroup": sorted(map(enc, witness.relative.carrier))})
     out = {
-        "group": group_labels(g),
+        "group": G.group_labels(g),
         "kind": witness.kind,
         "relative": rel,
         "blocks": labels[witness.blocks].tolist(),
@@ -406,25 +386,22 @@ def witness_from_json(data):
     if data.get("lam", 1) != 1:
         raise ValueError(
             f"only lambda = 1 families are supported, got {data['lam']!r}")
-    g = group_from_labels(data["group"])
+    g = G.group_from_labels(data["group"])
     dec = lambda s: G.parse_element(g, s)
     rel = data["relative"]
     relative = (Spread(g, dec(rel["spread_x"])) if "spread_x" in rel
-                else G.SubgroupView(g, [dec(s) for s in rel["subgroup"]]))
-    kw = {}
-    for name in ("j", "a", "b"):
-        if name in data:
-            kw[name] = dec(data[name])
+                else G.SubgroupView(g, [g.element_list[i] for i in
+                                        G.label_ids(g, rel["subgroup"])]))
+    kw = {name: dec(data[name]) for name in ("j", "a", "b") if name in data}
     if "translates" in data:
-        kw["translates"] = [g.element_index[dec(t)]
-                            for t in data["translates"]]
-    blocks = G.triple_ids(g, [[dec(s) for s in b] for b in data["blocks"]])
+        kw["translates"] = G.label_ids(g, data["translates"])
+    blocks = G.triple_ids(g, data["blocks"], labels=True)
     return FamilyWitness(g, blocks, data["kind"], relative, **kw)
 
 
 def dm_to_json(dm):
     enc = lambda x: G.encode_element(dm.group, x)
-    out = {"group": group_labels(dm.group),
+    out = {"group": G.group_labels(dm.group),
            "rows": [[enc(x) for x in r] for r in dm.rows]}
     if dm.j is not None:
         out["j"] = enc(dm.j)
@@ -432,7 +409,8 @@ def dm_to_json(dm):
 
 
 def dm_from_json(data):
-    g = group_from_labels(data["group"])
-    dec = lambda s: G.parse_element(g, s)
-    return DifferenceMatrix(g, [[dec(s) for s in r] for r in data["rows"]],
-                            j=dec(data["j"]) if "j" in data else None)
+    g = G.group_from_labels(data["group"])
+    rows = [[g.element_list[i] for i in G.label_ids(g, r)]
+            for r in data["rows"]]
+    return DifferenceMatrix(g, rows, j=G.parse_element(g, data["j"])
+                            if "j" in data else None)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from functools import cache, cached_property
 
 import numpy as np
@@ -238,6 +239,12 @@ class GroupDescriptor:
         return {e: i for i, e in enumerate(self.element_list)}
 
     @cached_property
+    def label_index(self):
+        """Canonical element label (`element_labels`) -> element id: the
+        one table every reader of element text looks labels up in."""
+        return {s: i for i, s in enumerate(element_labels(self))}
+
+    @cached_property
     def involutions(self):
         """The elements x ≠ 0 with x + x = 0, in `element_list` order: one
         `id_sum` doubles every element id at once."""
@@ -396,10 +403,12 @@ def g_chain_embedding(alpha_src, alpha_dst):
     return fn
 
 
-def triple_ids(group, rows):
-    """The element ids of `rows`, triples of elements, as an int64 (k, 3)
-    array; a row that is not a triple or holds a non-element raises."""
-    index = group.element_index
+def triple_ids(group, rows, labels=False):
+    """The element ids of `rows`, triples of elements (or with `labels` of
+    canonical element labels, read off `label_index`), as an int64 (k, 3)
+    array; a row that is not a triple or holds a non-element raises
+    ValueError."""
+    index = group.label_index if labels else group.element_index
     rows = [tuple(r) for r in rows]
     for row in rows:
         stray = [x for x in row if x not in index]
@@ -422,7 +431,43 @@ def map_ids(fn, src, dst):
 
 
 # ---------------------------------------------------------------------------
-# canonical textual element encoding, e.g. "G1:(2,1,1)|V5:3"
+# group and element labels, e.g. ["G1", "V5"] and "G1:(2,1,1)|V5:3": this
+# section is the only code that writes or reads label text
+
+def group_labels(group):
+    return [a.label for a in group.atoms]
+
+
+_ATOM_LABEL = re.compile(r"D|([GZV])([1-9][0-9]*)")
+_ATOM_KINDS = {"G": GAtom, "Z": ZAtom, "V": VAtom}
+
+
+def group_from_labels(labels, max_order=None):
+    """The group whose `group_labels` are `labels`: each "D", or "G", "Z"
+    or "V" followed by a canonical positive decimal, the built atom's own
+    label.  With `max_order`, the order the labels name is checked before
+    any atom is built: G_a is never raised to 4^a beyond the cap, and no
+    oversized V_n is factorized.  Raises ValueError on any other input."""
+    labels = list(labels)
+    specs, order = [], 1
+    for lab in labels:
+        m = _ATOM_LABEL.fullmatch(lab) if isinstance(lab, str) else None
+        if m is None:
+            raise ValueError(f"unknown atom label {lab!r}")
+        kind, n = m[1], int(m[2] or 0)
+        specs.append((kind, n))
+        if max_order is not None:  # G_n's 4^n is taken below the cap
+            cap = min(n, max_order.bit_length())
+            order *= 6 if kind is None else 3 * 4 ** cap if kind == "G" else n
+            if order > max_order:
+                raise ValueError(f"the group labels {labels} name a group "
+                                 f"of order above {max_order}")
+    group = GroupDescriptor([_ATOM_KINDS[k](n) if k else DAtom()
+                             for k, n in specs])
+    if group_labels(group) != labels:  # V1, of order 1, is dropped
+        raise ValueError(f"the group labels {labels} name a trivial atom")
+    return group
+
 
 def _atom_text(atom, coords):
     if len(coords) == 1:
@@ -442,24 +487,21 @@ def element_labels(group):
         *([_atom_text(a, x) for x in atom_elements(a)] for a in group.atoms))]
 
 
+def label_ids(group, labels):
+    """The element ids of the list `labels`, looked up in `label_index`;
+    raises ValueError naming the first item that is no canonical element
+    label, such as "V5:03" or "V5:(3)" for "V5:3"."""
+    index = group.label_index
+    ids = [index.get(s) if isinstance(s, str) else None for s in labels]
+    if None in ids:
+        raise ValueError(f"{labels[ids.index(None)]!r} is not an element of "
+                         f"{group!r}")
+    return ids
+
+
 def parse_element(group, text):
-    coords = []
-    chunks = text.split("|") if text else []
-    if len(chunks) != len(group.atoms):
-        raise ValueError(f"expected {len(group.atoms)} atoms in {text!r}")
-    for a, chunk in zip(group.atoms, chunks):
-        label, _, body = chunk.partition(":")
-        if label != a.label:
-            raise ValueError(f"atom mismatch: {label} vs {a.label}")
-        body = body.strip("()")
-        vals = tuple(int(t) for t in body.split(",")) if body else ()
-        if len(vals) != a.width:
-            raise ValueError(f"wrong arity for {a.label} in {text!r}")
-        coords.extend(vals)
-    x = tuple(coords)
-    if x not in group.element_index:
-        raise ValueError(f"{text!r} is not an element of {group!r}")
-    return x
+    """The element whose canonical label is `text` (`label_ids`)."""
+    return group.element_list[label_ids(group, [text])[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from conftest import tuple_view
 
 from kts3p import catalog
-from kts3p.designkit import is_j_resolvable
+from kts3p.designkit import is_j_resolvable, is_pseudo_resolvable
 
 
 def _blockset(w):
@@ -90,14 +90,32 @@ def test_rdf_g2_rel_g1_subgroup_shape():
     assert len(w.blocks) == (48 - 12) // 6
 
 
+PRDF_PAIRS = {"prdf:G1xV3": ((0, 0, 1, 0), (0, 1, 1, 0)),
+              "prdf:G1xV9": ((0, 0, 1, 0), (0, 1, 1, 0)),
+              "prdf:G2": ((0, 0, 2), (0, 2, 2))}
+
+
 def test_prdf_entries_carry_pairs():
-    for eid in ("prdf:G1xV3", "prdf:G1xV9", "prdf:G2"):
+    # the predicate's first working pair; its j_beta is the canonical
+    # involution the lift resolves by
+    for eid, pair in PRDF_PAIRS.items():
         w = catalog.get(eid)
         assert w.kind == "PRDF"
-        assert w.prdf_pair is not None
-        ja, j1 = w.prdf_pair
-        assert ja in w.group.involutions
-        assert j1 in w.group.involutions
+        assert w.prdf_pair == pair
+        assert set(pair) <= set(w.group.involutions)
+        assert pair[1] == w.group.canonical_involution
+
+
+def test_prdf_pair_off_the_canonical_involution_is_quarantined(monkeypatch):
+    # a pair that the predicate accepts but that ends elsewhere is refused
+    def swapped(w):
+        d = is_pseudo_resolvable(w)
+        w.prdf_pair = w.prdf_pair[::-1]
+        return d
+
+    monkeypatch.setattr(catalog, "is_pseudo_resolvable", swapped)
+    with pytest.raises(catalog.CatalogError, match="canonical involution"):
+        catalog._load.__wrapped__("prdf:G2")
 
 
 def test_rdf_entries_resolvable():

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kts3p import catalog, cli, pipeline
+from kts3p import groups as G
 
 
 def run(capsys, *argv):
@@ -241,12 +242,20 @@ def test_verify_rejects_relabelled_points(tmp_path, capsys):
     assert not report["pyramidal"]["ok"]
 
 
-def test_verify_rejects_inflated_group_label_fast(tmp_path, capsys):
+def _no_tables(*args):
+    raise AssertionError("an element table was built")
+
+
+def test_verify_rejects_inflated_group_label_fast(tmp_path, capsys,
+                                                  monkeypatch):
     # G12 has 5e7 elements; the point count must reject it before any label
-    # is parsed against the group
+    # is parsed against the group, or any element table built
     path = tmp_path / "s.json"
     run(capsys, "construct", "--order", "51", "--out", str(path))
     path.write_text(path.read_text().replace("G2", "G12"))
+    monkeypatch.setattr(G, "element_labels", _no_tables)
+    monkeypatch.setattr(G.GroupDescriptor, "element_list",
+                        property(_no_tables))
     t0 = time.perf_counter()
     code, _, err = run(capsys, "verify", "--input", str(path))
     assert code == 3 and "order" in err
@@ -262,6 +271,22 @@ def test_verify_rejects_huge_group_label_fast(tmp_path, capsys):
     code, _ = _verify_data(tmp_path, capsys, data)
     assert code == 3
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("labels", [
+    ["Z0"], ["G0"], ["G01"], ["V05"], ["V4"], ["Q3"], ["G1", "V5 "]])
+def test_verify_rejects_non_canonical_group_labels(tmp_path, capsys, labels):
+    # the construct 15 file with its group relabelled: each label must be
+    # "D" or a letter and a canonical positive decimal, naming a real atom
+    path = tmp_path / "s.json"
+    run(capsys, "construct", "--order", "15", "--out", str(path))
+    data = json.loads(path.read_text())
+    assert data["group"] == ["G1"]
+    data["group"] = labels
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 3 and not out
+    assert err.startswith("cannot read system") and "Traceback" not in err
 
 
 SECTIONS = ("points", "blocks", "resolution")

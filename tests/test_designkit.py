@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -117,14 +119,96 @@ def test_dm_check_row_differences_oracle():
             assert sorted(diffs) == sorted(g.element_list)
 
 
+WITNESS_IDS = [eid for eid in catalog.ENTRY_IDS if not eid.startswith("dm:")]
+DM_IDS = [eid for eid in catalog.ENTRY_IDS if eid.startswith("dm:")]
+
+
+def _same_ids(x, y):
+    return (x is None) == (y is None) and (x is None or np.array_equal(x, y))
+
+
 def test_witness_json_roundtrip():
-    for eid in ("rdf:G1", "rdf:DxV5", "prdf:G2", "rdf:G2xV3:rel-G1xV3"):
-        w = catalog.get(eid)
+    # every catalog family, and one with translates
+    for eid in WITNESS_IDS + ["dd:rdf:G2:rel-G1"]:
+        w = _witness(eid)
         back = witness_from_json(witness_to_json(w))
-        assert back.group == w.group
-        assert np.array_equal(back.blocks, w.blocks)
+        assert back.group == w.group, eid
         assert back.kind == w.kind
-        assert back.j == w.j
+        assert np.array_equal(back.blocks, w.blocks)
+        assert type(back.relative) is type(w.relative)
+        assert np.array_equal(back.excluded(), w.excluded())
+        assert (back.j, back.a, back.b) == (w.j, w.a, w.b)
+        assert _same_ids(back.translates, w.translates)
+
+
+def test_dm_json_roundtrip():
+    for eid in DM_IDS:
+        dm = catalog.get(eid)
+        back = dm_from_json(dm_to_json(dm))
+        assert back.group == dm.group
+        assert back.rows == dm.rows
+        assert back.j == dm.j
+
+
+def _non_canonical(label):
+    """Spellings of the element `label` that the encoder never writes, each
+    must be refused in every field of a witness or difference-matrix file.
+    The last atom is respelled: "G1:(0,1,1)" becomes "G1:(00,1,1)",
+    "G1:(0,1,+1)", "G1:(0,1,1 )", "G1:((0,1,1))", "G1:0,1,1",
+    "G1:(00,1,+1)" and "G1:(0, 1,1)"; "…|V3:2" becomes "…|V3:02", "…|V3:+2",
+    "…|V3:2 " and "…|V3:(2)"."""
+    head, _, body = label.rpartition(":")
+    inner = body.strip("()")
+    wrap = "({})" if body.startswith("(") else "{}"
+    signed = re.sub(r"(\d+)$", r"+\1", inner)
+    out = [wrap.format(x) for x in ("0" + inner, signed, inner + " ")]
+    out.append(f"({body})")
+    if body.startswith("("):
+        out += [inner, wrap.format("0" + signed),
+                wrap.format(inner.replace(",", ", ", 1))]
+    out = [f"{head}:{x}" for x in out]
+    assert label not in out and len(set(out)) == len(out), out
+    return out
+
+
+@pytest.mark.parametrize("eid, path", [
+    ("rdf:G1", ("j",)), ("rdf:G1", ("a",)), ("rdf:G1", ("b",)),
+    ("rdf:G1", ("relative", "spread_x")), ("rdf:G1", ("blocks", 0, 2)),
+    ("rdf:G1xV3", ("blocks", 1, 0)), ("rdf:G1xV3", ("j",)),
+    ("rdf:G2:rel-G1", ("relative", "subgroup", 1)),
+    ("dd:rdf:G2:rel-G1", ("translates", 0)),
+    ("dm:G1", ("rows", 1, 3)), ("dm:G1", ("j",)),
+    ("dm:Z2xZ6", ("rows", 2, 0))])
+def test_json_rejects_non_canonical_element_labels(eid, path):
+    obj = _witness(eid)
+    to_json, from_json = ((dm_to_json, dm_from_json)
+                          if isinstance(obj, DifferenceMatrix)
+                          else (witness_to_json, witness_from_json))
+    data = json.loads(json.dumps(to_json(obj)))
+    from_json(data)
+    *head, last = path
+    node = data
+    for key in head:
+        node = node[key]
+    for bad in _non_canonical(node[last]):
+        node[last] = bad
+        with pytest.raises(ValueError, match="is not an element of") as exc:
+            from_json(data)
+        assert repr(bad) in str(exc.value)
+
+
+@pytest.mark.parametrize("labels", [
+    ["Z0"], ["G0"], ["G01"], ["V05"], ["V4"], ["Q3"], ["G1", "V5 "],
+    ["G+1"], ["V1"], [" G1"], ["g1"], ["G1\n"], [1]])
+def test_json_rejects_non_canonical_group_labels(labels):
+    data = witness_to_json(catalog.get("rdf:G1"))
+    with pytest.raises(ValueError):
+        witness_from_json({**data, "group": labels})
+    with pytest.raises(ValueError):
+        G.group_from_labels(labels, max_order=60)
+    dm = dm_to_json(catalog.get("dm:G1"))
+    with pytest.raises(ValueError):
+        dm_from_json({**dm, "group": labels})
 
 
 def test_witness_json_rejects_lambda_other_than_one():
@@ -133,14 +217,6 @@ def test_witness_json_rejects_lambda_other_than_one():
     data["lam"] = 2
     with pytest.raises(ValueError, match="lambda"):
         witness_from_json(data)
-
-
-def test_dm_json_roundtrip():
-    dm = catalog.get("dm:Z2xZ6")
-    back = dm_from_json(dm_to_json(dm))
-    assert back.group == dm.group
-    assert back.rows == dm.rows
-    assert back.j == dm.j
 
 
 # ---------------------------------------------------------------------------
