@@ -24,35 +24,37 @@ from .designkit import DifferenceMatrix, dm_to_json, witness_to_json
 EXIT_OK, EXIT_VERIFY, EXIT_MALFORMED, EXIT_UNSUPPORTED = 0, 2, 3, 4
 
 
+_INF_LABELS = ("inf1", "inf2", "inf3")
+
+
 def _point_table(group):
-    """Point label -> point number, for the points of a system over `group`
-    in the order `pipeline.build_kts` lists them (`pipeline.INF`, then
-    `element_list`): "inf1" to "inf3" are 0 to 2, and an element's
-    canonical label (`label_index`) is 3 plus its id.  The keys run in
-    point-number order."""
-    table = {"inf1": 0, "inf2": 1, "inf3": 2}
-    table.update((s, 3 + i) for s, i in group.label_index.items())
-    return table
+    """Point label -> point, for a system over `group`: "inf1" to "inf3"
+    name `pipeline.INF`, and an element's canonical label (`label_index`)
+    names the element."""
+    el = group.element_list
+    return {**dict(zip(_INF_LABELS, pipeline.INF)),
+            **{s: el[i] for s, i in group.label_index.items()}}
 
 
 def _decode_points(group, labels):
     """The points named by `labels`, looked up in `_point_table`; raises
     ValueError naming the first label that is no point label."""
     table = _point_table(group)
-    canon = [*pipeline.INF, *group.element_list]
     points = []
     for s in labels:
-        k = table.get(s) if isinstance(s, str) else None
-        if k is None:
+        p = table.get(s) if isinstance(s, str) else None
+        if p is None:
             raise ValueError(f"point {s!r} is not a point label of {group!r}")
-        points.append(canon[k])
+        points.append(p)
     return points
 
 
 def _point_labels(system):
-    """The label of each point, read off `_point_table`."""
+    """The label of each point, read off one list: "inf1" to "inf3", then
+    the elements' canonical labels (`groups.element_labels`) in
+    `element_index` order."""
     g = system.group
-    table = list(_point_table(g))
+    table = [*_INF_LABELS, *G.element_labels(g)]
     index = g.element_index
     return [table[3 + index[p]] if p in index else table[p[1] - 1]
             for p in system.points]

@@ -395,7 +395,8 @@ def witness_from_json(data):
     kw = {name: dec(data[name]) for name in ("j", "a", "b") if name in data}
     if "translates" in data:
         kw["translates"] = G.label_ids(g, data["translates"])
-    blocks = G.triple_ids(g, data["blocks"], labels=True)
+    blocks = G.triple_ids(g, [[g.element_list[i] for i in G.label_ids(g, b)]
+                              for b in data["blocks"]])
     return FamilyWitness(g, blocks, data["kind"], relative, **kw)
 
 

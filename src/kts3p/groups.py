@@ -403,12 +403,10 @@ def g_chain_embedding(alpha_src, alpha_dst):
     return fn
 
 
-def triple_ids(group, rows, labels=False):
-    """The element ids of `rows`, triples of elements (or with `labels` of
-    canonical element labels, read off `label_index`), as an int64 (k, 3)
-    array; a row that is not a triple or holds a non-element raises
-    ValueError."""
-    index = group.label_index if labels else group.element_index
+def triple_ids(group, rows):
+    """The element ids of `rows`, triples of elements, as an int64 (k, 3)
+    array; a row that is not a triple or holds a non-element raises."""
+    index = group.element_index
     rows = [tuple(r) for r in rows]
     for row in rows:
         stray = [x for x in row if x not in index]
@@ -447,8 +445,10 @@ def group_from_labels(labels, max_order=None):
     or "V" followed by a canonical positive decimal, the built atom's own
     label.  With `max_order`, the order the labels name is checked before
     any atom is built: G_a is never raised to 4^a beyond the cap, and no
-    oversized V_n is factorized.  Raises ValueError on any other input."""
-    labels = list(labels)
+    oversized V_n is factorized.  Raises ValueError on any other input,
+    a bare string or a dict in place of the list included."""
+    if not isinstance(labels, list):
+        raise ValueError(f"the group labels {labels!r} are not a list")
     specs, order = [], 1
     for lab in labels:
         m = _ATOM_LABEL.fullmatch(lab) if isinstance(lab, str) else None
@@ -490,7 +490,10 @@ def element_labels(group):
 def label_ids(group, labels):
     """The element ids of the list `labels`, looked up in `label_index`;
     raises ValueError naming the first item that is no canonical element
-    label, such as "V5:03" or "V5:(3)" for "V5:3"."""
+    label, such as "V5:03" or "V5:(3)" for "V5:3", or when `labels` is no
+    list."""
+    if not isinstance(labels, list):
+        raise ValueError(f"{labels!r} is not a list of element labels")
     index = group.label_index
     ids = [index.get(s) if isinstance(s, str) else None for s in labels]
     if None in ids:

@@ -274,7 +274,8 @@ def test_verify_rejects_huge_group_label_fast(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("labels", [
-    ["Z0"], ["G0"], ["G01"], ["V05"], ["V4"], ["Q3"], ["G1", "V5 "]])
+    ["Z0"], ["G0"], ["G01"], ["V05"], ["V4"], ["Q3"], ["G1", "V5 "], "D",
+    {"G1": 0}])
 def test_verify_rejects_non_canonical_group_labels(tmp_path, capsys, labels):
     # the construct 15 file with its group relabelled: each label must be
     # "D" or a letter and a canonical positive decimal, naming a real atom

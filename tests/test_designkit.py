@@ -199,7 +199,7 @@ def test_json_rejects_non_canonical_element_labels(eid, path):
 
 @pytest.mark.parametrize("labels", [
     ["Z0"], ["G0"], ["G01"], ["V05"], ["V4"], ["Q3"], ["G1", "V5 "],
-    ["G+1"], ["V1"], [" G1"], ["g1"], ["G1\n"], [1]])
+    ["G+1"], ["V1"], [" G1"], ["g1"], ["G1\n"], [1], "D", {"G1": 0}])
 def test_json_rejects_non_canonical_group_labels(labels):
     data = witness_to_json(catalog.get("rdf:G1"))
     with pytest.raises(ValueError):
@@ -423,6 +423,13 @@ def test_witness_from_json_rejects_foreign_labels_and_short_blocks():
     bad = {**data, "blocks": [data["blocks"][0][:2]] + data["blocks"][1:]}
     with pytest.raises(ValueError, match="is not a triple"):
         witness_from_json(bad)
+    # a block of unhashable or non-label entries, or no list at all, is
+    # read by the same decoder and raises the same ValueError
+    for block in ([data["blocks"][0][:2] + [["G1:(0,0,0)|V3:0"]]],
+                  ["G1:(0,0,0)|V3:0"], [7, 8, 9]):
+        bad = {**data, "blocks": block + data["blocks"][1:]}
+        with pytest.raises(ValueError, match="is not"):
+            witness_from_json(bad)
     dd = witness_to_json(_witness("dd:rdf:G2:rel-G1"))
     dd["translates"][0] = "G2:(0,4,0)"
     with pytest.raises(ValueError, match="is not an element of"):
