@@ -20,10 +20,18 @@ def _g(*atoms):
     return G.GroupDescriptor(atoms)
 
 
-def _family(group, rows, kind, relative, **kw):
-    """A witness of the literal element triples `rows`."""
+def _family(group, rows, kind, relative, **elements):
+    """A witness of the literal element triples `rows`, relative to a
+    SubgroupView or to the spread of the generator tuple `relative`.  The
+    `elements` (j, a, b, and prdf_pair, a pair) are element tuples too, each
+    read here as its id; one that is no element raises KeyError."""
+    index = group.element_index
+    if not isinstance(relative, G.SubgroupView):
+        relative = Spread(group, index[relative])
+    ids = {k: tuple(map(index.__getitem__, x)) if k == "prdf_pair"
+           else index[x] for k, x in elements.items()}
     return FamilyWitness(group, G.triple_ids(group, rows), kind, relative,
-                         **kw)
+                         **ids)
 
 
 def _v9(d, e):
@@ -46,16 +54,12 @@ Z4xZ4 = _g(G.ZAtom(4), G.ZAtom(4))
 
 
 def _entry_rdf_d_empty():
-    w = _family(D, [], "RDF", Spread(D, (0, 1)),
-                j=(1, 0), a=(1, 2), b=(1, 1))
-    return w
+    return _family(D, [], "RDF", (0, 1), j=(1, 0), a=(1, 2), b=(1, 1))
 
 
 def _entry_rdf_g1():
-    w = _family(G1, [[(0, 0, 1), (1, 1, 0), (2, 1, 1)]], "RDF",
-                Spread(G1, (1, 0, 0)),
-                j=(0, 1, 1), a=(1, 1, 1), b=(2, 0, 1))
-    return w
+    return _family(G1, [[(0, 0, 1), (1, 1, 0), (2, 1, 1)]], "RDF", (1, 0, 0),
+                   j=(0, 1, 1), a=(1, 1, 1), b=(2, 0, 1))
 
 
 def _entry_rdf_dxv5():
@@ -65,7 +69,7 @@ def _entry_rdf_dxv5():
         [(0, 0, 4), (0, 2, 3), (1, 1, 1)],
         [(0, 1, 1), (0, 1, 4), (1, 1, 2)],
     ]
-    return _family(DxV5, blocks, "RDF", Spread(DxV5, (0, 1, 0)),
+    return _family(DxV5, blocks, "RDF", (0, 1, 0),
                    j=(1, 0, 0), a=(1, 1, 0), b=(1, 2, 0))
 
 
@@ -77,7 +81,7 @@ def _entry_rdf_g1xv3():
         [(0, 1, 0, 1), (1, 1, 1, 0), (2, 0, 0, 0)],
         [(1, 0, 1, 1), (1, 1, 0, 0), (2, 1, 1, 2)],
     ]
-    return _family(G1xV3, blocks, "RDF", Spread(G1xV3, (0, 0, 0, 1)),
+    return _family(G1xV3, blocks, "RDF", (0, 0, 0, 1),
                    j=(0, 1, 1, 0), a=(1, 0, 0, 2), b=(2, 0, 0, 1))
 
 
@@ -108,8 +112,8 @@ def _entry_rdf_g2_rel_g1():
 
 
 def _entry_rdf_g2():
-    return _family(G2, _G2_B16 + [_G2_B7], "RDF", Spread(G2, (1, 0, 0)),
-                   j=(0, 2, 2))
+    return _family(G2, _G2_B16 + [_G2_B7], "RDF", (1, 0, 0),
+                   j=(0, 2, 2), a=(2, 0, 2), b=(1, 0, 0))
 
 
 def _entry_prdf_g1xv3():
@@ -120,7 +124,8 @@ def _entry_prdf_g1xv3():
         [(1, 0, 1, 1), (1, 1, 0, 0), (2, 1, 0, 2)],
         [(1, 1, 0, 2), (2, 0, 0, 2), (2, 0, 1, 1)],
     ]
-    return _family(G1xV3, blocks, "PRDF", Spread(G1xV3, (1, 0, 0, 0)))
+    return _family(G1xV3, blocks, "PRDF", (1, 0, 0, 0),
+                   prdf_pair=((0, 0, 1, 0), (0, 1, 1, 0)))
 
 
 _A_RAW = [
@@ -147,7 +152,8 @@ _A_RAW = [
 def _entry_prdf_g1xv9():
     blocks = [[(a, b, c, _v9(d, e)) for (a, b, c, d, e) in blk]
               for blk in _A_RAW]
-    return _family(G1xV9, blocks, "PRDF", Spread(G1xV9, (1, 0, 0, 0)))
+    return _family(G1xV9, blocks, "PRDF", (1, 0, 0, 0),
+                   prdf_pair=((0, 0, 1, 0), (0, 1, 1, 0)))
 
 
 def _entry_prdf_g2():
@@ -160,7 +166,8 @@ def _entry_prdf_g2():
         [(1, 1, 0), (1, 2, 3), (1, 3, 1)],
         [(1, 1, 2), (2, 0, 3), (2, 3, 3)],
     ]
-    return _family(G2, blocks, "PRDF", Spread(G2, (1, 0, 0)))
+    return _family(G2, blocks, "PRDF", (1, 0, 0),
+                   prdf_pair=((0, 0, 2), (0, 2, 2)))
 
 
 def _entry_rdf_g2xv3_rel_g1xv3():
@@ -282,12 +289,17 @@ def _verify_entry(obj):
         rep = dm_check(obj)
         if not rep["valid"]:
             return f"difference matrix invalid: {rep['problems']}"
-        if obj.j is not None and obj.j not in rep["splittable"]:
+        if obj.j is not None and not rep["splittable"]:
             return f"declared splitting involution {obj.j} fails"
         return None
     if obj.kind == "RDF":
         d = is_j_resolvable(obj)
     elif obj.kind == "PRDF":
+        pair = obj.prdf_pair
+        if pair is not None and pair[1] != obj.group.canonical_involution:
+            # the lifting step resolves by the canonical involution
+            return (f"the pseudo-resolving pair {pair} does not end in the "
+                    f"canonical involution")
         d = is_pseudo_resolvable(obj)
     else:
         d = is_df(obj)
@@ -298,17 +310,11 @@ def _verify_entry(obj):
 def _load(eid):
     try:
         obj = _BUILDERS[eid]()
-    except ValueError as exc:  # a literal entry outside the group
+    except (KeyError, ValueError) as exc:  # a literal outside the group
         raise CatalogError(f"catalog entry {eid!r} quarantined: {exc}")
     problem = _verify_entry(obj)
     if problem is not None:
         raise CatalogError(f"catalog entry {eid!r} quarantined: {problem}")
-    if (isinstance(obj, FamilyWitness) and obj.kind == "PRDF"
-            and obj.prdf_pair[1] != obj.group.canonical_involution):
-        # the lifting step resolves by the canonical involution
-        raise CatalogError(f"{eid!r}: the pseudo-resolving pair "
-                           f"{obj.prdf_pair} does not end in the canonical "
-                           f"involution")
     return obj
 
 

@@ -142,20 +142,28 @@ class _SystemEncoder(json.JSONEncoder):
 
 def _id_rows(ids, rows):
     """Map a list of label triples to an int32 (k, 3) array of point ids in
-    one pass; raises ValueError if an entry of `rows` does not hold 3
-    labels, and KeyError for a label missing from `ids`."""
+    one pass; raises ValueError if an entry of `rows` is no list of 3
+    labels (a dict of 3 keys too), and KeyError for a label not in `ids`."""
     if not set(map(len, rows)) <= {3}:
         raise ValueError("a block does not have 3 points")
+    if not set(map(type, rows)) <= {list}:
+        raise ValueError("a block is not a list of points")
     flat = map(ids.__getitem__, chain.from_iterable(rows))
     return np.fromiter(flat, np.int32, count=3 * len(rows)).reshape(-1, 3)
 
 
 def system_from_json(data):
-    """Decode a system file; raises ValueError unless the group labels name
-    an order that fits the point count, every point is a string label and
-    every block a triple of listed points."""
+    """Decode a system file; raises ValueError unless the order is an
+    integer, the group labels name an order that fits the point count, the
+    points are a list of string labels and every block a list of 3 listed
+    points."""
     try:
-        labels = data["points"]
+        labels, order = data["points"], data["order"]
+        if type(labels) is not list:
+            raise ValueError(f"the points are a {type(labels).__name__}, "
+                             f"not a list")
+        if type(order) is not int:
+            raise ValueError(f"the order {order!r} is not an integer")
         want = len(labels) - 3
         g = G.group_from_labels(data["group"], max_order=want)
         if g.order != want:
@@ -168,9 +176,8 @@ def system_from_json(data):
         ends = list(accumulate(map(len, classes)))
         flat = _id_rows(ids, list(chain.from_iterable(classes)))
         resolution = np.split(flat, ends)[:-1]
-        order = int(data["order"])
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError,
-            OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError,
+            AttributeError) as exc:
         raise ValueError(f"malformed system file: {exc}") from exc
     return pipeline.KirkmanSystem(order=order, group=g, points=points,
                                   blocks=blocks, resolution=resolution)

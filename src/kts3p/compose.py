@@ -67,8 +67,7 @@ def as_doubly_disjoint(w):
     """Re-read a {0,j}-resolvable family as doubly disjoint: translating every
     block by j produces a twin that tiles the complement alongside it."""
     out = FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
-                        translates=np.full(len(w.blocks),
-                                           w.group.element_index[w.j]),
+                        translates=np.full(len(w.blocks), w.j),
                         multipliers=w.multipliers)
     d = is_doubly_disjoint(out)
     if not d:
@@ -229,7 +228,8 @@ def df_compose_dm(group, h_view, section, fam, dm, embed_h,
     embed_h: DM-home-group -> G, an isomorphism onto H.
     mode "plain": any DF, any DM; mode "i": fam {H, j+H}-resolvable, dm
     homogeneous; mode "ii": fam doubly disjoint with recorded translates, dm
-    splittable by the preimage of j.
+    splittable by the preimage of j.  j, the involution that resolves the
+    result, is an element id of G.
 
     section and embed_h are each called once, on the source group's whole
     coordinate columns (`groups.map_ids`): given a tuple of equal-length
@@ -257,23 +257,20 @@ def df_compose_dm(group, h_view, section, fam, dm, embed_h,
     if mode == "ii":
         if fam.translates is None:
             raise ValueError("mode ii needs a doubly disjoint family with translates")
-        if j not in h_view.carrier:
+        if j is None or j not in h_view.ids:
             raise ValueError("mode ii needs j inside H")
-        j_id = group.element_index[j]
-        j_dm = dm.group.element_list[np.flatnonzero(embed == j_id)[0]]
-        if j_dm not in rep["splittable"]:
+        if np.flatnonzero(embed == j)[0] not in rep["splittable"]:
             raise ValueError("matrix is not splittable by the involution")
         # t_for[i] = hh + section(tau_i) for the least hh in H such that
         # conjugating j by it gives j back
         t = G.id_sum(group, h_view.ids[:, None], lift[fam.translates])
-        fixes = G.id_sum(group, G.id_sum(group, t, j_id), t,
-                         negate=True) == j_id
+        fixes = G.id_sum(group, G.id_sum(group, t, j), t, negate=True) == j
         if not fixes.any(axis=0).all():
             raise AssertionError(
                 "no conjugating element in H: H is not pertinent?")
         t_for = t[fixes.argmax(axis=0), np.arange(t.shape[1])]
     elif mode == "i":
-        if j is None or j in h_view.carrier:
+        if j is None or j in h_view.ids:
             raise ValueError("mode i needs an involution outside H")
         if not rep["homogeneous"]:
             raise ValueError("mode i needs a homogeneous matrix")

@@ -3,8 +3,9 @@
 These predicates double as independent oracles for the construction code:
 they recompute every multiset from the definitions and never trust flags
 carried by a witness.  They count over element ids (indices into
-`element_list`), which a witness holds for its blocks and translates: sums
-and differences come from the per-atom tables of `groups.atom_table`, built
+`element_list`), which a witness holds for every element it states, and
+check what it states without searching for it or writing to it: sums and
+differences come from the per-atom tables of `groups.atom_table`, built
 with each atom's own `add`, and multisets are `np.bincount` histograms.
 
 Difference convention: the entry of a block's difference table at row r,
@@ -64,11 +65,15 @@ def _compare_counts(group, actual, expected, what):
         if total:
             first = np.searchsorted(np.cumsum(short),
                                     np.arange(min(total, 10)), side="right")
-            names = [G.encode_element(group, group.element_list[i])
-                     for i in first]
+            names = [_label(group, i) for i in first]
             problems.append(f"{what}: {word} {names}"
                             + (f" (+{total - 10} more)" if total > 10 else ""))
     return Diagnosis(not problems, problems)
+
+
+def _label(group, x):
+    """The canonical label of the element id `x`, naming it in a problem."""
+    return G.encode_element(group, group.element_list[x])
 
 
 def _outside(witness):
@@ -106,38 +111,47 @@ def _frozen_ids(group, ids, what, rows=False):
 # ---------------------------------------------------------------------------
 # spreads and witnesses
 
+def _element_id(group, x, what):
+    """`x` as an int, when it is an element id of `group`: an integer but
+    no bool, in range(|G|); anything else raises ValueError."""
+    if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+            or not 0 <= x < group.order):
+        raise ValueError(f"{what} must be an element id of {group!r}, 0 to "
+                         f"{group.order - 1}, not {x!r}")
+    return int(x)
+
+
 class Spread:
     """The {2^3, 3} partial spread of a pertinent group: its three order-2
-    subgroups together with {0, x, -x}."""
+    subgroups together with {0, x, -x}.  `x` is an element id of order 3,
+    `order3` the ids (0, x, -x)."""
 
     def __init__(self, group, x):
         self.group = group
-        self.x = x
-        # `add` reduces its arguments, so check membership first
-        if x not in group.element_index:
-            raise ValueError(f"spread generator {x} is not an element of "
-                             f"{group!r}")
-        if group.add(x, group.add(x, x)) != group.zero or x == group.zero:
+        self.x = x = _element_id(group, x, "spread generator")
+        if x == 0 or G.id_sum(group, x, G.id_sum(group, x, x)) != 0:
             raise ValueError("spread generator must have order 3")
-        self.order3 = (group.zero, x, group.neg(x))
+        # the zero's id is 0, and -x = 0 -^ x
+        self.order3 = (0, x, int(G.id_sum(group, 0, x, negate=True)))
         # the members {0, j} and {0, x, -x} meet only in 0 when their
         # union has six elements
-        index = group.element_index
-        union = {index[y] for y in (*self.order3, *group.involutions)}
+        union = sorted({*self.order3, *group.involutions})
         if len(union) != 6:
             raise ValueError("spread members must intersect trivially")
-        self.ids = _frozen_ids(group, sorted(union), "spread")
+        self.ids = _frozen_ids(group, union, "spread")
 
 
 class FamilyWitness:
-    """A difference family (lambda 1) plus what is needed to check its kind.
-
-    blocks: element ids, a read-only int64 (k, 3) array, rows sorted here
+    """A difference family (lambda 1) plus the elements that state its kind,
+    all element ids, checked here.  blocks: a read-only int64 (k, 3) array,
+    rows sorted here
     kind: "DF" | "RDF" | "PRDF" | "DDDF"
     relative: SubgroupView (possibly trivial) or Spread
-    j: resolving involution (J = {0, j}); a, b: the Definition-of-resolvable
-    elements in the spread case; translates: per-block twin translates (ids)
-    for doubly disjoint families; prdf_pair: the (j_alpha, j_beta) witness.
+    j: resolving involution (J = {0, j}); a, b: the coset representatives
+    of the Definition of resolvable, which a spread family must state;
+    translates: per-block twin translates, a read-only int64 array, for
+    doubly disjoint families; prdf_pair: the pair (j_alpha, j_beta) that a
+    pseudo-resolvable family must state.
     """
 
     def __init__(self, group, blocks, kind, relative, j=None, a=None, b=None,
@@ -147,13 +161,18 @@ class FamilyWitness:
         self.blocks = _frozen_ids(group, blocks, "blocks", rows=True)
         self.kind = kind
         self.relative = relative
-        self.j = j
-        self.a = a
-        self.b = b
+        self.j, self.a, self.b = (
+            None if x is None else _element_id(group, x, name)
+            for name, x in (("j", j), ("a", a), ("b", b)))
         self.translates = (None if translates is None else
                            _frozen_ids(group, translates, "translates"))
         self.multipliers = multipliers
-        self.prdf_pair = prdf_pair
+        if prdf_pair is not None and (type(prdf_pair) not in (tuple, list)
+                                      or len(prdf_pair) != 2):
+            raise ValueError(f"prdf_pair must be two element ids, not "
+                             f"{prdf_pair!r}")
+        self.prdf_pair = prdf_pair and tuple(
+            _element_id(group, x, "prdf_pair") for x in prdf_pair)
         self.trace = trace
 
     def spread(self):
@@ -188,96 +207,67 @@ def is_df(witness):
 def _coset_rep_check(group, reps, j, expected):
     """Do the ids `reps` and their translates reps + j together hit each id
     as often as the histogram `expected` says?"""
-    reps = np.asarray(reps, dtype=np.int64)
     covered = np.bincount(np.concatenate((reps, G.id_sum(group, reps, j))),
                           minlength=group.order)
     return _compare_counts(group, covered, expected, "coset cover")
 
 
 def is_j_resolvable(witness):
+    """The {0, j}-resolvable verdict on the stated j, a, b; none is searched
+    for.  Relative to H ∋ j, the entries and their j-translates hit each
+    element outside H once; relative to a spread, {0, j} conjugated by 0, a
+    and b gives the three order-2 subgroups, and the entries with 0, a and
+    b, and their j-translates, hit each element once."""
     g = witness.group
     base = is_df(witness)
     if not base:
         return base
-    index = g.element_index
     j = witness.j
-    if j not in index or g.add(j, j) != g.zero or j == g.zero:
-        return _fail(f"resolving element {j} is not an involution")
+    if j is None:
+        return _fail("the family states no resolving involution j")
+    if j == 0 or G.id_sum(g, j, j) != 0:
+        return _fail(f"resolving element {_label(g, j)} is not an involution")
     phi = witness.blocks.ravel()
 
     if isinstance(witness.relative, G.SubgroupView):
-        if j not in witness.relative.carrier:
+        if j not in witness.relative.ids:
             return _fail("j must lie in the relative subgroup")
-        return _coset_rep_check(g, phi, index[j], _outside(witness))
+        return _coset_rep_check(g, phi, j, _outside(witness))
 
     # spread variant; spread() raises unless the relative is a spread
     witness.spread()
     if j not in g.involutions:
         return _fail("j is not one of the three involutions")
-    everything = np.ones(g.order, dtype=np.int64)
-
-    def conj_sub(t):
-        return frozenset((g.zero, g.conj(t, j)))
-
-    def full_check(a, b):
-        subs = {frozenset((g.zero, j)), conj_sub(a), conj_sub(b)}
-        if len(subs) != 3:
-            return _fail(f"a={a}, b={b}: conjugates of J do not give all three order-2 subgroups")
-        reps = np.append(phi, [index[g.zero], index[a], index[b]])
-        return _coset_rep_check(g, reps, index[j], everything)
-
-    if witness.a is not None and witness.b is not None:
-        bad = [x for x in (witness.a, witness.b) if x not in index]
-        if bad:
-            return _fail(f"(a, b) holds {bad[0]}, which is not an element "
-                         f"of {g!r}")
-        return full_check(witness.a, witness.b)
-
-    # the flatten plus 0 hits all J-cosets but two; a and b live there
-    plus_j = G.id_sum(g, np.arange(g.order), index[j])
-    reps = np.append(phi, index[g.zero])
-    hit = np.zeros(g.order, dtype=bool)
-    hit[reps] = hit[plus_j[reps]] = True
-    # the open cosets in the order a set of all J-cosets lists them; it
-    # decides solutions[0], which becomes the witness's (a, b)
-    el = g.element_list
-    open_elements = {el[x] for x in np.flatnonzero(~hit)}
-    open_cosets = [c for c in {frozenset((el[x], el[y]))
-                               for x, y in enumerate(plus_j.tolist())}
-                   if not c.isdisjoint(open_elements)]
-    if len(open_cosets) != 2:
-        return _fail(f"flatten misses {len(open_cosets)} cosets of J, expected 2")
-    solutions = []
-    for ca, cb in itertools.permutations(open_cosets):
-        for a in sorted(ca):
-            for b in sorted(cb):
-                if full_check(a, b):
-                    solutions.append((a, b))
-    if not solutions:
-        return _fail("no valid (a, b) pair exists")
-    witness.a, witness.b = solutions[0]
-    d = Diagnosis(True)
-    d.solutions = solutions
-    return d
+    a, b = witness.a, witness.b
+    if a is None or b is None:
+        return _fail("a spread family must state its (a, b)")
+    # t + j − t for t = a, b
+    conj = G.id_sum(g, G.id_sum(g, [a, b], j), [a, b], negate=True)
+    if len({j, *conj.tolist()}) != 3:
+        return _fail(f"a={_label(g, a)}, b={_label(g, b)}: conjugates of J "
+                     f"do not give all three order-2 subgroups")
+    return _coset_rep_check(g, np.append(phi, [0, a, b]), j,
+                            np.ones(g.order, dtype=np.int64))
 
 
 def is_pseudo_resolvable(witness):
+    """The pseudo-resolvable verdict on the stated pair (j_alpha, j_beta) of
+    distinct involutions: the entries with 0, x and j_alpha, and their
+    j_beta-translates, hit each element once."""
     g = witness.group
     if g.order % 4 != 0:
         return _fail("pseudo-resolvability needs a group of doubly even order")
     base = is_df(witness)
     if not base:
         return base
-    index = g.element_index
-    head = [index[g.zero], index[witness.spread().x]]
-    everything = np.ones(g.order, dtype=np.int64)
-    pairs = list(itertools.permutations(g.involutions, 2))
-    for ja, jb in pairs:
-        reps = np.append(witness.blocks, head + [index[ja]])
-        if _coset_rep_check(g, reps, index[jb], everything):
-            witness.prdf_pair = (ja, jb)
-            return Diagnosis(True)
-    return _fail(f"no ordered involution pair works (tried {len(pairs)})")
+    if witness.prdf_pair is None:
+        return _fail("the family states no pair (j_alpha, j_beta)")
+    ja, jb = witness.prdf_pair
+    if ja == jb or not {ja, jb} <= set(g.involutions):
+        return _fail(f"the pair ({_label(g, ja)}, {_label(g, jb)}) is not "
+                     f"two distinct involutions")
+    reps = np.append(witness.blocks, [0, witness.spread().x, ja])
+    return _coset_rep_check(g, reps, jb, np.ones(g.order, dtype=np.int64))
 
 
 def is_doubly_disjoint(witness):
@@ -347,11 +337,12 @@ def dm_check(dm):
         halves = np.sort(halves, axis=2)
         return not np.any(halves[:, :, 1:] == halves[:, :, :-1])
 
+    # the ids of the involutions (or of the declared one) that split it
     splittable = []
     if valid and g.order % 2 == 0:
-        candidates = [dm.j] if dm.j is not None else list(g.involutions)
+        candidates = g.involutions if dm.j is None else [index.get(dm.j)]
         splittable = [j for j in candidates
-                      if j in index and splits_with(index[j])]
+                      if j is not None and splits_with(j)]
     return {"valid": valid, "homogeneous": homogeneous,
             "splittable": splittable, "problems": problems}
 
@@ -361,11 +352,10 @@ def dm_check(dm):
 
 def witness_to_json(witness):
     g = witness.group
-    enc = lambda x: G.encode_element(g, x)
     labels = np.array(G.element_labels(g), dtype=object)
-    rel = ({"spread_x": enc(witness.relative.x)}
+    rel = ({"spread_x": labels[witness.relative.x]}
            if isinstance(witness.relative, Spread)
-           else {"subgroup": sorted(map(enc, witness.relative.carrier))})
+           else {"subgroup": sorted(labels[witness.relative.ids].tolist())})
     out = {
         "group": G.group_labels(g),
         "kind": witness.kind,
@@ -374,9 +364,9 @@ def witness_to_json(witness):
         "lam": 1,
     }
     for name in ("j", "a", "b"):
-        v = getattr(witness, name)
-        if v is not None:
-            out[name] = enc(v)
+        x = getattr(witness, name)
+        if x is not None:
+            out[name] = labels[x]
     if witness.translates is not None:
         out["translates"] = labels[witness.translates].tolist()
     return out
@@ -387,12 +377,13 @@ def witness_from_json(data):
         raise ValueError(
             f"only lambda = 1 families are supported, got {data['lam']!r}")
     g = G.group_from_labels(data["group"])
-    dec = lambda s: G.parse_element(g, s)
     rel = data["relative"]
-    relative = (Spread(g, dec(rel["spread_x"])) if "spread_x" in rel
+    relative = (Spread(g, G.label_ids(g, [rel["spread_x"]])[0])
+                if "spread_x" in rel
                 else G.SubgroupView(g, [g.element_list[i] for i in
                                         G.label_ids(g, rel["subgroup"])]))
-    kw = {name: dec(data[name]) for name in ("j", "a", "b") if name in data}
+    kw = {name: G.label_ids(g, [data[name]])[0]
+          for name in ("j", "a", "b") if name in data}
     if "translates" in data:
         kw["translates"] = G.label_ids(g, data["translates"])
     blocks = G.triple_ids(g, [[g.element_list[i] for i in G.label_ids(g, b)]

@@ -126,8 +126,7 @@ def _semiregular_family(head, n, lam, initial, label):
     H = G.SubgroupView(group, [h + ring.zero for h in G.atom_elements(head)])
     mult = MultiplierGroup(ring, sr.T_generators)
     assert mult.order == coprime_part(ring.psi, lam)
-    w = FamilyWitness(group, blocks, "RDF", H,
-                      j=head.canonical_involution + ring.zero,
+    w = FamilyWitness(group, blocks, "RDF", H, j=group.canonical_involution,
                       multipliers=mult)
     return _check(w, label)
 
@@ -202,9 +201,11 @@ def lift_prdf(prdf, n):
         raise ValueError("base group must have doubly even order")
     if prdf.prdf_pair is None:
         raise ValueError("PRDF witness must carry its resolving pair")
-    ja, j1 = prdf.prdf_pair  # j1 is the coset subgroup's involution
-    j2, j3 = sorted(j for j in base.involutions if j != j1)
-    x = prdf.spread().x
+    j1 = prdf.prdf_pair[1]  # the coset subgroup's involution
+    # the initial blocks below are element tuples
+    el = base.element_list
+    j2, j3 = (el[j] for j in base.involutions if j != j1)
+    x = el[prdf.spread().x]
 
     # y_i = (sigma_i + 1)/(sigma_i - 1) with sigma_i the least square != 1
     y = []
@@ -232,8 +233,7 @@ def lift_prdf(prdf, n):
         gens.append(tuple(gen if k == i else 1 for k in range(len(ring.fields))))
     mult = MultiplierGroup(ring, gens)
     assert mult.order == coprime_part(ring.psi, 2)
-    w = FamilyWitness(group, blocks, "RDF", H, j=j1 + ring.zero,
-                      multipliers=mult)
+    w = FamilyWitness(group, blocks, "RDF", H, j=j1 * n, multipliers=mult)
     return _check(w, f"lift_prdf({base!r}, n={n})")
 
 

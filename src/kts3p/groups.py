@@ -246,32 +246,32 @@ class GroupDescriptor:
 
     @cached_property
     def involutions(self):
-        """The elements x ≠ 0 with x + x = 0, in `element_list` order: one
+        """The ids of the elements x ≠ 0 with x + x = 0, increasing: one
         `id_sum` doubles every element id at once."""
         if not self.atoms:
             return ()
         ids = np.arange(self.order)
         # every atom's zero has all coordinates 0, so the zero's id is 0
-        return tuple(self.element_list[i] for i in
-                     np.flatnonzero(id_sum(self, ids, ids) == 0) if i != 0)
+        return tuple(np.flatnonzero(id_sum(self, ids, ids) == 0)[1:].tolist())
 
     @cached_property
     def canonical_involution(self):
+        """The id of the head atom's canonical involution, 0 elsewhere: the
+        head is the leading digit of every id."""
         lead = self.atoms[0] if self.atoms else None
         if not isinstance(lead, (DAtom, GAtom)):
             raise ValueError(f"canonical involution undefined for {self!r}")
-        j = lead.canonical_involution
-        return j + self.zero[lead.width:]
+        return (local_id(lead, lead.canonical_involution)
+                * (self.order // lead.order))
 
     @cached_property
     def is_pertinent(self):
+        """Three involutions, each pair conjugate: y = g + x − g for some g."""
         inv = self.involutions
-        if len(inv) != 3:
-            return False
-        for x, y in itertools.combinations(inv, 2):
-            if not any(self.conj(g, x) == y for g in self.element_list):
-                return False
-        return True
+        ids = np.arange(self.order)
+        return len(inv) == 3 and all(
+            np.any(id_sum(self, id_sum(self, ids, x), ids, negate=True) == y)
+            for x, y in itertools.combinations(inv, 2))
 
     def generators(self):
         gens = []

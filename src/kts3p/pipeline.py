@@ -25,8 +25,8 @@ from .directcon import (construct_9mod24, construct_15mod24,
                         construct_15mod24bis, construct_dddf, lift_prdf,
                         mu_ids, verify_multiplier_action)
 from .finring import build_ring, factorize
+from .verify import INF
 
-INF = (("inf", 1), ("inf", 2), ("inf", 3))
 # translates build_kts develops per GroupIndex.translation call; larger
 # chunks raise the peak RSS and gain little
 CHUNK = 32
@@ -176,7 +176,7 @@ def align(w, dst):
     fn = _place_fn(w.group, dst)
     ids = G.map_ids(fn, w.group, dst)
     if isinstance(w.relative, Spread):
-        rel = Spread(dst, fn(w.relative.x))
+        rel = Spread(dst, ids[w.relative.x])
     else:
         rel = G.SubgroupView(dst, [fn(x) for x in w.relative.carrier])
     mult = w.multipliers
@@ -184,11 +184,9 @@ def align(w, dst):
         tail = dst.atoms[-1]
         if not (isinstance(tail, G.VAtom) and tail.ring.n == mult.ring.n):
             mult = None
+    j, a, b = (None if x is None else ids[x] for x in (w.j, w.a, w.b))
     return FamilyWitness(
-        dst, ids[w.blocks], w.kind, rel,
-        j=None if w.j is None else fn(w.j),
-        a=None if w.a is None else fn(w.a),
-        b=None if w.b is None else fn(w.b),
+        dst, ids[w.blocks], w.kind, rel, j=j, a=a, b=b,
         translates=None if w.translates is None else ids[w.translates],
         multipliers=mult)
 
@@ -571,13 +569,12 @@ def build_kts(rdf, trace=None):
     if not d:
         raise AssertionError(f"family is not resolvable: {d}")
     g = rdf.group
-    index = g.element_index
-    j = index[rdf.j]
+    j = rdf.j
     points = list(INF) + list(g.element_list)
     v = len(points)
     # Q0 as point ids, 3 + element id: {∞k, x, x + j} for x = 0, a, b (the
     # zero's id is 0), then each block and its j-translate
-    heads = np.array([0, index[rdf.a], index[rdf.b]])
+    heads = np.array([0, rdf.a, rdf.b])
     q0_ids = np.empty((3 + 2 * len(rdf.blocks), 3), dtype=np.int64)
     q0_ids[:3] = np.stack([np.arange(3), 3 + heads,
                            3 + G.id_sum(g, heads, j)], axis=1)
@@ -590,7 +587,7 @@ def build_kts(rdf, trace=None):
     # give the same class: develop the one of each pair with the lower id,
     # and the spread from both S + t and (S + j) + t.
     gi = G.GroupIndex(g)
-    spread = np.array([index[x] for x in rdf.spread().order3])
+    spread = np.array(rdf.spread().order3)
     spread_ids = 3 + np.concatenate([spread, G.id_sum(g, spread, j)])
     by_j = G.translation_ids(g, [j], left=True)[0]
     reps = np.flatnonzero(by_j > np.arange(g.order))

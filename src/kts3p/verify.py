@@ -24,6 +24,7 @@ MAX_PROBLEMS = 10
 # first extra point or verify_automorphisms sifts Schreier generators
 CLASS_CHUNK = 32
 DEVELOP_CHUNK = 128
+# the three extra points, as a system's `points` holds them
 INF = (("inf", 1), ("inf", 2), ("inf", 3))
 
 
@@ -699,8 +700,7 @@ def check_base_blocks(system, view=None):
     # the spread holds 0, so a coset spread + t equal to the short orbit
     # has its t in the short orbit
     short = np.sort(element_of[shorts[0]])
-    spread = G.triple_ids(g, [w.spread().order3])[0]
-    cosets = np.sort(G.id_sum(g, spread, short[:, None]), axis=1)
+    cosets = np.sort(G.id_sum(g, w.spread().order3, short[:, None]), axis=1)
     if not (cosets == short).all(axis=1).any():
         problems.append("short orbit is not the developed spread")
     return _report(problems, orbits=len(reps))

@@ -57,9 +57,10 @@ def naive_pair_cover(points, blocks):
 # ---------------------------------------------------------------------------
 # Counter oracle for the designkit predicates: the definitions applied to
 # group tuples with the group's own add and sub, as the predicates were first
-# written, on the witness read through `tuple_view`.  The id-level
-# predicates must give the same verdicts, problem strings, spread-search
-# solutions and resolving pairs on group elements.
+# written, on the witness read through `tuple_view`.  A witness states its
+# elements (j, a, b, the PRDF pair) as ids; the oracles read them as tuples
+# at their entry, check what is stated and search for nothing.  The id-level
+# predicates must give the same verdicts and problem strings.
 
 def _oracle_delta(group, blocks):
     """Ordered differences by position, so a repeated entry gives 0s."""
@@ -105,7 +106,8 @@ def oracle_excluded(w):
     spread's members: {0, x, -x} and the involutions."""
     from kts3p.designkit import Spread
     if isinstance(w.relative, Spread):
-        return {*w.relative.order3, *w.group.involutions}
+        return set(tuple_view(w.group, [*w.relative.order3,
+                                        *w.group.involutions]))
     return set(w.relative.carrier)
 
 
@@ -123,18 +125,26 @@ def oracle_coset_rep_check(group, reps, j, universe):
     return _oracle_compare(group, covered, Counter(universe), "coset cover")
 
 
+def _oracle_name(group, x):
+    from kts3p import groups as G
+    return G.encode_element(group, x)
+
+
 def oracle_is_j_resolvable(w):
-    import itertools
     from kts3p import groups as G
     from kts3p.designkit import Diagnosis
     g = w.group
     base = oracle_is_df(w)
     if not base:
         return base
-    j = w.j
+    if w.j is None:
+        return Diagnosis(False, ["the family states no resolving involution "
+                                 "j"])
+    j = g.element_list[w.j]
     phi = list(tuple_view(g, w.blocks.ravel()))
-    if j is None or g.add(j, j) != g.zero or j == g.zero:
-        return Diagnosis(False, [f"resolving element {j} is not an involution"])
+    if g.add(j, j) != g.zero or j == g.zero:
+        return Diagnosis(False, [f"resolving element {_oracle_name(g, j)} "
+                                 "is not an involution"])
     if isinstance(w.relative, G.SubgroupView):
         H = w.relative.carrier
         if j not in H:
@@ -142,38 +152,21 @@ def oracle_is_j_resolvable(w):
         return oracle_coset_rep_check(
             g, phi, j, [x for x in g.element_list if x not in H])
     w.spread()
-    if j not in g.involutions:
+    if j not in tuple_view(g, g.involutions):
         return Diagnosis(False, ["j is not one of the three involutions"])
-
-    def full_check(a, b):
-        subs = {frozenset((g.zero, j)), frozenset((g.zero, g.conj(a, j))),
-                frozenset((g.zero, g.conj(b, j)))}
-        if len(subs) != 3:
-            return Diagnosis(False, [f"a={a}, b={b}: conjugates of J do not "
-                                     "give all three order-2 subgroups"])
-        return oracle_coset_rep_check(g, phi + [g.zero, a, b], j,
-                                      g.element_list)
-
-    if w.a is not None and w.b is not None:
-        return full_check(w.a, w.b)
-    hit = {frozenset((r, g.add(r, j))) for r in phi + [g.zero]}
-    open_cosets = [c for c in {frozenset((x, g.add(x, j)))
-                               for x in g.element_list} if c not in hit]
-    if len(open_cosets) != 2:
-        return Diagnosis(False, [f"flatten misses {len(open_cosets)} cosets "
-                                 "of J, expected 2"])
-    solutions = [(a, b) for ca, cb in itertools.permutations(open_cosets)
-                 for a in sorted(ca) for b in sorted(cb) if full_check(a, b)]
-    if not solutions:
-        return Diagnosis(False, ["no valid (a, b) pair exists"])
-    w.a, w.b = solutions[0]
-    d = Diagnosis(True)
-    d.solutions = solutions
-    return d
+    if w.a is None or w.b is None:
+        return Diagnosis(False, ["a spread family must state its (a, b)"])
+    a, b = tuple_view(g, [w.a, w.b])
+    subs = {frozenset((g.zero, j)), frozenset((g.zero, g.conj(a, j))),
+            frozenset((g.zero, g.conj(b, j)))}
+    if len(subs) != 3:
+        return Diagnosis(False, [f"a={_oracle_name(g, a)}, "
+                                 f"b={_oracle_name(g, b)}: conjugates of J "
+                                 "do not give all three order-2 subgroups"])
+    return oracle_coset_rep_check(g, phi + [g.zero, a, b], j, g.element_list)
 
 
 def oracle_is_pseudo_resolvable(w):
-    import itertools
     from kts3p.designkit import Diagnosis
     g = w.group
     if g.order % 4 != 0:
@@ -182,15 +175,18 @@ def oracle_is_pseudo_resolvable(w):
     base = oracle_is_df(w)
     if not base:
         return base
+    if w.prdf_pair is None:
+        return Diagnosis(False, ["the family states no pair (j_alpha, "
+                                 "j_beta)"])
+    ja, jb = tuple_view(g, w.prdf_pair)
+    if ja == jb or not {ja, jb} <= set(tuple_view(g, g.involutions)):
+        return Diagnosis(False, [f"the pair ({_oracle_name(g, ja)}, "
+                                 f"{_oracle_name(g, jb)}) is not two "
+                                 "distinct involutions"])
     phi = list(tuple_view(g, w.blocks.ravel()))
-    pairs = list(itertools.permutations(g.involutions, 2))
-    for ja, jb in pairs:
-        if oracle_coset_rep_check(g, phi + [g.zero, ja, w.spread().x], jb,
-                                  g.element_list):
-            w.prdf_pair = (ja, jb)
-            return Diagnosis(True)
-    return Diagnosis(False, [f"no ordered involution pair works "
-                             f"(tried {len(pairs)})"])
+    x = g.element_list[w.spread().x]
+    return oracle_coset_rep_check(g, phi + [g.zero, ja, x], jb,
+                                  g.element_list)
 
 
 def oracle_is_doubly_disjoint(w):
@@ -240,10 +236,13 @@ def oracle_dm_check(dm):
         return all(len({frozenset((x, g.add(x, j))) for x in half}) == h
                    for r in dm.rows for half in (r[:h], r[h:]))
 
+    # the splitting involutions, named by their ids
     splittable = []
     if valid and g.order % 2 == 0:
-        candidates = [dm.j] if dm.j is not None else list(g.involutions)
-        splittable = [j for j in candidates if splits_with(j)]
+        candidates = ([dm.j] if dm.j is not None
+                      else tuple_view(g, g.involutions))
+        splittable = [g.element_index[j] for j in candidates
+                      if splits_with(j)]
     return {"valid": valid, "homogeneous": homogeneous,
             "splittable": splittable, "problems": problems}
 

@@ -317,7 +317,7 @@ def test_criterion_7_property_suite():
         w = catalog.get(eid)
         dd = compose.as_doubly_disjoint(w)
         check(is_doubly_disjoint(dd), ("dddf", eid))
-        check(tuple_view(w.group, dd.translates) == (w.j,) * len(w.blocks),
+        check(dd.translates.tolist() == [w.j] * len(w.blocks),
               ("translates", eid))
 
     # compose: the split composition is blockwise a translate of the plain one

@@ -10,6 +10,11 @@ def _blockset(w):
     return {frozenset(b) for b in tuple_view(w.group, w.blocks)}
 
 
+def _stated(w, *names):
+    """The elements the witness states under `names`, as tuples."""
+    return tuple_view(w.group, [getattr(w, n) for n in names])
+
+
 def test_entry_ids_frozen():
     assert list(catalog.ENTRY_IDS) == [
         "rdf:D:empty", "rdf:G1", "rdf:DxV5", "rdf:G1xV3",
@@ -31,8 +36,7 @@ def test_rdf_g1_paper_values():
     # resolving subgroup J and coset representatives a, b
     w = catalog.get("rdf:G1")
     assert _blockset(w) == {frozenset({(0, 0, 1), (1, 1, 0), (2, 1, 1)})}
-    assert w.j == (0, 1, 1)
-    assert (w.a, w.b) == ((1, 1, 1), (2, 0, 1))
+    assert _stated(w, "j", "a", "b") == ((0, 1, 1), (1, 1, 1), (2, 0, 1))
 
 
 def test_rdf_dxv5_paper_values():
@@ -44,8 +48,7 @@ def test_rdf_dxv5_paper_values():
         frozenset({(0, 0, 4), (0, 2, 3), (1, 1, 1)}),
         frozenset({(0, 1, 1), (0, 1, 4), (1, 1, 2)}),
     }
-    assert w.j == (1, 0, 0)
-    assert (w.a, w.b) == ((1, 1, 0), (1, 2, 0))
+    assert _stated(w, "j", "a", "b") == ((1, 0, 0), (1, 1, 0), (1, 2, 0))
 
 
 def test_rdf_g1xv3_paper_values():
@@ -59,9 +62,9 @@ def test_rdf_g1xv3_paper_values():
         frozenset({(0, 1, 0, 1), (1, 1, 1, 0), (2, 0, 0, 0)}),
         frozenset({(1, 0, 1, 1), (1, 1, 0, 0), (2, 1, 1, 2)}),
     }
-    assert w.j == (0, 1, 1, 0)
-    assert (w.a, w.b) == ((1, 0, 0, 2), (2, 0, 0, 1))
-    assert w.spread().x == (0, 0, 0, 1)
+    assert _stated(w, "j", "a", "b") == ((0, 1, 1, 0), (1, 0, 0, 2),
+                                         (2, 0, 0, 1))
+    assert _stated(w.spread(), "x") == ((0, 0, 0, 1),)
 
 
 def test_rdf_g2_paper_triples_present():
@@ -78,7 +81,7 @@ def test_rdf_g2_paper_triples_present():
         frozenset({(0, 0, 2), (1, 2, 0), (2, 2, 2)}),
     }
     assert _blockset(w) == expected
-    assert w.spread().x == (1, 0, 0)
+    assert _stated(w.spread(), "x") == ((1, 0, 0),)
 
 
 def test_rdf_g2_rel_g1_subgroup_shape():
@@ -96,26 +99,31 @@ PRDF_PAIRS = {"prdf:G1xV3": ((0, 0, 1, 0), (0, 1, 1, 0)),
 
 
 def test_prdf_entries_carry_pairs():
-    # the predicate's first working pair; its j_beta is the canonical
-    # involution the lift resolves by
+    # the pinned pairs, as ids; each j_beta is the canonical involution the
+    # lift resolves by, and the predicate accepts the pair as stated
     for eid, pair in PRDF_PAIRS.items():
         w = catalog.get(eid)
         assert w.kind == "PRDF"
-        assert w.prdf_pair == pair
-        assert set(pair) <= set(w.group.involutions)
-        assert pair[1] == w.group.canonical_involution
+        assert tuple_view(w.group, w.prdf_pair) == pair
+        assert set(w.prdf_pair) <= set(w.group.involutions)
+        assert w.prdf_pair[1] == w.group.canonical_involution
+        assert is_pseudo_resolvable(w)
 
 
 def test_prdf_pair_off_the_canonical_involution_is_quarantined(monkeypatch):
-    # a pair that the predicate accepts but that ends elsewhere is refused
-    def swapped(w):
-        d = is_pseudo_resolvable(w)
-        w.prdf_pair = w.prdf_pair[::-1]
-        return d
-
-    monkeypatch.setattr(catalog, "is_pseudo_resolvable", swapped)
-    with pytest.raises(catalog.CatalogError, match="canonical involution"):
-        catalog._load.__wrapped__("prdf:G2")
+    # each entry built with its pinned pair reversed ends off the canonical
+    # involution, and is refused for that
+    for eid, pair in PRDF_PAIRS.items():
+        w = catalog.get(eid)
+        reversed_pair = catalog._family(
+            w.group, tuple_view(w.group, w.blocks), "PRDF",
+            tuple_view(w.group, [w.spread().x])[0], prdf_pair=pair[::-1])
+        assert reversed_pair.prdf_pair == w.prdf_pair[::-1]
+        monkeypatch.setitem(catalog._BUILDERS, eid, lambda: reversed_pair)
+        with pytest.raises(catalog.CatalogError,
+                           match=f"{eid!r} quarantined: the pseudo-resolving "
+                           "pair .* does not end in the canonical involution"):
+            catalog._load.__wrapped__(eid)
 
 
 def test_rdf_entries_resolvable():

@@ -465,6 +465,49 @@ def test_verify_rejects_non_canonical_label(tmp_path, capsys):
     assert code == 3 and report is None
 
 
+def _object_block(data):
+    data["blocks"][0] = dict.fromkeys(data["blocks"][0], 0)
+
+
+def _object_class_blocks(data):
+    data["resolution"][1] = [dict.fromkeys(b, 0)
+                             for b in data["resolution"][1]]
+
+
+def _object_points(data):
+    data["points"] = dict.fromkeys(data["points"], 0)
+
+
+def _string_order(data):
+    data["order"] = str(data["order"])
+
+
+@pytest.fixture(scope="module")
+def kts147_text():
+    return json.dumps(cli.system_to_json(pipeline.construct(147)))
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_object_block, "a block is not a list of points"),
+    (_object_class_blocks, "a block is not a list of points"),
+    (_object_points, "the points are a dict, not a list"),
+    (_string_order, "the order '147' is not an integer")],
+    ids=["object-block", "object-class-blocks", "object-points",
+         "string-order"])
+def test_verify_refuses_objects_for_lists_and_a_string_order(
+        kts147_text, tmp_path, capsys, corrupt, message):
+    # a JSON object of 3 keys iterates like a block, and "147" converts to
+    # an int: both must be refused, not read as the list or number they
+    # resemble
+    data = json.loads(kts147_text)
+    corrupt(data)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 3 and not out
+    assert err.startswith("cannot read system") and message in err
+
+
 @pytest.fixture(scope="module")
 def kts183_text(tmp_path_factory):
     path = tmp_path_factory.mktemp("kts183") / "kts183.json"

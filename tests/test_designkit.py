@@ -39,20 +39,44 @@ def test_paper_difference_table():
 
 def test_spread_members():
     g = g1()
-    s = Spread(g, (1, 0, 0))
-    assert sorted(s.order3) == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
+    s = Spread(g, g.element_index[(1, 0, 0)])
+    assert tuple_view(g, s.order3) == ((0, 0, 0), (1, 0, 0), (2, 0, 0))
     # identity + two order-3 elements + three involutions, as sorted ids
-    assert s.ids.tolist() == sorted(
-        g.element_index[x] for x in (*s.order3, *g.involutions))
+    assert s.ids.tolist() == sorted({*s.order3, *g.involutions})
     assert s.ids[0] == g.element_index[g.zero]
 
 
+# what a witness states must be an element id: never an element tuple
+# (nor one an atom's `add` would reduce, such as (4, 0, 0)), a bool, a
+# float or an id outside range(|G|)
+NOT_IDS = [(1, 0, 0), (4, 0, 0), (1, 0), True, False, 16.0, -1, 12, 1000,
+           None]
+
+
 def test_spread_rejects_non_element():
-    # add reduces mod 3, so (4,0,0) passes the order-3 test
     g = g1()
-    for x in ((4, 0, 0), (1, 0), (1, 0, 0, 0)):
-        with pytest.raises(ValueError, match="not an element"):
+    for x in NOT_IDS:
+        with pytest.raises(ValueError, match="spread generator must be an "
+                           "element id of G1, 0 to 11"):
             Spread(g, x)
+    with pytest.raises(ValueError, match="must have order 3"):
+        Spread(g, g.canonical_involution)
+
+
+@pytest.mark.parametrize("name", ["j", "a", "b", "prdf_pair"])
+@pytest.mark.parametrize("x", NOT_IDS[:-1], ids=repr)
+def test_witness_rejects_stated_elements_that_are_not_ids(name, x):
+    w = catalog.get("rdf:G1")
+    g = w.group
+    value = (g.involutions[0], x) if name == "prdf_pair" else x
+    with pytest.raises(ValueError, match=f"{name} must be an element id of "
+                       "G1, 0 to 11"):
+        FamilyWitness(g, w.blocks, w.kind, w.relative, **{name: value})
+    # a pair is two ids, in a tuple or a list
+    if name == "prdf_pair":
+        for bad in (g.involutions[0], g.involutions, g.involutions[:2] * 2):
+            with pytest.raises(ValueError, match="prdf_pair must be two"):
+                FamilyWitness(g, w.blocks, w.kind, w.relative, prdf_pair=bad)
 
 
 def test_is_df_catalog_positive_and_perturbed():
@@ -68,13 +92,34 @@ def test_is_df_catalog_positive_and_perturbed():
     assert not is_df(bad)
 
 
-def test_is_j_resolvable_spread_search_finds_ab():
-    src = catalog.get("rdf:G1")
-    w = FamilyWitness(src.group, src.blocks, "RDF", src.relative, j=src.j)
-    d = is_j_resolvable(w)
-    assert d
-    # the recorded solution of the source is among the found pairs
-    assert (src.a, src.b) in d.solutions
+def test_rdf_g2_states_its_ab():
+    # the catalog pins (a, b) = ((2,0,2), (1,0,0)) for the order-48 spread
+    # family, and the predicate checks that pair as stated
+    w = catalog.get("rdf:G2")
+    assert (w.a, w.b) == (34, 16)
+    assert tuple_view(w.group, [w.a, w.b]) == ((2, 0, 2), (1, 0, 0))
+    assert is_j_resolvable(w)
+    swapped = FamilyWitness(w.group, w.blocks, "RDF", w.relative, j=w.j,
+                            a=w.b, b=w.a)
+    assert is_j_resolvable(swapped)
+    other = FamilyWitness(w.group, w.blocks, "RDF", w.relative, j=w.j,
+                          a=w.a, b=w.a)
+    assert not is_j_resolvable(other)
+
+
+@pytest.mark.parametrize("eid", ["rdf:D:empty", "rdf:G1", "rdf:DxV5",
+                                 "rdf:G1xV3", "rdf:G2"])
+def test_spread_family_without_ab_is_refused(eid):
+    # no search: a spread family that states no (a, b) fails, and the
+    # predicate leaves the witness as it was
+    src = catalog.get(eid)
+    for a, b in ((None, None), (src.a, None), (None, src.b)):
+        w = FamilyWitness(src.group, src.blocks, "RDF", src.relative,
+                          j=src.j, a=a, b=b)
+        d = is_j_resolvable(w)
+        assert not d
+        assert d.problems == ["a spread family must state its (a, b)"]
+        assert (w.a, w.b) == (a, b)
 
 
 def test_is_j_resolvable_subgroup_variant():
@@ -90,8 +135,7 @@ def test_doubly_disjoint_requires_translates():
     probe = FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j)
     assert not is_doubly_disjoint(probe)
     good = FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
-                         translates=[w.group.element_index[w.j]]
-                         * len(w.blocks))
+                         translates=[w.j] * len(w.blocks))
     assert is_doubly_disjoint(good)
 
 
@@ -99,7 +143,7 @@ def test_dm_check_homogeneous_and_splittable():
     dm = catalog.get("dm:G1")
     rep = dm_check(dm)
     assert rep["valid"]
-    assert dm.j in rep["splittable"]
+    assert rep["splittable"] == [dm.group.element_index[dm.j]]
     # breaking one entry must invalidate it
     rows = [list(r) for r in dm.rows]
     rows[1][0] = rows[1][1]
@@ -231,8 +275,7 @@ def _witness(name):
     if kind == "dd":
         w = catalog.get(rest)
         return FamilyWitness(w.group, w.blocks, "DDDF", w.relative, j=w.j,
-                             translates=[w.group.element_index[w.j]]
-                             * len(w.blocks))
+                             translates=[w.j] * len(w.blocks))
     return catalog.get(name)
 
 
@@ -243,12 +286,11 @@ WITNESSES = ([e for e in catalog.ENTRY_IDS if not e.startswith("dm:")]
 def _variants(w, rng):
     """The witness's own fields, then seeded mutations: a changed entry, a
     dropped and a duplicated block, a wrong j, a wrong, swapped or missing
-    (a, b), and a changed translate.  Blocks and translates are element
-    ids; j, a and b are elements."""
-    els = w.group.element_list
+    (a, b), a changed translate, and a reversed or missing PRDF pair.
+    Every field is element ids."""
     ids = range(w.group.order)
     base = {"blocks": w.blocks.tolist(), "j": w.j, "a": w.a,
-            "b": w.b, "translates": w.translates}
+            "b": w.b, "translates": w.translates, "prdf_pair": w.prdf_pair}
     out = [base]
     if len(w.blocks):
         for _ in range(3):
@@ -260,15 +302,18 @@ def _variants(w, rng):
         out.append({**base, "blocks": base["blocks"][:i]
                     + base["blocks"][i + 1:]})
         out.append({**base, "blocks": base["blocks"] + [base["blocks"][i]]})
-    out += [{**base, "j": j} for j in (rng.choice(els),) + w.group.involutions
+    out += [{**base, "j": j} for j in (rng.choice(ids),) + w.group.involutions
             if j != w.j]
-    out.append({**base, "a": rng.choice(els), "b": rng.choice(els)})
+    out.append({**base, "a": rng.choice(ids), "b": rng.choice(ids)})
     out.append({**base, "a": w.b, "b": w.a})
     out.append({**base, "a": None, "b": None})
     if w.translates is not None and len(w.translates):
         translates = w.translates.tolist()
         translates[rng.randrange(len(translates))] = rng.choice(ids)
         out.append({**base, "translates": translates})
+    if w.prdf_pair is not None:
+        out.append({**base, "prdf_pair": w.prdf_pair[::-1]})
+        out.append({**base, "prdf_pair": None})
     return out
 
 
@@ -288,14 +333,14 @@ def test_predicates_agree_with_counter_oracle(name):
             mine, ref = (FamilyWitness(w.group, fields["blocks"], w.kind,
                                        w.relative, j=fields["j"],
                                        a=fields["a"], b=fields["b"],
-                                       translates=fields["translates"])
+                                       translates=fields["translates"],
+                                       prdf_pair=fields["prdf_pair"])
                          for _ in range(2))
             d, e = check(mine), oracle(ref)
             assert (d.ok, d.problems) == (e.ok, e.problems), check.__name__
-            assert (getattr(d, "solutions", None)
-                    == getattr(e, "solutions", None))
-            assert (mine.a, mine.b, mine.prdf_pair) == (ref.a, ref.b,
-                                                        ref.prdf_pair)
+            # the predicate writes nothing to the witness
+            assert (mine.j, mine.a, mine.b, mine.prdf_pair) == (
+                fields["j"], fields["a"], fields["b"], fields["prdf_pair"])
             seen.add((check.__name__, d.ok))
     # every check met both verdicts (no block of an empty family can break)
     want = {(c.__name__, ok) for c, _ in checks for ok in (True, False)}
@@ -313,7 +358,7 @@ def test_dm_check_agrees_with_counter_oracle(dm):
     g = dm.group
     rng = random.Random(repr(g))
     variants = [(dm.rows, dm.j), (dm.rows, None)]
-    variants += [(dm.rows, j) for j in g.involutions]
+    variants += [(dm.rows, g.element_list[j]) for j in g.involutions]
     for _ in range(4):
         rows = [list(r) for r in dm.rows]
         rows[rng.randrange(3)][rng.randrange(g.order)] = rng.choice(
@@ -352,7 +397,8 @@ def test_predicates_reject_entries_outside_the_group(check, eid):
 
     def witness(blocks):
         return FamilyWitness(g, blocks, src.kind, src.relative, j=src.j,
-                             a=src.a, b=src.b, translates=translates)
+                             a=src.a, b=src.b, translates=translates,
+                             prdf_pair=src.prdf_pair)
 
     d, e = check(witness(src.blocks)), ORACLES[check](witness(src.blocks))
     assert (d.ok, d.problems) == (e.ok, e.problems)

@@ -42,7 +42,8 @@ def test_d_atom_paper_example():
 
 def test_d_atom_involutions():
     d = _descr(G.DAtom())
-    assert sorted(d.involutions) == [(1, 0), (1, 1), (1, 2)]
+    assert [d.element_list[i] for i in d.involutions] == [(1, 0), (1, 1),
+                                                          (1, 2)]
     assert d.is_pertinent
 
 
@@ -80,12 +81,13 @@ def test_g_atom_pertinent(alpha):
     assert len(g.involutions) == 3
     assert g.is_pertinent
     a = g.atoms[0]
-    assert a.canonical_involution in {i[:3] for i in g.involutions}
+    assert a.canonical_involution in {g.element_list[i][:3]
+                                      for i in g.involutions}
 
 
 def test_d_head_canonical_involution():
     g = _descr(G.DAtom(), G.VAtom(build_ring(5)))
-    assert g.canonical_involution == (1, 0, 0)
+    assert g.element_list[g.canonical_involution] == (1, 0, 0)
     assert g.canonical_involution in g.involutions
     with pytest.raises(ValueError):
         _descr(G.VAtom(build_ring(5))).canonical_involution
@@ -107,11 +109,11 @@ def test_pertinent_witness_constructive():
 
 def test_conjugation():
     g = _descr(G.GAtom(1))
-    j = g.canonical_involution
+    j = g.element_list[g.canonical_involution]
     for t in g.element_list:
         c = g.conj(t, j)
         assert g.add(c, c) == g.zero
-        assert c in g.involutions
+        assert g.element_index[c] in g.involutions
 
 
 def test_subgroup_view():
@@ -266,7 +268,7 @@ def test_involutions_match_brute_force():
             continue
         g = G.pertinent_witness(v - 3)
         assert g.involutions == tuple(
-            x for x in g.element_list
+            i for i, x in enumerate(g.element_list)
             if x != g.zero and g.add(x, x) == g.zero), v
 
 

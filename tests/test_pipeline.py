@@ -211,9 +211,7 @@ def _full_development(rdf):
     deduped with np.unique(axis=0).  Also checks that translating by 0 and by
     j gives the same class row."""
     g = rdf.group
-    j, a, b = rdf.j, rdf.a, rdf.b
-    if a is None or b is None:
-        a, b = is_j_resolvable(rdf).solutions[0]
+    j, a, b = tuple_view(g, [rdf.j, rdf.a, rdf.b])
     points = list(P.INF) + list(g.element_list)
     index = {p: i for i, p in enumerate(points)}
     v = len(points)
@@ -223,7 +221,7 @@ def _full_development(rdf):
         q0.append(blk)
         q0.append(tuple(g.add(x, j) for x in blk))
     q0_ids = np.array([[index[x] for x in blk] for blk in q0])
-    spread_ids = [index[x] for x in rdf.spread().order3]
+    spread_ids = [index[x] for x in tuple_view(g, rdf.spread().order3)]
     moving = np.empty((g.order, v), dtype=np.int32)
     cosets = np.empty((g.order, 3), dtype=np.int32)
     for k, t in enumerate(g.element_list):
@@ -354,6 +352,14 @@ def test_place_fn_is_monomorphism():
             assert fn(src.add(x, y)) == dst.add(fn(x), fn(y))
         seen.add(fn(x))
     assert len(seen) == src.order
+
+
+def test_extra_points_are_one_literal():
+    # the route and the independent checker name the extra points alike,
+    # from the one tuple that `verify` owns
+    from kts3p import verify
+    assert P.INF is verify.INF and cli.pipeline.INF is verify.INF
+    assert P.construct(15).points[:3] == list(verify.INF)
 
 
 def test_align_transports_witness():

@@ -312,8 +312,8 @@ def test_check_base_blocks_detects_wrong_spread():
     # G1 x V3 as its spread, and no translate of it is the short orbit
     s = P.construct(39)
     g, w = s.group, s.witness
-    x = next(y for y in g.element_list
-             if y != g.zero and y not in w.spread().order3
+    x = next(i for i, y in enumerate(g.element_list)
+             if y != g.zero and i not in w.spread().order3
              and g.add(y, g.add(y, y)) == g.zero)
     other = copy.copy(w)
     other.relative = Spread(g, x)
