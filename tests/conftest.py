@@ -125,11 +125,6 @@ def oracle_coset_rep_check(group, reps, j, universe):
     return _oracle_compare(group, covered, Counter(universe), "coset cover")
 
 
-def _oracle_name(group, x):
-    from kts3p import groups as G
-    return G.encode_element(group, x)
-
-
 def oracle_is_j_resolvable(w):
     from kts3p import groups as G
     from kts3p.designkit import Diagnosis
@@ -143,8 +138,9 @@ def oracle_is_j_resolvable(w):
     j = g.element_list[w.j]
     phi = list(tuple_view(g, w.blocks.ravel()))
     if g.add(j, j) != g.zero or j == g.zero:
-        return Diagnosis(False, [f"resolving element {_oracle_name(g, j)} "
-                                 "is not an involution"])
+        return Diagnosis(False, [f"resolving element "
+                                 f"{G.encode_element(g, j)} is not an "
+                                 "involution"])
     if isinstance(w.relative, G.SubgroupView):
         H = w.relative.carrier
         if j not in H:
@@ -160,13 +156,15 @@ def oracle_is_j_resolvable(w):
     subs = {frozenset((g.zero, j)), frozenset((g.zero, g.conj(a, j))),
             frozenset((g.zero, g.conj(b, j)))}
     if len(subs) != 3:
-        return Diagnosis(False, [f"a={_oracle_name(g, a)}, "
-                                 f"b={_oracle_name(g, b)}: conjugates of J "
-                                 "do not give all three order-2 subgroups"])
+        return Diagnosis(False, [f"a={G.encode_element(g, a)}, "
+                                 f"b={G.encode_element(g, b)}: conjugates "
+                                 "of J do not give all three order-2 "
+                                 "subgroups"])
     return oracle_coset_rep_check(g, phi + [g.zero, a, b], j, g.element_list)
 
 
 def oracle_is_pseudo_resolvable(w):
+    from kts3p import groups as G
     from kts3p.designkit import Diagnosis
     g = w.group
     if g.order % 4 != 0:
@@ -180,8 +178,8 @@ def oracle_is_pseudo_resolvable(w):
                                  "j_beta)"])
     ja, jb = tuple_view(g, w.prdf_pair)
     if ja == jb or not {ja, jb} <= set(tuple_view(g, g.involutions)):
-        return Diagnosis(False, [f"the pair ({_oracle_name(g, ja)}, "
-                                 f"{_oracle_name(g, jb)}) is not two "
+        return Diagnosis(False, [f"the pair ({G.encode_element(g, ja)}, "
+                                 f"{G.encode_element(g, jb)}) is not two "
                                  "distinct involutions"])
     phi = list(tuple_view(g, w.blocks.ravel()))
     x = g.element_list[w.spread().x]
