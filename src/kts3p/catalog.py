@@ -20,6 +20,11 @@ def _g(*atoms):
     return G.GroupDescriptor(atoms)
 
 
+def _subgroup(group, elements):
+    """The subgroup of the literal element tuples `elements`."""
+    return G.SubgroupView(group, [group.element_index[x] for x in elements])
+
+
 def _family(group, rows, kind, relative, **elements):
     """A witness of the literal element triples `rows`, relative to a
     SubgroupView or to the spread of the generator tuple `relative`.  The
@@ -98,13 +103,9 @@ _G2_B7 = [(0, 0, 2), (1, 2, 0), (2, 2, 2)]
 
 def _g_sub(group, i):
     """The copy of G_{alpha-i} inside G_alpha: Z_3 x 2^i Z x 2^i Z."""
-    atom = group.atoms[0]
-    step = 2 ** i
-    carrier = [(a, b, c)
-               for a in range(3)
-               for b in range(0, atom.m, step)
-               for c in range(0, atom.m, step)]
-    return G.SubgroupView(group, carrier)
+    step = range(0, group.atoms[0].m, 2 ** i)
+    return _subgroup(group, [(a, b, c) for a in range(3)
+                             for b in step for c in step])
 
 
 def _entry_rdf_g2_rel_g1():
@@ -191,9 +192,8 @@ def _entry_rdf_g2xv3_rel_g1xv3():
         [(1, 1, 0, 2), (2, 1, 1, 2), (2, 2, 1, 1)],
         [(2, 1, 0, 2), (2, 1, 1, 1), (2, 2, 3, 2)],
     ]
-    H = G.SubgroupView(G2xV3, [(a, b, c, v) for a in range(3)
-                               for b in (0, 2) for c in (0, 2)
-                               for v in range(3)])
+    H = _subgroup(G2xV3, [(a, b, c, v) for a in range(3)
+                          for b in (0, 2) for c in (0, 2) for v in range(3)])
     return _family(G2xV3, blocks, "RDF", H, j=(0, 2, 2, 0))
 
 
@@ -227,37 +227,37 @@ def _entry_rdf_g3_rel_g2():
     return _family(G3, blocks, "RDF", _g_sub(G3, 1), j=(0, 4, 4))
 
 
+def _matrix(group, rows, j):
+    """The difference matrix of literal rows of digit words, "011" for the
+    element (0, 1, 1), split by the element tuple j."""
+    index = group.element_index
+    return DifferenceMatrix(group, [[index[tuple(map(int, w))]
+                                     for w in r.split()] for r in rows],
+                            j=index[j])
+
+
 def _entry_dm_g1():
-    t = lambda s: tuple(int(ch) for ch in s)
-    rows = [
+    return _matrix(G1, [
         "000 010 100 110 200 210 011 001 111 101 211 201",
         "000 100 210 010 110 200 000 101 010 210 200 100",
         "010 200 210 100 000 110 101 001 200 011 201 111",
-    ]
-    return DifferenceMatrix(G1, [[t(w) for w in r.split()] for r in rows],
-                            j=(0, 1, 1))
+    ], (0, 1, 1))
 
 
 def _entry_dm_z2xz6():
-    t = lambda s: (int(s[0]), int(s[1]))
-    rows = [
+    return _matrix(Z2xZ6, [
         "00 01 02 03 04 05 10 11 12 13 14 15",
         "00 12 15 04 01 03 00 13 11 05 02 04",
         "03 01 15 12 00 04 11 05 04 03 12 00",
-    ]
-    return DifferenceMatrix(Z2xZ6, [[t(w) for w in r.split()] for r in rows],
-                            j=(1, 0))
+    ], (1, 0))
 
 
 def _entry_dm_z4xz4():
-    t = lambda s: (int(s[0]), int(s[1]))
-    rows = [
+    return _matrix(Z4xZ4, [
         "00 30 11 20 01 10 31 21 22 12 33 02 23 32 13 03",
         "22 11 30 10 21 23 02 31 13 20 32 00 12 33 01 03",
         "22 31 03 01 10 30 20 33 32 12 00 21 13 23 11 02",
-    ]
-    return DifferenceMatrix(Z4xZ4, [[t(w) for w in r.split()] for r in rows],
-                            j=(2, 2))
+    ], (2, 2))
 
 
 _BUILDERS = {

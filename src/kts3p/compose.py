@@ -79,7 +79,8 @@ def as_doubly_disjoint(w):
 # homogeneous difference matrices over V-rings
 
 # Pinned orthomorphism pairs over Z3 x GF(q), keyed by the cell count 3q;
-# values are permutations of the sorted cell list given by index.  A pair
+# values are permutations of the cells (x, y) in sorted order, x in Z3 and y
+# in GF(q), so cell (x, y) has index q·x + y.  A pair
 # (sigma, rho) is a normalized (Z3 x GF(q), 4, 1) difference matrix with rows
 # 0, g, sigma(g), rho(g).  No algebraic formula can replace these: every
 # "affine per coordinate" ansatz dies on a counting obstruction when one
@@ -108,20 +109,6 @@ _PAIR_TABLE = {
           29, 7, 27, 12, 26, 19, 5, 13, 38, 11, 31, 22, 36, 21, 14, 25,
           3, 10, 0, 35, 1, 30]),
 }
-
-
-def _table_pair(cells):
-    """The pinned permutations sigma, rho of `cells`.  No multiplier pair
-    exists when 3 divides the order, so a count with no pinned pair has no
-    matrix here; homogeneous_dm re-verifies the rows a pinned pair gives."""
-    order = sorted(cells)
-    n = len(order)
-    if n not in _PAIR_TABLE:
-        raise ValueError(f"no orthomorphism pair is pinned for {n} cells")
-    sidx, ridx = _PAIR_TABLE[n]
-    sigma = {g: order[sidx[i]] for i, g in enumerate(order)}
-    rho = {g: order[ridx[i]] for i, g in enumerate(order)}
-    return sigma, rho
 
 
 def _slots(group):
@@ -161,30 +148,33 @@ def homogeneous_dm(group):
     > 3.  Components of order > 3 get multiplier rows (g, 2g, 3g); an order-3
     component (there can be at most one) is glued to another component and
     takes its rows from a pinned orthomorphism pair, so the matrix exists
-    here only when `missing_pair(group)` is empty."""
+    here only when `missing_pair(group)` is empty.  Each row is one map of
+    element ids (`groups.map_ids`)."""
+    gap = missing_pair(group)
+    if gap:
+        raise ValueError(gap)
     plain, glued = _slots(group)
-    if glued:
-        (o3, _), (om, fm) = glued
-        sigma, rho = _table_pair(
-            [(x, y) for x in range(3) for y in range(fm.q)])
 
-    # in a field of odd order q > 3 the encodings 2 and 3 are distinct elements
-    # other than 0 and 1, so the multipliers 2, 3, 2 - 1, 3 - 1 and 3 - 2 are
-    # all nonzero
-    rows = [[], [], []]
-    for g in group.element_list:
-        e1, e2, e3 = list(g), list(g), list(g)
-        for off, f in plain:
-            e2[off] = f.mul(g[off], 2)
-            e3[off] = f.mul(g[off], 3)
-        if glued:
-            cell = (g[o3], g[om])
-            e2[o3], e2[om] = sigma[cell]
-            e3[o3], e3[om] = rho[cell]
-        rows[0].append(tuple(e1))
-        rows[1].append(tuple(e2))
-        rows[2].append(tuple(e3))
-    dm = DifferenceMatrix(group, rows)
+    def row(k):
+        # g -> k·g on each plain slot, and the cell q·x + y of the glued
+        # slots through the pair's permutation k - 2.  In a field of odd
+        # order q > 3 the encodings 2 and 3 are distinct elements other than
+        # 0 and 1, so the multipliers 2, 3, 2 - 1, 3 - 1 and 3 - 2 are all
+        # nonzero
+        def fn(cols):
+            out = list(cols)
+            for off, f in plain:
+                times_k = np.array([f.mul(x, k) for x in range(f.q)])
+                out[off] = times_k[cols[off]]
+            if glued:
+                (o3, _), (om, fm) = glued
+                pair = np.array(_PAIR_TABLE[3 * fm.q][k - 2])
+                out[o3], out[om] = np.divmod(
+                    pair[fm.q * cols[o3] + cols[om]], fm.q)
+            return out
+        return G.map_ids(fn, group, group)
+
+    dm = DifferenceMatrix(group, [np.arange(group.order), row(2), row(3)])
     rep = dm_check(dm)
     if not (rep["valid"] and rep["homogeneous"]):
         raise AssertionError(f"homogeneous_dm over {group!r} failed: {rep['problems']}")
@@ -243,13 +233,12 @@ def df_compose_dm(group, h_view, section, fam, dm, embed_h,
         raise ValueError("H must be normal in G")
     if dm.group.order != h:
         raise ValueError("difference matrix order must match |H|")
-    rep = dm_check(dm)  # first, so every matrix entry is an element
+    rep = dm_check(dm)
     if not rep["valid"]:
         raise ValueError(f"difference matrix is broken: {rep['problems']}")
     embed = G.map_ids(embed_h, dm.group, group)
     lift = G.map_ids(section, fam.group, group)
-    dm_index = dm.group.element_index
-    cols = embed[[[dm_index[x] for x in r] for r in dm.rows]].T
+    cols = embed[dm.rows].T
     if not np.isin(cols, h_view.ids, kind="table").all():
         raise ValueError("embed_h does not land in H")
 
@@ -286,9 +275,8 @@ def df_compose_dm(group, h_view, section, fam, dm, embed_h,
     if mode == "ii":
         cells[:, half:] = G.id_sum(group, cells[:, half:],
                                    t_for[:, None, None])
-    elements = group.element_list
-    rel = G.SubgroupView(group, map(elements.__getitem__, G.id_sum(
-        group, lift[fam.relative.ids][:, None], h_view.ids).ravel().tolist()))
+    rel = G.SubgroupView(group, G.id_sum(
+        group, lift[fam.relative.ids][:, None], h_view.ids).ravel())
     out = FamilyWitness(group, cells.reshape(-1, 3),
                         "RDF" if mode != "plain" else "DF",
                         rel, j=j, multipliers=multipliers)

@@ -84,30 +84,6 @@ def _outside(witness):
     return outside
 
 
-def _frozen_ids(group, ids, what, rows=False):
-    """A read-only int64 copy of the element ids `ids`: k ids, or with
-    `rows` k rows of 3, each sorted.  Another shape (rows are never
-    reshaped), a non-integer entry or an id outside range(|G|) raises
-    ValueError."""
-    tail = (3,) if rows else ()
-    arr = np.asarray(ids)  # ragged rows raise ValueError here
-    if arr.shape == (0,):
-        arr = arr.reshape(0, *tail)
-    if (arr.ndim == 0 or arr.shape[1:] != tail
-            or arr.size and arr.dtype.kind not in "iu"):
-        raise ValueError(f"{what} must be a (k{', 3' if rows else ','}) "
-                         f"array of integer element ids, not {arr.dtype} "
-                         f"{arr.shape}")
-    arr = arr.astype(np.int64)
-    if arr.size and not 0 <= arr.min() <= arr.max() < group.order:
-        raise ValueError(f"{what} hold ids outside 0 to {group.order - 1}, "
-                         f"the element ids of {group!r}")
-    if rows:
-        arr.sort(axis=1)
-    arr.flags.writeable = False
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # spreads and witnesses
 
@@ -138,7 +114,7 @@ class Spread:
         union = sorted({*self.order3, *group.involutions})
         if len(union) != 6:
             raise ValueError("spread members must intersect trivially")
-        self.ids = _frozen_ids(group, union, "spread")
+        self.ids = G.frozen_ids(group, union, "spread")
 
 
 class FamilyWitness:
@@ -158,14 +134,15 @@ class FamilyWitness:
                  translates=None, multipliers=None, prdf_pair=None,
                  trace=None):
         self.group = group
-        self.blocks = _frozen_ids(group, blocks, "blocks", rows=True)
+        self.blocks = G.frozen_ids(group, blocks, "blocks", (None, 3),
+                                    sort=True)
         self.kind = kind
         self.relative = relative
         self.j, self.a, self.b = (
             None if x is None else _element_id(group, x, name)
             for name, x in (("j", j), ("a", a), ("b", b)))
         self.translates = (None if translates is None else
-                           _frozen_ids(group, translates, "translates"))
+                           G.frozen_ids(group, translates, "translates"))
         self.multipliers = multipliers
         if prdf_pair is not None and (type(prdf_pair) not in (tuple, list)
                                       or len(prdf_pair) != 2):
@@ -299,26 +276,23 @@ def is_doubly_disjoint(witness):
 # difference matrices
 
 class DifferenceMatrix:
+    """A (G, 3, 1) difference matrix candidate, its element ids checked
+    here: `rows`, a read-only int64 (3, |G|) array, and `j`, the id of the
+    declared splitting involution, if any."""
+
     def __init__(self, group, rows, j=None):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != 3 or len({len(r) for r in rows}) != 1:
-            raise ValueError("a difference matrix here is 3 x |H|")
-        if len(rows[0]) != group.order:
-            raise ValueError("row length must equal the group order")
         self.group = group
-        self.rows = rows
-        self.j = j  # declared splitting involution, if any
+        self.rows = G.frozen_ids(group, rows, "rows", (3, group.order))
+        self.j = None if j is None else _element_id(group, j, "j")
+
+    def __repr__(self):
+        j = "" if self.j is None else f" split by {_label(self.group, self.j)}"
+        return f"<DM over {self.group!r}{j}>"
 
 
 def dm_check(dm):
     g = dm.group
-    index = g.element_index
-    bad = [f"row {i} holds {x}, which is not an element of {g!r}"
-           for i, r in enumerate(dm.rows) for x in r if x not in index]
-    if bad:
-        return {"valid": False, "homogeneous": False, "splittable": [],
-                "problems": bad[:1]}
-    rows = np.array([[index[x] for x in r] for r in dm.rows], dtype=np.int64)
+    rows = dm.rows
     once = np.ones(g.order, dtype=np.int64)
 
     def permutes(x):
@@ -340,9 +314,8 @@ def dm_check(dm):
     # the ids of the involutions (or of the declared one) that split it
     splittable = []
     if valid and g.order % 2 == 0:
-        candidates = g.involutions if dm.j is None else [index.get(dm.j)]
-        splittable = [j for j in candidates
-                      if j is not None and splits_with(j)]
+        candidates = g.involutions if dm.j is None else [dm.j]
+        splittable = [j for j in candidates if splits_with(j)]
     return {"valid": valid, "homogeneous": homogeneous,
             "splittable": splittable, "problems": problems}
 
@@ -369,6 +342,8 @@ def witness_to_json(witness):
             out[name] = labels[x]
     if witness.translates is not None:
         out["translates"] = labels[witness.translates].tolist()
+    if witness.prdf_pair is not None:
+        out["prdf_pair"] = labels[list(witness.prdf_pair)].tolist()
     return out
 
 
@@ -380,29 +355,29 @@ def witness_from_json(data):
     rel = data["relative"]
     relative = (Spread(g, G.label_ids(g, [rel["spread_x"]])[0])
                 if "spread_x" in rel
-                else G.SubgroupView(g, [g.element_list[i] for i in
-                                        G.label_ids(g, rel["subgroup"])]))
+                else G.SubgroupView(g, G.label_ids(g, rel["subgroup"])))
     kw = {name: G.label_ids(g, [data[name]])[0]
           for name in ("j", "a", "b") if name in data}
-    if "translates" in data:
-        kw["translates"] = G.label_ids(g, data["translates"])
-    blocks = G.triple_ids(g, [[g.element_list[i] for i in G.label_ids(g, b)]
-                              for b in data["blocks"]])
+    for name in ("translates", "prdf_pair"):
+        if name in data:
+            kw[name] = G.label_ids(g, data[name])
+    blocks = [G.label_ids(g, b) for b in data["blocks"]]
+    for labels, ids in zip(data["blocks"], blocks):
+        if len(ids) != 3:
+            raise ValueError(f"block {labels} is not a triple")
     return FamilyWitness(g, blocks, data["kind"], relative, **kw)
 
 
 def dm_to_json(dm):
-    enc = lambda x: G.encode_element(dm.group, x)
-    out = {"group": G.group_labels(dm.group),
-           "rows": [[enc(x) for x in r] for r in dm.rows]}
+    labels = np.array(G.element_labels(dm.group), dtype=object)
+    out = {"group": G.group_labels(dm.group), "rows": labels[dm.rows].tolist()}
     if dm.j is not None:
-        out["j"] = enc(dm.j)
+        out["j"] = labels[dm.j]
     return out
 
 
 def dm_from_json(data):
     g = G.group_from_labels(data["group"])
-    rows = [[g.element_list[i] for i in G.label_ids(g, r)]
-            for r in data["rows"]]
-    return DifferenceMatrix(g, rows, j=G.parse_element(g, data["j"])
+    return DifferenceMatrix(g, [G.label_ids(g, r) for r in data["rows"]],
+                            j=G.label_ids(g, [data["j"]])[0]
                             if "j" in data else None)

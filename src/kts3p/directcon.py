@@ -102,7 +102,7 @@ def _check(witness, label):
     d = is_j_resolvable(witness)
     if not d:
         raise AssertionError(f"{label}: output fails resolvability: {d}")
-    expect = (witness.group.order - len(witness.relative.carrier)) // 6
+    expect = (witness.group.order - len(witness.relative)) // 6
     if len(witness.blocks) != expect:
         raise AssertionError(
             f"{label}: {len(witness.blocks)} blocks, expected {expect}")
@@ -123,7 +123,7 @@ def _semiregular_family(head, n, lam, initial, label):
     group = G.GroupDescriptor([head, G.VAtom(ring)])
     blocks = develop(ring, G.triple_ids(group, initial(ring, sr.u)),
                      sorted(sr.S))
-    H = G.SubgroupView(group, [h + ring.zero for h in G.atom_elements(head)])
+    H = G.SubgroupView(group, np.arange(head.order) * n)  # head x {0}
     mult = MultiplierGroup(ring, sr.T_generators)
     assert mult.order == coprime_part(ring.psi, lam)
     w = FamilyWitness(group, blocks, "RDF", H, j=group.canonical_involution,
@@ -226,7 +226,7 @@ def lift_prdf(prdf, n):
         develop(ring, prdf.blocks * n + shift, sorted(ring.units()),
                 block_major=True)))
 
-    H = G.SubgroupView(group, [g + ring.zero for g in base.element_list])
+    H = G.SubgroupView(group, np.arange(base.order) * n)  # base x {0}
     gens = []
     for i, f in enumerate(ring.fields):
         gen = f.least_generator((f.q - 1) // 2)  # generates the squares
@@ -270,7 +270,7 @@ def construct_dddf(n):
     # -2t and -2xt for each t; a translate (0, r) has the id of r in V_n
     translates = [G.local_id(group.atoms[-1], ring.neg(ring.mul(c, t)))
                   for t in T for c in (two, ring.mul(two, x))]
-    H = G.SubgroupView(group, [(h,) + ring.zero for h in range(3)])
+    H = G.SubgroupView(group, np.arange(3) * n)  # Z_3 x {0}
     w = FamilyWitness(group, blocks, "DDDF", H, translates=translates)
     d = is_doubly_disjoint(w)
     if not d:

@@ -274,12 +274,12 @@ class GroupDescriptor:
             for x, y in itertools.combinations(inv, 2))
 
     def generators(self):
-        gens = []
-        for a, off in zip(self.atoms, self.offsets):
-            pre = self.zero[:off]
-            post = self.zero[off + a.width:]
-            for g in a.generators():
-                gens.append(pre + g + post)
+        """The ids of each atom's generators, in that atom's digit with
+        every other digit 0."""
+        gens, stride = [], self.order
+        for a in self.atoms:
+            stride //= a.order
+            gens += [local_id(a, x) * stride for x in a.generators()]
         return gens
 
 
@@ -323,40 +323,33 @@ def pertinent_witness(n):
 # subgroups
 
 class SubgroupView:
-    """A subset of an ambient group, checked on construction to be a subgroup.
-    `generators` holds the generating set the check found, `ids` the
-    carrier's sorted element ids."""
+    """A set of element ids of an ambient group, checked on construction to
+    be a subgroup.  `ids` holds the sorted ids, `generators` the ids of the
+    generating set the check found."""
 
-    def __init__(self, ambient, carrier):
+    def __init__(self, ambient, ids):
         self.ambient = ambient
-        self.carrier = frozenset(carrier)
+        ids = frozen_ids(ambient, ids, "subgroup ids", sort=True)
+        self.ids = ids[run_starts(ids)]  # each id once
+        self.ids.flags.writeable = False
         self._verify()
 
     def _verify(self):
-        # Take as generators, in increasing order, the carrier's elements not
-        # yet in the span of the earlier ones.  Each generator s must map the
-        # carrier into itself by x -> x + s: one `id_sum` over the carrier's
-        # sorted ids, read back as local ids (positions in that list).  The
-        # span is the orbit of 0 under these maps.  Every element is spanned
-        # or becomes a generator, so the span ends up equal to the carrier,
-        # which is then a subgroup: it is closed under + by its generators.
-        # Each new generator at least doubles the span, so there are at most
-        # log2|H| of them.  Membership comes first, since a non-element has
-        # no id.
-        G = self.ambient
-        carrier = self.carrier
-        index = G.element_index
-        strays = carrier - index.keys()
-        if strays:
-            raise ValueError(f"carrier holds non-elements of {G!r}: "
-                             f"{sorted(map(repr, strays))[:3]}")
-        if G.zero not in carrier:
+        # Take as generators, in increasing order, the ids not yet in the
+        # span of the earlier ones.  Each generator s must map the subgroup
+        # into itself by x -> x + s: one `id_sum` over the sorted ids, read
+        # back as local ids (positions in that list).  The span is the
+        # orbit of 0 under these maps.  Every element is spanned or becomes
+        # a generator, so the span ends up equal to the set, which is then
+        # a subgroup: it is closed under + by its generators.  Each new
+        # generator at least doubles the span, so there are at most log2|H|
+        # of them.
+        G, ids = self.ambient, self.ids
+        if not len(ids) or ids[0] != 0:  # the zero's id is 0
             raise ValueError("subgroup must contain 0")
-        ids = np.sort(np.fromiter(map(index.__getitem__, carrier),
-                                  dtype=np.int64, count=len(carrier)))
         gens, moves = [], []
         spanned = np.zeros(len(ids), dtype=bool)
-        spanned[0] = True  # the zero's id, 0, is the least
+        spanned[0] = True
         for i in range(len(ids)):
             if spanned[i]:
                 continue
@@ -364,26 +357,25 @@ class SubgroupView:
             local = np.searchsorted(ids, images)
             outside = ids[np.minimum(local, len(ids) - 1)] != images
             if outside.any():
-                x = G.element_list[ids[np.argmax(outside)]]
-                raise ValueError("subgroup not closed under + at "
-                                 f"{x},{G.element_list[ids[i]]}")
-            gens.append(G.element_list[ids[i]])
+                raise ValueError("subgroup not closed under + at ids "
+                                 f"{ids[np.argmax(outside)]},{ids[i]}")
+            gens.append(int(ids[i]))
             moves.append(map_powers(local[None]))
             spanned = orbit(spanned, np.concatenate(moves))
         self.generators = gens
-        ids.flags.writeable = False
-        self.ids = ids
 
     def __len__(self):
-        return len(self.carrier)
+        return len(self.ids)
 
     def is_normal(self):
         # conjugation by g is an automorphism, so g<S>g⁻¹ = <gSg⁻¹> ⊆ H when
         # gSg⁻¹ ⊆ H; it is then equal to H by size, and the g for which this
         # holds form a subgroup, so checking G's generators covers G
         G = self.ambient
-        return all(G.conj(g, h) in self.carrier
-                   for g in G.generators() for h in self.generators)
+        g = np.array(G.generators(), dtype=np.int64)[:, None]
+        h = np.array(self.generators, dtype=np.int64)
+        conj = id_sum(G, id_sum(G, g, h), g, negate=True)
+        return bool(np.isin(conj, self.ids, kind="table").all())
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +410,48 @@ def triple_ids(group, rows):
                     dtype=np.int64).reshape(-1, 3)
 
 
+def coord_sizes(group):
+    """The sizes of the group's coordinate ranges, atom by atom."""
+    return [len(r) for a in group.atoms for r in a.coord_lists()]
+
+
+def coord_columns(group):
+    """The coordinates of every element id, one int array per coordinate:
+    `element_list` read as columns."""
+    return np.unravel_index(np.arange(group.order), coord_sizes(group))
+
+
 def map_ids(fn, src, dst):
     """The element-id map of fn: src -> dst, a map of coordinate tuples
     written with indexing and integer arithmetic alone, applied once to
     src's coordinate columns; an image outside dst raises ValueError."""
-    sizes = [[len(r) for a in g.atoms for r in a.coord_lists()]
-             for g in (src, dst)]
-    cols = np.unravel_index(np.arange(src.order), sizes[0])
-    return np.ravel_multi_index(fn(cols), sizes[1]).astype(np.int64)
+    return np.ravel_multi_index(fn(coord_columns(src)),
+                                coord_sizes(dst)).astype(np.int64)
+
+
+def frozen_ids(group, ids, what, shape=(None,), sort=False):
+    """A read-only int64 copy of the element ids `ids`, an array of
+    `shape` (None for any length), sorted along its last axis with `sort`.
+    Another shape (ids are never reshaped), a non-integer entry or an id
+    outside range(|G|) raises ValueError."""
+    arr = np.asarray(ids)  # ragged rows raise ValueError here
+    if arr.shape == (0,):
+        arr = arr.reshape(0, *shape[1:])
+    if (arr.ndim != len(shape)
+            or any(k is not None and k != n for k, n in zip(shape, arr.shape))
+            or arr.size and arr.dtype.kind not in "iu"):
+        want = ", ".join("k" if k is None else str(k) for k in shape)
+        raise ValueError(f"{what} must be a ({want}{',' * (len(shape) == 1)})"
+                         f" array of integer element ids, not {arr.dtype} "
+                         f"{arr.shape}")
+    arr = arr.astype(np.int64)
+    if arr.size and not 0 <= arr.min() <= arr.max() < group.order:
+        raise ValueError(f"{what} hold ids outside 0 to {group.order - 1}, "
+                         f"the element ids of {group!r}")
+    if sort:
+        arr.sort(axis=-1)
+    arr.flags.writeable = False
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +526,6 @@ def label_ids(group, labels):
         raise ValueError(f"{labels[ids.index(None)]!r} is not an element of "
                          f"{group!r}")
     return ids
-
-
-def parse_element(group, text):
-    """The element whose canonical label is `text` (`label_ids`)."""
-    return group.element_list[label_ids(group, [text])[0]]
 
 
 # ---------------------------------------------------------------------------

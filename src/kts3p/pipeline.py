@@ -11,7 +11,6 @@ the multiplier-carrying part in the trailing slot.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -178,7 +177,7 @@ def align(w, dst):
     if isinstance(w.relative, Spread):
         rel = Spread(dst, ids[w.relative.x])
     else:
-        rel = G.SubgroupView(dst, [fn(x) for x in w.relative.carrier])
+        rel = G.SubgroupView(dst, ids[w.relative.ids])
     mult = w.multipliers
     if mult is not None:
         tail = dst.atoms[-1]
@@ -219,16 +218,15 @@ def _quotient(amb, model):
         return tuple(out)
 
     # the kernel: each coordinate the epimorphism reads is 0, or a multiple
-    # of m in the two Z_{2^alpha} slots of a head reduced to level m; the
-    # other coordinates are free, so the kernel is a product of ranges
-    ranges = [r for a in amb.atoms for r in a.coord_lists()]
+    # of m in the two Z_{2^alpha} slots of a head reduced to level m
+    cols = G.coord_columns(amb)
+    kernel = np.ones(amb.order, dtype=bool)
     for ao, _ in moves:
-        ranges[ao] = range(1)
+        kernel &= cols[ao] == 0
     if reduce_mod is not None:
-        ranges[0] = range(1)
-        ranges[1] = ranges[1][::reduce_mod]
-        ranges[2] = ranges[2][::reduce_mod]
-    return section, G.SubgroupView(amb, itertools.product(*ranges))
+        kernel &= (cols[0] == 0) & (cols[1] % reduce_mod == 0) & (
+            cols[2] % reduce_mod == 0)
+    return section, G.SubgroupView(amb, np.flatnonzero(kernel))
 
 
 def _embed_z4z4(alpha):
@@ -653,8 +651,9 @@ def automorphism_lower_bound(system):
     mult = w.multipliers if w is not None else None
     m = mult.order if mult else 1
     gens = g.generators()
-    names = [f"translate {G.encode_element(g, x)}" for x in gens]
-    maps = [*G.translation_ids(g, [g.element_index[x] for x in gens])]
+    names = [f"translate {G.encode_element(g, g.element_list[x])}"
+             for x in gens]
+    maps = [*G.translation_ids(g, gens)]
     if mult:
         names += [f"multiplier {s}" for s in mult.generators]
         maps += [mu_ids(g, mult.ring, s) for s in mult.generators]

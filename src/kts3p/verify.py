@@ -295,13 +295,12 @@ def point_perms(system, maps, points=None):
 
 
 def _translations(system, points, shifts, left=False):
-    """For each shift s, the permutation of point ids that the right
-    translation x -> x + s (or the left one, x -> s + x) induces
+    """For each element id s of `shifts`, the permutation of point ids that
+    the right translation x -> x + s (or the left one, x -> s + x) induces
     (`point_perms`).  The maps of element ids come from the shared per-atom
     tables (`groups.translation_ids`)."""
-    g = system.group
-    return point_perms(system, G.translation_ids(
-        g, [g.element_index[s] for s in shifts], left), points)
+    return point_perms(system, G.translation_ids(system.group, shifts, left),
+                       points)
 
 
 def _batched(parts, n):
@@ -471,10 +470,10 @@ def verify_3pyramidal(system, view=None):
     inf_ids = sorted(system.points.index(p) for p in INF)
     zero = system.points.index(g.zero)
 
-    gens = list(g.generators())
+    gens = g.generators()
     right = view.right
     fixed = [np.flatnonzero(perm == np.arange(v)) for perm in right]
-    moved = [gen != g.zero and f.tolist() != inf_ids
+    moved = [gen != 0 and f.tolist() != inf_ids  # the zero's id is 0
              for gen, f in zip(gens, fixed)]
     regular = _regularity_problems(
         right, _translations(system, view.point_codes, gens, left=True), zero,
@@ -486,7 +485,7 @@ def verify_3pyramidal(system, view=None):
         kept = [(True, True)] * len(right)
     for gen, (blocks_kept, classes_kept), f, bad in zip(gens, kept, fixed,
                                                         moved):
-        name = G.encode_element(g, gen)
+        name = G.encode_element(g, g.element_list[gen])
         if not blocks_kept:
             problems.append(f"translation by {name} does not preserve blocks")
         if not classes_kept:

@@ -102,13 +102,13 @@ def _oracle_df(g, blocks, excluded):
 
 
 def oracle_excluded(w):
-    """The elements a witness's relative excludes, from its carrier or its
-    spread's members: {0, x, -x} and the involutions."""
+    """The elements a witness's relative excludes, from its subgroup's ids
+    or its spread's members: {0, x, -x} and the involutions."""
     from kts3p.designkit import Spread
     if isinstance(w.relative, Spread):
         return set(tuple_view(w.group, [*w.relative.order3,
                                         *w.group.involutions]))
-    return set(w.relative.carrier)
+    return set(tuple_view(w.group, w.relative.ids))
 
 
 def oracle_is_df(w):
@@ -142,7 +142,7 @@ def oracle_is_j_resolvable(w):
                                  f"{G.encode_element(g, j)} is not an "
                                  "involution"])
     if isinstance(w.relative, G.SubgroupView):
-        H = w.relative.carrier
+        H = oracle_excluded(w)
         if j not in H:
             return Diagnosis(False, ["j must lie in the relative subgroup"])
         return oracle_coset_rep_check(
@@ -218,27 +218,29 @@ def oracle_is_doubly_disjoint(w):
 
 
 def oracle_dm_check(dm):
+    """`dm_check` on the matrix's rows and j read as element tuples."""
     import itertools
     from collections import Counter
     g = dm.group
+    rows = tuple_view(g, dm.rows)
     full = Counter(g.element_list)
     problems = [f"rows {i},{k}: difference is not a permutation"
                 for i, k in itertools.combinations(range(3), 2)
                 if Counter(g.sub(x, y) for x, y in
-                           zip(dm.rows[i], dm.rows[k])) != full]
+                           zip(rows[i], rows[k])) != full]
     valid = not problems
-    homogeneous = valid and all(Counter(r) == full for r in dm.rows)
+    homogeneous = valid and all(Counter(r) == full for r in rows)
 
     def splits_with(j):
         h = g.order // 2
         return all(len({frozenset((x, g.add(x, j))) for x in half}) == h
-                   for r in dm.rows for half in (r[:h], r[h:]))
+                   for r in rows for half in (r[:h], r[h:]))
 
     # the splitting involutions, named by their ids
     splittable = []
     if valid and g.order % 2 == 0:
-        candidates = ([dm.j] if dm.j is not None
-                      else tuple_view(g, g.involutions))
+        candidates = tuple_view(g, g.involutions if dm.j is None
+                                else [dm.j])
         splittable = [g.element_index[j] for j in candidates
                       if splits_with(j)]
     return {"valid": valid, "homogeneous": homogeneous,
@@ -281,9 +283,10 @@ def oracle_verify_3pyramidal(system):
     inf_ids = sorted(system.points.index(p) for p in V.INF)
     preserves = _oracle_preservation(system)
 
-    gens = list(g.generators())
+    gen_ids = g.generators()
+    gens = tuple_view(g, gen_ids)
     points = V._point_codes(system)
-    right = V._translations(system, points, gens)
+    right = V._translations(system, points, gen_ids)
     for gen, perm in zip(gens, right):
         name = G.encode_element(g, gen)
         blocks_kept, classes_kept = preserves(perm)
@@ -295,7 +298,7 @@ def oracle_verify_3pyramidal(system):
         if gen != g.zero and fixed.tolist() != inf_ids:
             problems.append(f"translation by {name} fixes {len(fixed)} points")
     problems += V._regularity_problems(
-        right, V._translations(system, points, gens, left=True),
+        right, V._translations(system, points, gen_ids, left=True),
         system.points.index(g.zero), g.order)
     return V._report(problems, group=repr(g), generators=len(gens))
 
@@ -307,14 +310,15 @@ def oracle_verify_3pyramidal(system):
 # `SubgroupView` and the generator-only `verify_multiplier_action` must give
 # the same verdicts.
 
-def oracle_subgroup_generators(ambient, carrier):
-    """The generators `SubgroupView` finds for `carrier`, or the ValueError
-    it raises."""
-    carrier = frozenset(carrier)
-    strays = carrier - ambient.element_index.keys()
+def oracle_subgroup_generators(ambient, ids):
+    """The generators `SubgroupView` finds for the element ids `ids`, as
+    ids, or the ValueError it raises; the closure runs on the elements
+    they name."""
+    strays = [i for i in ids if not 0 <= i < ambient.order]
     if strays:
-        raise ValueError(f"carrier holds non-elements of {ambient!r}: "
-                         f"{sorted(map(repr, strays))[:3]}")
+        raise ValueError(f"subgroup ids hold ids outside 0 to "
+                         f"{ambient.order - 1}: {sorted(strays)[:3]}")
+    carrier = frozenset(tuple_view(ambient, list(ids)))
     if ambient.zero not in carrier:
         raise ValueError("subgroup must contain 0")
     gens = []
@@ -329,13 +333,15 @@ def oracle_subgroup_generators(ambient, carrier):
             for t in by:
                 y = ambient.add(x, t)
                 if y not in carrier:
-                    raise ValueError(f"subgroup not closed under + at {x},{t}")
+                    raise ValueError("subgroup not closed under + at ids "
+                                     f"{ambient.element_index[x]},"
+                                     f"{ambient.element_index[t]}")
                 if y not in span:
                     span.add(y)
                     todo.append((y, gens))
     if len(span) != len(carrier):
         raise ValueError("the carrier is not the span of its elements")
-    return gens
+    return [ambient.element_index[s] for s in gens]
 
 
 def oracle_mu(ring, s):
@@ -383,7 +389,7 @@ def oracle_automorphism_lower_bound(system):
         return out
 
     gens = []
-    for ggen in g.generators():
+    for ggen in tuple_view(g, g.generators()):
         gens.append((f"translate {G.encode_element(g, ggen)}",
                      perm_of(lambda x: g.add(x, ggen))))
     if mult:

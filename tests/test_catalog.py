@@ -87,7 +87,7 @@ def test_rdf_g2_paper_triples_present():
 def test_rdf_g2_rel_g1_subgroup_shape():
     # the relative subgroup is Z3 x 2Z4 x 2Z4 inside the order-48 group
     w = catalog.get("rdf:G2:rel-G1")
-    assert {(a, b, c) for a, b, c in w.relative.carrier} == {
+    assert set(tuple_view(w.group, w.relative.ids)) == {
         (a, b, c) for a in range(3) for b in (0, 2) for c in (0, 2)
     }
     assert len(w.blocks) == (48 - 12) // 6

@@ -126,7 +126,8 @@ def test_catalog_list_and_show(capsys):
 
 
 # sha256 of `kts3p catalog show <id>`, frozen from the build that still held
-# witness blocks as element tuples
+# witness blocks as element tuples; the three PRDF digests were taken again
+# when the witness JSON gained its `prdf_pair` key, their only change
 CATALOG_SHOW_DIGESTS = {
     "rdf:D:empty": "f8bae8f0974a3b1a28c413f987ac63dc08494e801776ff1cfa0e6c18373530b7",
     "rdf:G1": "7c40a8a957b8d53da45aee4675f433f276ba44858f06f8d9b71c8ed543c5615d",
@@ -134,9 +135,9 @@ CATALOG_SHOW_DIGESTS = {
     "rdf:G1xV3": "57acc9dcdbfe41f339a33e3852232f0209a124749d841e730770825f90a5194d",
     "rdf:G2:rel-G1": "d5874c538ad4a1dcc45bd004ec864490fcc9242740b4c8a9f91e152b14fd9b56",
     "rdf:G2": "bc103d8ed845cd51bfde8621a9d4d72b7aea5d73cc925d760d717197617cc35b",
-    "prdf:G1xV3": "dcb774348b745ccbe1893a8aa88120f1a6e9f53ac56e086b20fa002ff08497d3",
-    "prdf:G1xV9": "68b6c76cae4a5e55867076e30052cee5f7fb40d7f2f0b12262d09672b9e3cd53",
-    "prdf:G2": "ebb41a024a24b206895be9063b902f732935a79b83fc449207ee1667aefa750c",
+    "prdf:G1xV3": "4e5a7419a7cedd13a41318b7a995900cd1cefed234b5ab324ee9d094eb30908d",
+    "prdf:G1xV9": "2eb2b68481415d729fe7b02f1bef4068d777a61fcf3af036e708cb3eae759128",
+    "prdf:G2": "7cd5521b9575949a994a022cdd8bfd9863cbfe84e2f9ab54f695ab7754887fb4",
     "rdf:G2xV3:rel-G1xV3": "e984efd7863ce5079a044cf429d6c47b66dee70ac8d4408d35324d126e1b8592",
     "rdf:G3:rel-G2": "211c09f14dca5785e8b7cf1c8049a72f25fca230e6adab3506db86c419f5e21a",
     "dm:G1": "5d0c49dfe5af591861fb5252bf673436138772a662c26bdaf082a3d1879360ef",

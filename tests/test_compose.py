@@ -48,11 +48,12 @@ def test_homogeneous_dm_row_oracle():
     # independent oracle: all three rows are permutations, row pairs tile V
     g = G.GroupDescriptor([G.VAtom(3), G.VAtom(5)])
     dm = compose.homogeneous_dm(g)
-    for row in dm.rows:
+    rows = tuple_view(g, dm.rows)
+    for row in rows:
         assert sorted(row) == sorted(g.element_list)
     for i in range(3):
         for j in range(i + 1, 3):
-            diffs = [g.sub(a, b) for a, b in zip(dm.rows[i], dm.rows[j])]
+            diffs = [g.sub(a, b) for a, b in zip(rows[i], rows[j])]
             assert sorted(diffs) == sorted(g.element_list)
 
 
@@ -71,8 +72,9 @@ def test_orthomorphism_pair_nonexistence():
     assert not [(s, r) for s in perms for r in perms
                 if bijective(s, cells) and bijective(r, cells)
                 and bijective(r, s)]
+    assert 3 not in compose._PAIR_TABLE
     with pytest.raises(ValueError):
-        compose._table_pair(cells)
+        compose.homogeneous_dm(G.GroupDescriptor([G.VAtom(3)]))
 
 
 def test_chain_union_and_pertinent_union_kts51_shape():

@@ -22,6 +22,9 @@ def g1():
     return G.GroupDescriptor([G.GAtom(1)])
 
 
+G1 = g1()
+
+
 def test_delta_family_matches_naive_oracle():
     g = g1()
     blocks = [[(0, 0, 1), (1, 1, 0), (2, 1, 1)], [(0, 1, 0), (1, 0, 1), (2, 0, 0)]]
@@ -143,9 +146,10 @@ def test_dm_check_homogeneous_and_splittable():
     dm = catalog.get("dm:G1")
     rep = dm_check(dm)
     assert rep["valid"]
-    assert rep["splittable"] == [dm.group.element_index[dm.j]]
+    assert rep["splittable"] == [dm.j]
+    assert tuple_view(dm.group, [dm.j]) == ((0, 1, 1),)
     # breaking one entry must invalidate it
-    rows = [list(r) for r in dm.rows]
+    rows = dm.rows.copy()
     rows[1][0] = rows[1][1]
     bad = DifferenceMatrix(dm.group, rows)
     assert not dm_check(bad)["valid"]
@@ -155,16 +159,13 @@ def test_dm_check_row_differences_oracle():
     # independent oracle: row-pair differences hit each element exactly once
     dm = catalog.get("dm:Z4xZ4")
     g = dm.group
+    rows = tuple_view(g, dm.rows)
     for r1 in range(3):
         for r2 in range(3):
             if r1 == r2:
                 continue
-            diffs = [g.sub(a, b) for a, b in zip(dm.rows[r1], dm.rows[r2])]
+            diffs = [g.sub(a, b) for a, b in zip(rows[r1], rows[r2])]
             assert sorted(diffs) == sorted(g.element_list)
-
-
-WITNESS_IDS = [eid for eid in catalog.ENTRY_IDS if not eid.startswith("dm:")]
-DM_IDS = [eid for eid in catalog.ENTRY_IDS if eid.startswith("dm:")]
 
 
 def _same_ids(x, y):
@@ -172,8 +173,9 @@ def _same_ids(x, y):
 
 
 def test_witness_json_roundtrip():
-    # every catalog family, and one with translates
-    for eid in WITNESS_IDS + ["dd:rdf:G2:rel-G1"]:
+    # families with translates; every catalog entry round-trips in
+    # test_catalog_entry_json_roundtrip
+    for eid in ["dd:rdf:G2:rel-G1", "dddf:5"]:
         w = _witness(eid)
         back = witness_from_json(witness_to_json(w))
         assert back.group == w.group, eid
@@ -186,12 +188,34 @@ def test_witness_json_roundtrip():
 
 
 def test_dm_json_roundtrip():
-    for eid in DM_IDS:
-        dm = catalog.get(eid)
+    # matrices that declare no j; the catalog's, which do, round-trip in
+    # test_catalog_entry_json_roundtrip
+    for atoms in ([G.VAtom(5)], [G.VAtom(3), G.VAtom(5)]):
+        dm = compose.homogeneous_dm(G.GroupDescriptor(atoms))
         back = dm_from_json(dm_to_json(dm))
         assert back.group == dm.group
-        assert back.rows == dm.rows
+        assert np.array_equal(back.rows, dm.rows)
         assert back.j == dm.j
+
+
+@pytest.mark.parametrize("eid", catalog.ENTRY_IDS)
+def test_catalog_entry_json_roundtrip(eid):
+    # every entry reads back with equal ids and passes its own check
+    obj = catalog.get(eid)
+    if isinstance(obj, DifferenceMatrix):
+        back = dm_from_json(json.loads(json.dumps(dm_to_json(obj))))
+        assert np.array_equal(back.rows, obj.rows) and back.j == obj.j
+    else:
+        back = witness_from_json(json.loads(json.dumps(witness_to_json(obj))))
+        assert (back.kind, type(back.relative)) == (obj.kind,
+                                                    type(obj.relative))
+        assert np.array_equal(back.blocks, obj.blocks)
+        assert np.array_equal(back.excluded(), obj.excluded())
+        assert (back.j, back.a, back.b, back.prdf_pair) == (
+            obj.j, obj.a, obj.b, obj.prdf_pair)
+        assert _same_ids(back.translates, obj.translates)
+    assert back.group == obj.group
+    assert catalog._verify_entry(back) is None
 
 
 def _non_canonical(label):
@@ -222,7 +246,8 @@ def _non_canonical(label):
     ("rdf:G2:rel-G1", ("relative", "subgroup", 1)),
     ("dd:rdf:G2:rel-G1", ("translates", 0)),
     ("dm:G1", ("rows", 1, 3)), ("dm:G1", ("j",)),
-    ("dm:Z2xZ6", ("rows", 2, 0))])
+    ("dm:Z2xZ6", ("rows", 2, 0)),
+    ("prdf:G2", ("prdf_pair", 0)), ("prdf:G1xV3", ("prdf_pair", 1))])
 def test_json_rejects_non_canonical_element_labels(eid, path):
     obj = _witness(eid)
     to_json, from_json = ((dm_to_json, dm_from_json)
@@ -358,13 +383,13 @@ def test_dm_check_agrees_with_counter_oracle(dm):
     g = dm.group
     rng = random.Random(repr(g))
     variants = [(dm.rows, dm.j), (dm.rows, None)]
-    variants += [(dm.rows, g.element_list[j]) for j in g.involutions]
+    variants += [(dm.rows, j) for j in g.involutions]
     for _ in range(4):
-        rows = [list(r) for r in dm.rows]
-        rows[rng.randrange(3)][rng.randrange(g.order)] = rng.choice(
-            g.element_list)
+        rows = dm.rows.tolist()
+        rows[rng.randrange(3)][rng.randrange(g.order)] = rng.randrange(
+            g.order)
         variants.append((rows, dm.j))
-    rows = [list(r) for r in dm.rows]
+    rows = dm.rows.tolist()
     i, k = rng.sample(range(g.order), 2)
     rows[1][i], rows[1][k] = rows[1][k], rows[1][i]
     variants.append((rows, dm.j))
@@ -497,10 +522,49 @@ def test_witness_arrays_are_read_only():
 
 
 def test_dm_check_rejects_entries_outside_the_group():
+    # an entry outside the group never reaches dm_check: the matrix refuses
+    # it as an id, and `tuple_view` reads the rows that dm_check counts
     dm = catalog.get("dm:G1")
-    rows = [list(r) for r in dm.rows]
-    rows[1][0] = (3, 0, 0)
-    rep = dm_check(DifferenceMatrix(dm.group, rows, j=dm.j))
-    assert not rep["valid"] and rep["splittable"] == []
-    assert rep["problems"] == [f"row 1 holds (3, 0, 0), which is not an "
-                               f"element of {dm.group!r}"]
+    for bad in (-1, 12, 1000):
+        rows = dm.rows.tolist()
+        rows[1][0] = bad
+        with pytest.raises(ValueError, match="rows hold ids outside 0 to 11,"
+                           " the element ids of G1"):
+            DifferenceMatrix(dm.group, rows, j=dm.j)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (lambda r: tuple_view(G1, r), r"rows must be a \(3, 12\) array"),
+    (lambda r: r[:2], r"rows must be a \(3, 12\) array"),
+    (lambda r: r[:, :11], r"rows must be a \(3, 12\) array"),
+    (lambda r: r.ravel(), r"rows must be a \(3, 12\) array"),
+    (lambda r: r.astype(bool), r"rows must be a \(3, 12\) array"),
+    (lambda r: r.astype(float), r"rows must be a \(3, 12\) array"),
+    (lambda r: [r[0].tolist(), r[1].tolist(), r[2, :5].tolist()],
+     "inhomogeneous"),
+    (lambda r: r + 12, "rows hold ids outside 0 to 11")])
+def test_difference_matrix_rows_are_ids(rows, message):
+    # rows are a (3, |H|) array of element ids: never element tuples,
+    # bools, floats, another shape or ids outside range(|H|)
+    dm = catalog.get("dm:G1")
+    with pytest.raises(ValueError, match=message):
+        DifferenceMatrix(dm.group, rows(dm.rows), j=dm.j)
+
+
+def test_difference_matrix_rows_are_read_only_copies():
+    dm = catalog.get("dm:G1")
+    rows = dm.rows.copy()
+    again = DifferenceMatrix(dm.group, rows, j=dm.j)
+    rows[0, 0] = 1
+    assert np.array_equal(again.rows, dm.rows)
+    with pytest.raises(ValueError):
+        again.rows[0, 0] = 1
+    assert again.rows.dtype == np.int64
+
+
+@pytest.mark.parametrize("j", NOT_IDS[:-1], ids=repr)
+def test_difference_matrix_j_is_an_id(j):
+    dm = catalog.get("dm:G1")
+    with pytest.raises(ValueError, match="j must be an element id of G1, "
+                       "0 to 11"):
+        DifferenceMatrix(dm.group, dm.rows, j=j)

@@ -64,7 +64,7 @@ def test_lift_prdf(eid, n):
     assert w.group.order == prdf.group.order * n
     assert is_j_resolvable(w)
     # the relative subgroup is the embedded base group
-    assert len(w.relative.carrier) == prdf.group.order
+    assert len(w.relative) == prdf.group.order
 
 
 def test_lift_prdf_rejects_bad_ring():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_mu, oracle_subgroup_generators
+from conftest import oracle_mu, oracle_subgroup_generators, tuple_view
 from kts3p import groups as G
 from kts3p import pipeline
 from kts3p.directcon import mu_ids
@@ -116,16 +116,27 @@ def test_conjugation():
         assert g.element_index[c] in g.involutions
 
 
+def _ids(g, elements):
+    """The sorted element ids of the element tuples `elements`."""
+    return sorted(g.element_index[x] for x in elements)
+
+
 def test_subgroup_view():
     g = _descr(G.GAtom(1))
-    h = G.SubgroupView(g, [x for x in g.element_list if x[1] == x[2] == 0])
+    h = G.SubgroupView(g, _ids(g, [x for x in g.element_list
+                                   if x[1] == x[2] == 0]))
     assert len(h) == 3
+    assert h.ids.tolist() == [0, 4, 8]
+    # the ids are read once each, in any order, and held read-only
+    assert G.SubgroupView(g, [8, 0, 4, 4]).ids.tolist() == [0, 4, 8]
+    with pytest.raises(ValueError):
+        h.ids[0] = 1
 
 
 def test_subgroup_view_rejects_non_subgroup():
     g = _descr(G.DAtom())
-    with pytest.raises(Exception):
-        G.SubgroupView(g, [(0, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        G.SubgroupView(g, _ids(g, [(0, 0), (0, 1)]))
 
 
 def _span(g, seeds):
@@ -152,7 +163,7 @@ def _is_normal(g, carrier):
 @pytest.mark.parametrize("g", SMALL_GROUPS, ids=repr)
 def test_generators_generate(g):
     # is_normal conjugates by the ambient generators only
-    assert _span(g, g.generators()) == set(g.element_list)
+    assert _span(g, tuple_view(g, g.generators())) == set(g.element_list)
 
 
 @pytest.mark.parametrize("g", SMALL_GROUPS, ids=repr)
@@ -162,48 +173,58 @@ def test_subgroup_view_matches_oracles(g, seed):
     els = list(g.element_list)
     for k in (1, 2):
         carrier = _span(g, r.sample(els, k))
-        h = G.SubgroupView(g, carrier)
-        assert _span(g, h.generators) == carrier
+        h = G.SubgroupView(g, _ids(g, carrier))
+        assert _span(g, tuple_view(g, h.generators)) == carrier
         assert 2 ** len(h.generators) <= len(carrier)
         assert h.is_normal() == _is_normal(g, carrier)
     for size in (2, 3, 4, 6):
         carrier = {g.zero, *r.sample(els, size - 1)}
         if _is_subgroup(g, carrier):
-            assert G.SubgroupView(g, carrier).is_normal() == _is_normal(g, carrier)
+            assert (G.SubgroupView(g, _ids(g, carrier)).is_normal()
+                    == _is_normal(g, carrier))
         else:
             with pytest.raises(ValueError):
-                G.SubgroupView(g, carrier)
+                G.SubgroupView(g, _ids(g, carrier))
 
 
 def test_subgroup_view_not_normal():
     d = _descr(G.DAtom())
-    h = G.SubgroupView(d, [(0, 0), (1, 0)])
-    assert h.generators == [(1, 0)]
+    h = G.SubgroupView(d, _ids(d, [(0, 0), (1, 0)]))
+    assert tuple_view(d, h.generators) == ((1, 0),)
     assert not h.is_normal()
-    assert G.SubgroupView(d, [(0, 0), (0, 1), (0, 2)]).is_normal()
+    assert G.SubgroupView(d, _ids(d, [(0, 0), (0, 1), (0, 2)])).is_normal()
 
 
 def test_subgroup_view_rejects_span_leaving_carrier():
     # <(0,1)> lies inside; adding the second generator (1,0) leaves it
     d = _descr(G.DAtom())
     with pytest.raises(ValueError, match="not closed"):
-        G.SubgroupView(d, [(0, 0), (0, 1), (0, 2), (1, 0)])
+        G.SubgroupView(d, _ids(d, [(0, 0), (0, 1), (0, 2), (1, 0)]))
     with pytest.raises(ValueError, match="contain 0"):
-        G.SubgroupView(d, [(0, 1), (0, 2)])
+        G.SubgroupView(d, _ids(d, [(0, 1), (0, 2)]))
 
 
 def test_subgroup_view_rejects_non_elements():
-    # add reduces mod 3, so (3,0,0) + (3,0,0) = 0 keeps the sums inside
+    # a subgroup is given by element ids of its ambient group alone: no
+    # element tuple (not even (3,0,0), which add would reduce), bool,
+    # float, set or nested list, and no id outside range(|G|)
     g = _descr(G.GAtom(1))
-    with pytest.raises(ValueError, match="non-elements"):
-        G.SubgroupView(g, [(0, 0, 0), (3, 0, 0)])
-    with pytest.raises(ValueError, match="non-elements"):
-        G.SubgroupView(g, [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0)])
+    shape = r"subgroup ids must be a \(k,\) array of integer element ids"
+    for ids, message in [
+            ([(0, 0, 0), (3, 0, 0)], shape),
+            ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0)], "inhomogeneous"),
+            ([True, False], shape), ([0.0, 4.0, 8.0], shape),
+            ({0, 4, 8}, shape), (0, shape), ([[0, 4, 8]], shape),
+            ([0, 12], "outside 0 to 11, the element ids of G1"),
+            ([0, 4, 8, -4], "outside 0 to 11"),
+            ([], "must contain 0")]:
+        with pytest.raises(ValueError, match=message):
+            G.SubgroupView(g, ids)
 
 
 def _oracle_verdict(g, carrier):
     try:
-        return oracle_subgroup_generators(g, carrier)
+        return oracle_subgroup_generators(g, _ids(g, carrier))
     except ValueError as e:
         # every element is spanned or becomes a generator, and the span
         # never leaves the carrier, so the last check cannot fire
@@ -213,7 +234,7 @@ def _oracle_verdict(g, carrier):
 
 def _view_verdict(g, carrier):
     try:
-        return G.SubgroupView(g, carrier).generators
+        return G.SubgroupView(g, _ids(g, carrier)).generators
     except ValueError:
         return None
 
@@ -246,10 +267,10 @@ def test_subgroup_view_agrees_with_tuple_oracle(g, seed):
 
 
 @pytest.mark.parametrize("carrier, message", [
-    ([(0, 0, 0), (3, 0, 0)], "non-elements"),
-    ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0)], "non-elements"),
-    ([(1, 0, 0), (2, 0, 0)], "must contain 0"),
-    ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)], "not closed under +"),
+    ([0, 12], "outside 0 to 11"),
+    ([0, 4, 8, -1], "outside 0 to 11"),
+    ([4, 8], "must contain 0"),                # (1,0,0) and (2,0,0)
+    ([0, 4, 8, 2], "not closed under +"),      # and (0,1,0)
 ])
 def test_subgroup_view_errors_match_tuple_oracle(carrier, message):
     # the fourth message of the tuple closure, "the carrier is not the span
@@ -288,8 +309,8 @@ def _counted(obj, name):
     [G.GAtom(2)], [G.VAtom(17)], [G.GAtom(1)], [G.GAtom(1), G.VAtom(17)]])
 def test_subgroup_checks_cost_generators(model, monkeypatch):
     # the route's kernels inside G2 x V17 (v = 819): closure adds no tuples
-    # and makes one id_sum call per generator, and normality costs one conj
-    # per generator pair
+    # and makes one id_sum call per generator, and normality conjugates
+    # every generator pair at once, in two id_sum calls
     amb = _descr(G.GAtom(2), G.VAtom(17))
     adds = _counted(amb, "add")
     sums = []
@@ -301,8 +322,9 @@ def test_subgroup_checks_cost_generators(model, monkeypatch):
     assert 0 < len(sums) <= len(kernel.generators)
     assert 2 ** len(kernel.generators) <= len(kernel)
     conjs = _counted(amb, "conj")
+    sums.clear()
     assert kernel.is_normal()
-    assert len(conjs) <= len(amb.generators()) * len(kernel.generators)
+    assert conjs == [] and adds == [] and len(sums) == 2
 
 
 def test_g_chain_embedding_is_monomorphism():
@@ -320,7 +342,7 @@ def test_g_chain_embedding_is_monomorphism():
 def test_encode_parse_roundtrip():
     g = _descr(G.GAtom(1), G.VAtom(build_ring(45)))
     for x in list(g.element_list)[::37]:
-        assert G.parse_element(g, G.encode_element(g, x)) == x
+        assert G.label_ids(g, [G.encode_element(g, x)]) == [g.element_index[x]]
 
 
 @pytest.mark.parametrize("atoms", [

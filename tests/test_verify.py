@@ -259,8 +259,8 @@ def test_translations_agree_with_group_law(atoms):
     shifts = [g.element_list[i] for i in shift_ids]
     gi = G.GroupIndex(g)
     points = V._point_codes(system)
-    right = V._translations(system, points, shifts)
-    left = V._translations(system, points, shifts, left=True)
+    right = V._translations(system, points, shift_ids)
+    left = V._translations(system, points, shift_ids, left=True)
     perms = gi.translation(shift_ids)
     for t, rp, lp, perm in zip(shifts, right, left, perms):
         for i in rng.integers(g.order, size=20):
@@ -570,7 +570,7 @@ def test_full_report_shape(sys15):
 def _all_translations(system):
     """The permutation of point ids of every right translation."""
     return V._translations(system, V._point_codes(system),
-                           system.group.element_list)
+                           np.arange(system.group.order))
 
 
 def _rewired(cls, skip=()):
