@@ -24,44 +24,15 @@ from .designkit import DifferenceMatrix, dm_to_json, witness_to_json
 EXIT_OK, EXIT_VERIFY, EXIT_MALFORMED, EXIT_UNSUPPORTED = 0, 2, 3, 4
 
 
-_INF_LABELS = ("inf1", "inf2", "inf3")
-
-
-def _point_table(group):
-    """Point label -> point, for a system over `group`: "inf1" to "inf3"
-    name `pipeline.INF`, and an element's canonical label (`label_index`)
-    names the element."""
-    el = group.element_list
-    return {**dict(zip(_INF_LABELS, pipeline.INF)),
-            **{s: el[i] for s, i in group.label_index.items()}}
-
-
-def _decode_points(group, labels):
-    """The points named by `labels`, looked up in `_point_table`; raises
-    ValueError naming the first label that is no point label."""
-    table = _point_table(group)
-    points = []
-    for s in labels:
-        p = table.get(s) if isinstance(s, str) else None
-        if p is None:
-            raise ValueError(f"point {s!r} is not a point label of {group!r}")
-        points.append(p)
-    return points
-
-
 def _point_labels(system):
-    """The label of each point, read off one list: "inf1" to "inf3", then
-    the elements' canonical labels (`groups.element_labels`) in
-    `element_index` order."""
-    g = system.group
-    table = [*_INF_LABELS, *G.element_labels(g)]
-    index = g.element_index
-    return [table[3 + index[p]] if p in index else table[p[1] - 1]
-            for p in system.points]
+    """The file label of each point: one gather from `groups.point_labels`
+    at `points + 3`."""
+    return np.array(G.point_labels(system.group),
+                    dtype=object)[system.points + 3]
 
 
 def system_to_json(system, with_trace=False):
-    labels = np.array(_point_labels(system), dtype=object)
+    labels = _point_labels(system)
     data = {
         "order": system.order,
         "group": G.group_labels(system.group),
@@ -127,7 +98,8 @@ class _SystemEncoder(json.JSONEncoder):
             fields["trace"] = system.trace
         dump = super().encode
         parts = {k: dump(x).replace("\n", "\n  ") for k, x in fields.items()}
-        labels = [encode_basestring_ascii(s) for s in _point_labels(system)]
+        labels = [encode_basestring_ascii(s)
+                  for s in _point_labels(system).tolist()]
         top, inner = "\n  ", "\n    "
         parts["points"] = _list_text(labels, top)
         parts["blocks"] = _triples_text(_triple_table(labels, top),
@@ -169,7 +141,13 @@ def system_from_json(data):
         if g.order != want:
             raise ValueError(f"{len(labels)} points, but the group labels "
                              f"do not name a group of order {want}")
-        points = _decode_points(g, labels)
+        index = {s: p for p, s in enumerate(G.point_labels(g), -3)}
+        points = [index.get(s) if isinstance(s, str) else None
+                  for s in labels]
+        if None in points:
+            raise ValueError(f"point {labels[points.index(None)]!r} is not "
+                             f"a point label of {g!r}")
+        points = np.array(points, dtype=np.int32)
         ids = {s: i for i, s in enumerate(labels)}
         blocks = _id_rows(ids, list(data["blocks"]))
         classes = list(data["resolution"])

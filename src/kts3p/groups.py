@@ -429,12 +429,24 @@ def map_ids(fn, src, dst):
                                 coord_sizes(dst)).astype(np.int64)
 
 
+def _holds_bool(x):
+    """Whether `x`, a scalar, an array or nested lists of them, holds a bool
+    in any place."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind == "b"
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_bool, x))
+    return isinstance(x, (bool, np.bool_))
+
+
 def frozen_ids(group, ids, what, shape=(None,), sort=False):
     """A read-only int64 copy of the element ids `ids`, an array of
     `shape` (None for any length), sorted along its last axis with `sort`.
-    Another shape (ids are never reshaped), a non-integer entry or an id
-    outside range(|G|) raises ValueError."""
+    Another shape (ids are never reshaped), a non-integer entry (a bool in
+    any place included) or an id outside range(|G|) raises ValueError."""
     arr = np.asarray(ids)  # ragged rows raise ValueError here
+    if _holds_bool(ids):  # np.asarray([False, 4]) is an int array
+        arr = arr.astype(bool)
     if arr.shape == (0,):
         arr = arr.reshape(0, *shape[1:])
     if (arr.ndim != len(shape)
@@ -511,6 +523,13 @@ def element_labels(group):
     product of each atom's list of labels."""
     return ["|".join(parts) for parts in itertools.product(
         *([_atom_text(a, x) for x in atom_elements(a)] for a in group.atoms))]
+
+
+def point_labels(group):
+    """The file label of each point of a system over `group`, at its value
+    in `KirkmanSystem.points` plus 3: "inf1" to "inf3" for the extra points
+    −3 to −1, then `element_labels` for the element ids."""
+    return ["inf1", "inf2", "inf3", *element_labels(group)]
 
 
 def label_ids(group, labels):

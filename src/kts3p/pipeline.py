@@ -24,7 +24,6 @@ from .directcon import (construct_9mod24, construct_15mod24,
                         construct_15mod24bis, construct_dddf, lift_prdf,
                         mu_ids, verify_multiplier_action)
 from .finring import build_ring, factorize
-from .verify import INF
 
 # translates build_kts develops per GroupIndex.translation call; larger
 # chunks raise the peak RSS and gain little
@@ -537,12 +536,14 @@ def construct_case_iii(e, n):
 
 @dataclass
 class KirkmanSystem:
-    """A resolved system: `points` holds the labels, `blocks` is an int32
-    (b, 3) array of indices into `points`, and `resolution` is a list of
-    int32 (k, 3) arrays, one per parallel class."""
+    """A resolved system: `points` is an int32 (v,) array holding each
+    point's element id, or −3, −2, −1 for ∞1, ∞2, ∞3, so that `points + 3`
+    indexes `groups.point_labels`; `blocks` is an int32 (b, 3) array of
+    indices into `points` (point ids), and `resolution` is a list of int32
+    (k, 3) arrays, one per parallel class."""
     order: int
     group: G.GroupDescriptor
-    points: list
+    points: np.ndarray
     blocks: np.ndarray
     resolution: list
     witness: FamilyWitness | None = None
@@ -568,7 +569,7 @@ def build_kts(rdf, trace=None):
         raise AssertionError(f"family is not resolvable: {d}")
     g = rdf.group
     j = rdf.j
-    points = list(INF) + list(g.element_list)
+    points = np.arange(-3, g.order, dtype=np.int32)
     v = len(points)
     # Q0 as point ids, 3 + element id: {∞k, x, x + j} for x = 0, a, b (the
     # zero's id is 0), then each block and its j-translate

@@ -24,16 +24,16 @@ MAX_PROBLEMS = 10
 # first extra point or verify_automorphisms sifts Schreier generators
 CLASS_CHUNK = 32
 DEVELOP_CHUNK = 128
-# the three extra points, as a system's `points` holds them
-INF = (("inf", 1), ("inf", 2), ("inf", 3))
 
 
 def _report(problems, **counts):
     return {"ok": not problems, **counts, "problems": problems[:MAX_PROBLEMS]}
 
 
-def _labels(system, row):
-    return tuple(system.points[i] for i in row)
+def _named(view, row):
+    """The points of the id row `row` by their file labels, as
+    "(a, b, c)"."""
+    return "(" + ", ".join(view.labels[i] for i in row) + ")"
 
 
 def _sorted_codes(rows, v):
@@ -48,7 +48,8 @@ class SystemView:
     that only feed another (each block's sorted ids, the class codes and
     their sorted copy) are dropped by it, so between checks a view holds
     the block codes, the class table, the point data and the verdict of
-    `verify_3pyramidal` at most.
+    `verify_3pyramidal` at most.  A system's `points` hold element ids,
+    and −3 to −1 at the extra points.
     `verify_full` and `kts3p verify` pass one view to every check they
     run; a check called without one makes its own."""
 
@@ -119,12 +120,13 @@ class SystemView:
         return _point_codes(self.system)
 
     @cached_property
-    def element_of(self):
-        """The element id of each point id, and −1 at the extra points."""
-        ids, elements = self.point_codes
-        element_of = np.full(self.v, -1, dtype=np.int64)
-        element_of[ids] = elements
-        return element_of
+    def labels(self):
+        """The file label of each point id, `groups.point_labels` at
+        `points + 3`; a value that names no point is shown as it is, so
+        that a system failing `_point_problems` can be named too."""
+        table = G.point_labels(self.system.group)
+        return [table[p + 3] if -3 <= p < len(table) - 3 else str(p)
+                for p in self.system.points.tolist()]
 
     @cached_property
     def right(self):
@@ -134,10 +136,10 @@ class SystemView:
                              self.system.group.generators())
 
 
-def _pair_problems(system, pairs):
+def _pair_problems(view, pairs):
     """Messages for sorted pair codes that are not each unordered pair
     i < j of points exactly once."""
-    v = len(system.points)
+    v = view.v
     codes, counts = np.unique(pairs, return_counts=True)
     first, second = np.divmod(codes, v)
     off = first < second
@@ -146,9 +148,8 @@ def _pair_problems(system, pairs):
     if missing:
         problems.append(f"{missing} pairs uncovered")
     for k in np.flatnonzero(off & (counts != 1))[:MAX_PROBLEMS]:
-        problems.append(
-            f"pair ({system.points[first[k]]}, {system.points[second[k]]}) "
-            f"covered {counts[k]} times")
+        problems.append(f"pair {_named(view, (first[k], second[k]))} "
+                        f"covered {counts[k]} times")
     return problems
 
 
@@ -162,7 +163,7 @@ def verify_sts(system, view=None):
     problems = []
     if v != system.order:
         problems.append(f"order says {system.order} but there are {v} points")
-    if len(set(system.points)) != v:
+    if not G.run_starts(np.sort(system.points)).all():
         problems.append("points are not distinct")
     arr = system.blocks
     stray = sorted(set(arr[(arr < 0) | (arr >= v)].tolist()))
@@ -171,7 +172,7 @@ def verify_sts(system, view=None):
         return _report(problems, v=v, blocks=len(arr))
     a, b, c = view.ids
     for row in arr[(a == b) | (b == c)][:MAX_PROBLEMS]:
-        problems.append(f"degenerate block {_labels(system, row)}")
+        problems.append(f"degenerate block {_named(view, row)}")
     # the codes of pairs ab, ac and bc, marked one column at a time when
     # there are as many as pairs of points (the bitmap is then smaller than
     # the blocks); all of them, sorted, only to name the pairs at fault
@@ -195,7 +196,7 @@ def verify_sts(system, view=None):
         row += second
     pairs = pairs.ravel()
     pairs.sort()
-    problems += _pair_problems(system, pairs)
+    problems += _pair_problems(view, pairs)
     return _report(problems, v=v, blocks=len(arr))
 
 
@@ -273,18 +274,17 @@ def _preservation(view):
 
 
 def _point_codes(system):
-    """The ids of the group points and each one's element id (its index in
-    `element_list`)."""
-    index = system.group.element_index
-    ids = [i for i, p in enumerate(system.points) if p not in INF]
-    return np.array(ids), np.array([index[system.points[i]] for i in ids])
+    """The ids of the group points and each one's element id, its value in
+    `points`."""
+    ids = np.flatnonzero(system.points >= 0)
+    return ids, system.points[ids]
 
 
 def point_perms(system, maps, points=None):
     """The permutations of point ids that the rows of `maps`, maps of
-    element ids (indices into `element_list`), induce through the point
-    labels, given as `points = _point_codes(system)` or read here; the
-    extra points stay fixed."""
+    element ids (indices into `element_list`), induce through `points`,
+    given as `points = _point_codes(system)` or read here; the extra points
+    stay fixed."""
     ids, codes = _point_codes(system) if points is None else points
     id_of = np.empty(system.group.order, dtype=np.int32)
     id_of[codes] = ids
@@ -345,17 +345,14 @@ def _regularity_problems(right, left, start, size):
 
 
 def _point_problems(system):
-    """Why the points cannot carry the group action: they must be the three
-    extra points and the group elements, and every block and class entry
-    must be a point id."""
+    """Why the points cannot carry the group action: sorted, they must be
+    −3, −2, −1 and the element ids, and every block and class entry must
+    be a point id."""
     g = system.group
     v = len(system.points)
     if v != g.order + 3:
         return [f"expected {g.order} + 3 points"]
-    # |G| + 3 distinct points are these when those outside the group are
-    # the three extra points
-    extra = {p for p in system.points if p not in g.element_index}
-    if len(set(system.points)) != v or extra != set(INF):
+    if not np.array_equal(np.sort(system.points), np.arange(-3, g.order)):
         return ["points are not the three extra points and the group "
                 "elements"]
     classes = system.resolution
@@ -371,13 +368,13 @@ def _increasing(codes):
     return bool(np.all(codes[1:] > codes[:-1]))
 
 
-def _develops(view, right, zero):
-    """Whether one development of the class through the first extra point
-    proves that the group H generated by the permutations `right`
-    preserves the blocks and the classes.  Sound only when H acts
-    regularly on the points other than the extra three, which the caller
-    checks; False is no verdict, only a call for the per-generator
-    comparison.
+def _develops(view, right, inf_ids, zero):
+    """Whether one development of the class through ∞1 proves that the
+    group H generated by the permutations `right` preserves the blocks and
+    the classes, given the point ids `inf_ids` of ∞1 to ∞3 and `zero` of
+    the zero element.  Sound only when H acts regularly on the points
+    other than the extra three, which the caller checks; False is no
+    verdict, only a call for the per-generator comparison.
 
     Let C∞ be the class holding the extra points' block, C1 the class
     holding a block {∞1, 0, y}, and τ the element of H taking 0 to y.  A
@@ -391,7 +388,6 @@ def _develops(view, right, zero):
     classes.  Each developed class is looked up in the class set as it
     comes, so a class outside it ends the search."""
     system, v = view.system, view.v
-    inf_ids = [system.points.index(p) for p in INF]
     sizes = {len(rows) for rows in system.resolution}
     k = max(sizes, default=0)
     if not right or sizes != {k} or not k:
@@ -459,7 +455,7 @@ def verify_3pyramidal(system, view=None):
     class (`_develops`) proves preservation by the whole group.  When that
     proof fails, each generator's images of the blocks and classes are
     compared with them, to name the generators at fault.  The action goes
-    through the point labels, wherever they sit in `points`."""
+    through the element ids in `points`, wherever they sit."""
     view = view or SystemView(system)
     g = system.group
     v = view.v
@@ -467,18 +463,19 @@ def verify_3pyramidal(system, view=None):
     if problems:
         view.invariant = False
         return _report(problems, group=repr(g))
-    inf_ids = sorted(system.points.index(p) for p in INF)
-    zero = system.points.index(g.zero)
+    # sorted by value, the points are ∞1, ∞2, ∞3, the zero, ...
+    by_value = np.argsort(system.points)
+    inf_ids, zero = by_value[:3], int(by_value[3])
 
     gens = g.generators()
     right = view.right
     fixed = [np.flatnonzero(perm == np.arange(v)) for perm in right]
-    moved = [gen != 0 and f.tolist() != inf_ids  # the zero's id is 0
+    moved = [gen != 0 and f.tolist() != sorted(inf_ids)  # the zero's id is 0
              for gen, f in zip(gens, fixed)]
     regular = _regularity_problems(
         right, _translations(system, view.point_codes, gens, left=True), zero,
         g.order)
-    if any(moved) or regular or not _develops(view, right, zero):
+    if any(moved) or regular or not _develops(view, right, inf_ids, zero):
         preserves = _preservation(view)
         kept = [preserves(perm) for perm in right]
     else:
@@ -582,7 +579,7 @@ def _names(view, rows):
     ids, elements = view.point_codes
     point_of = np.empty(g.order, dtype=np.int32)
     point_of[elements] = ids
-    e = view.element_of[rows]
+    e = view.system.points[rows]
     codes = np.empty((len(rows), 3), dtype=np.int64)
     for k in range(3):
         moved = G.id_sum(g, G.id_sum(g, e, e[:, k:k + 1], negate=True),
@@ -627,15 +624,15 @@ def _orbits(view):
     through = blocks[lo:hi][G.run_starts(blocks[lo:hi])]
     if len(through) > (v - 1) // 2:
         return [], [], [f"{len(through)} distinct blocks through "
-                        f"{system.points[p]}, expected at most {(v - 1) // 2}"]
+                        f"{view.labels[p]}, expected at most {(v - 1) // 2}"]
     if view.invariant:
         rows = G.code_rows(through, v)
     else:
         rows = G.code_rows(blocks[G.run_starts(blocks)], v)
-    rows = rows[np.all(view.element_of[rows] >= 0, axis=1)]
+    rows = rows[np.all(system.points[rows] >= 0, axis=1)]
     for row in rows[(rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])][
             :MAX_PROBLEMS]:
-        problems.append(f"degenerate block {_labels(system, row)}")
+        problems.append(f"degenerate block {_named(view, row)}")
     if problems:
         return [], [], problems
 
@@ -652,7 +649,7 @@ def _orbits(view):
 
     length = g.order * d // 3
     for k in np.flatnonzero(~whole | (d == 2)):
-        rep = _labels(system, rows[first[k]])
+        rep = _named(view, rows[first[k]])
         problems.append(
             f"orbit of {rep} has impossible length {length[k]}" if whole[k]
             else f"orbit of {rep} leaves the block set")
@@ -660,18 +657,6 @@ def _orbits(view):
     if len(shorts) != 1:
         problems.append(f"expected one short orbit, found {len(shorts)}")
     return rows[first[whole & (d == 3)]], shorts, problems[:MAX_PROBLEMS]
-
-
-def extract_base_blocks(system):
-    """Re-derive base blocks by orbit decomposition of the blocks avoiding the
-    extra points.  Full-length orbits (size |G|) come from the difference
-    family; the single short orbit (size |G|/3) is the developed spread.
-    Representatives come back as label triples.  Raises ValueError when the
-    blocks are not such a union of orbits."""
-    reps, shorts, problems = _orbits(SystemView(system))
-    if problems:
-        raise ValueError("; ".join(problems))
-    return [_labels(system, row) for row in reps], _labels(system, shorts[0])
 
 
 def check_base_blocks(system, view=None):
@@ -692,13 +677,12 @@ def check_base_blocks(system, view=None):
     if len(reps) != len(w.blocks):
         problems.append(
             f"{len(reps)} full orbits vs {len(w.blocks)} witness blocks")
-    element_of = view.element_of
-    if not np.array_equal(difference_counts(g, element_of[reps]),
+    if not np.array_equal(difference_counts(g, system.points[reps]),
                           difference_counts(g, w.blocks)):
         problems.append("difference multisets disagree")
     # the spread holds 0, so a coset spread + t equal to the short orbit
     # has its t in the short orbit
-    short = np.sort(element_of[shorts[0]])
+    short = np.sort(system.points[shorts[0]])
     cosets = np.sort(G.id_sum(g, w.spread().order3, short[:, None]), axis=1)
     if not (cosets == short).all(axis=1).any():
         problems.append("short orbit is not the developed spread")

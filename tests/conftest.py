@@ -19,6 +19,36 @@ def tuple_view(group, ids):
     return tuple(group.element_list[x] for x in ids.tolist())
 
 
+def point_view(system):
+    """Each point of a system as the element tuple of its id, and "inf1" to
+    "inf3" for the extra points (−3 to −1 in `points`): the point set the
+    tuple oracles and the paper's tables read."""
+    el = system.group.element_list
+    return [f"inf{p + 4}" if p < 0 else el[p] for p in system.points.tolist()]
+
+
+def file_labels(system):
+    """The file label of each point, read off `groups.point_labels` at
+    `points + 3`, as problem messages name points."""
+    from kts3p import groups as G
+    table = G.point_labels(system.group)
+    return [table[p + 3] for p in system.points.tolist()]
+
+
+def base_blocks(system):
+    """The orbit representatives that `verify._orbits` re-derives from the
+    blocks avoiding the extra points, as element tuples: the full orbits'
+    representatives and the short orbit's.  Raises ValueError when the
+    blocks are no union of such orbits."""
+    from kts3p import verify as V
+    reps, shorts, problems = V._orbits(V.SystemView(system))
+    if problems:
+        raise ValueError("; ".join(problems))
+    points = point_view(system)
+    return ([tuple(points[i] for i in row) for row in reps.tolist()],
+            tuple(points[i] for i in shorts[0].tolist()))
+
+
 def naive_delta(group, blocks):
     """Reference difference multiset: ordered pairs r - c over each block."""
     from collections import Counter
@@ -280,13 +310,14 @@ def oracle_verify_3pyramidal(system):
     problems = V._point_problems(system)
     if problems:
         return V._report(problems, group=repr(g))
-    inf_ids = sorted(system.points.index(p) for p in V.INF)
+    points = point_view(system)
+    inf_ids = sorted(points.index(p) for p in ("inf1", "inf2", "inf3"))
     preserves = _oracle_preservation(system)
 
     gen_ids = g.generators()
     gens = tuple_view(g, gen_ids)
-    points = V._point_codes(system)
-    right = V._translations(system, points, gen_ids)
+    codes = V._point_codes(system)
+    right = V._translations(system, codes, gen_ids)
     for gen, perm in zip(gens, right):
         name = G.encode_element(g, gen)
         blocks_kept, classes_kept = preserves(perm)
@@ -298,8 +329,8 @@ def oracle_verify_3pyramidal(system):
         if gen != g.zero and fixed.tolist() != inf_ids:
             problems.append(f"translation by {name} fixes {len(fixed)} points")
     problems += V._regularity_problems(
-        right, V._translations(system, points, gen_ids, left=True),
-        system.points.index(g.zero), g.order)
+        right, V._translations(system, codes, gen_ids, left=True),
+        points.index(g.zero), g.order)
     return V._report(problems, group=repr(g), generators=len(gens))
 
 
@@ -380,7 +411,7 @@ def oracle_automorphism_lower_bound(system):
     w = system.witness
     mult = w.multipliers if w is not None else None
     m = mult.order if mult else 1
-    index = {p: i for i, p in enumerate(system.points)}
+    index = {p: i for i, p in enumerate(point_view(system))}
 
     def perm_of(fn):
         out = list(range(len(system.points)))

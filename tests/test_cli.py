@@ -371,7 +371,8 @@ def test_decode_gives_constructed_arrays(v, tmp_path, capsys):
     run(capsys, "construct", "--order", str(v), "--out", str(path))
     system = pipeline.construct(v)
     back = cli.system_from_json(json.loads(path.read_text()))
-    assert back.points == system.points
+    assert back.points.dtype == np.int32
+    assert np.array_equal(back.points, system.points)
     assert len(back.resolution) == len(system.resolution)
     for got, want in [(back.blocks, system.blocks),
                       *zip(back.resolution, system.resolution)]:

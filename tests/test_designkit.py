@@ -459,6 +459,7 @@ def test_witness_rejects_blocks_that_are_not_id_triples():
                 ids[:, :2],                 # blocks of two
                 [list(b) for b in tuple_view(g, ids)],  # element tuples
                 ids.astype(float),          # not integers
+                [[True, 6, 11], *ids[1:].tolist()],  # a bool in one place
                 [[0, 1, 2], [3, 4]]):       # ragged rows
         with pytest.raises(ValueError):
             FamilyWitness(g, bad, "RDF", w.relative, j=w.j)
@@ -542,7 +543,9 @@ def test_dm_check_rejects_entries_outside_the_group():
     (lambda r: r.astype(float), r"rows must be a \(3, 12\) array"),
     (lambda r: [r[0].tolist(), r[1].tolist(), r[2, :5].tolist()],
      "inhomogeneous"),
-    (lambda r: r + 12, "rows hold ids outside 0 to 11")])
+    (lambda r: r + 12, "rows hold ids outside 0 to 11"),
+    (lambda r: [[True, *r[0, 1:].tolist()], *r[1:].tolist()],
+     r"rows must be a \(3, 12\) array of integer element ids, not bool")])
 def test_difference_matrix_rows_are_ids(rows, message):
     # rows are a (3, |H|) array of element ids: never element tuples,
     # bools, floats, another shape or ids outside range(|H|)

@@ -213,7 +213,8 @@ def test_subgroup_view_rejects_non_elements():
     for ids, message in [
             ([(0, 0, 0), (3, 0, 0)], shape),
             ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0)], "inhomogeneous"),
-            ([True, False], shape), ([0.0, 4.0, 8.0], shape),
+            ([True, False], shape), ([False, 4, 8], shape),
+            ([np.True_, 4, 8], shape), ([0.0, 4.0, 8.0], shape),
             ({0, 4, 8}, shape), (0, shape), ([[0, 4, 8]], shape),
             ([0, 12], "outside 0 to 11, the element ids of G1"),
             ([0, 4, 8, -4], "outside 0 to 11"),

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import (delta_counts, naive_pair_cover, oracle_excluded,
-                      tuple_view)
+                      point_view, tuple_view)
 from kts3p import catalog, cli, compose
 from kts3p import groups as G
 from kts3p import pipeline as P
 from kts3p.designkit import dm_check, is_j_resolvable
 from kts3p.directcon import lift_prdf
 
-I1, I2, I3 = P.INF
+I1, I2, I3 = "inf1", "inf2", "inf3"
 
 
 def test_classify_frozen_small():
@@ -114,7 +114,8 @@ def test_classify_rejects_wrong_residue():
 
 
 def _classes(system):
-    return {frozenset(frozenset(system.points[i] for i in b)
+    points = point_view(system)
+    return {frozenset(frozenset(points[i] for i in b)
                       for b in cls.tolist())
             for cls in system.resolution}
 
@@ -173,20 +174,24 @@ def test_golden_kts15():
 def test_construct_counts(v):
     system = P.construct(v)
     assert system.order == v
-    assert len(system.points) == v
+    # ∞1 to ∞3 as −3 to −1, then the element ids
+    assert system.points.dtype == np.int32
+    assert np.array_equal(system.points, np.arange(-3, v - 3))
+    points = point_view(system)
     assert system.blocks.dtype == np.int32
     assert system.blocks.shape == (v * (v - 1) // 6, 3)
     assert len(system.resolution) == (v - 1) // 2
     for cls in system.resolution:
         assert cls.dtype == np.int32 and cls.shape == (v // 3, 3)
-        covered = [system.points[i] for i in cls.ravel()]
-        assert len(covered) == v and set(covered) == set(system.points)
+        covered = [points[i] for i in cls.ravel()]
+        assert len(covered) == v and set(covered) == set(points)
 
 
 def test_construct_pair_cover_small_oracle():
     system = P.construct(15)
-    labelled = [[system.points[i] for i in b] for b in system.blocks.tolist()]
-    cover = naive_pair_cover(system.points, labelled)
+    points = point_view(system)
+    labelled = [[points[i] for i in b] for b in system.blocks.tolist()]
+    cover = naive_pair_cover(points, labelled)
     assert len(cover) == 15 * 14 // 2
     assert set(cover.values()) == {1}
 
@@ -212,11 +217,10 @@ def _full_development(rdf):
     j gives the same class row."""
     g = rdf.group
     j, a, b = tuple_view(g, [rdf.j, rdf.a, rdf.b])
-    points = list(P.INF) + list(g.element_list)
+    points = [I1, I2, I3] + list(g.element_list)
     index = {p: i for i, p in enumerate(points)}
     v = len(points)
-    q0 = [(P.INF[0], g.zero, j), (P.INF[1], a, g.add(a, j)),
-          (P.INF[2], b, g.add(b, j))]
+    q0 = [(I1, g.zero, j), (I2, a, g.add(a, j)), (I3, b, g.add(b, j))]
     for blk in tuple_view(g, rdf.blocks):
         q0.append(blk)
         q0.append(tuple(g.add(x, j) for x in blk))
@@ -352,14 +356,6 @@ def test_place_fn_is_monomorphism():
             assert fn(src.add(x, y)) == dst.add(fn(x), fn(y))
         seen.add(fn(x))
     assert len(seen) == src.order
-
-
-def test_extra_points_are_one_literal():
-    # the route and the independent checker name the extra points alike,
-    # from the one tuple that `verify` owns
-    from kts3p import verify
-    assert P.INF is verify.INF and cli.pipeline.INF is verify.INF
-    assert P.construct(15).points[:3] == list(verify.INF)
 
 
 def test_align_transports_witness():

@@ -7,8 +7,9 @@ import types
 
 import numpy as np
 import pytest
-from conftest import (naive_pair_cover, oracle_automorphism_lower_bound,
-                      oracle_closure_order, oracle_verify_3pyramidal)
+from conftest import (base_blocks, file_labels, naive_pair_cover,
+                      oracle_automorphism_lower_bound, oracle_closure_order,
+                      oracle_verify_3pyramidal, point_view)
 
 from kts3p import groups as G
 from kts3p import pipeline as P
@@ -88,9 +89,32 @@ def test_sts_catches_unknown_point_id(sys15):
 
 
 def test_sts_catches_duplicate_point():
+    # the last point made a repeat of ∞1, or a value that is no point
+    # (below −3, or |G|): every check fails or reports, and a degenerate
+    # block through that point names it by its label or, if it has none,
+    # by its value
     s = P.construct(15)
-    bad = _with(s, points=s.points[:-1] + [s.points[0]])
-    assert not V.verify_sts(bad)["ok"]
+    labels = file_labels(s)
+    last = len(s.points) - 1
+    for stray, name in ((s.points[0], "inf1"), (-4, "-4"),
+                        (s.group.order, str(s.group.order))):
+        points = s.points.copy()
+        points[last] = stray
+        bad = _with(s, points=points)
+        if name == "inf1":
+            assert V.verify_sts(bad)["problems"] == ["points are not distinct"]
+        rep = V.verify_full(bad)
+        assert not rep["ok"]
+        assert rep["pyramidal"]["problems"] == [
+            "points are not the three extra points and the group elements"]
+        blocks = s.blocks.copy()
+        k = int(np.flatnonzero((blocks == last).any(axis=1))[0])
+        x = next(p for p in blocks[k].tolist() if p != last)
+        blocks[k] = [x, last, last]
+        rep = V.verify_full(_with(bad, blocks=blocks))
+        assert not rep["ok"]
+        assert (f"degenerate block ({labels[x]}, {name}, {name})"
+                in rep["sts"]["problems"])
 
 
 def test_resolution_catches_merged_classes(sys15):
@@ -144,7 +168,7 @@ def test_pyramidal_compares_classes_as_a_set(sys15):
 
 
 def test_extract_base_blocks_roundtrip(sys33):
-    reps, short = V.extract_base_blocks(sys33)
+    reps, short = base_blocks(sys33)
     w = sys33.witness
     assert len(reps) == len(w.blocks)
     # the short orbit representative is one triple inside the group
@@ -155,10 +179,10 @@ def test_extract_base_blocks_roundtrip(sys33):
 
 
 def _base_blocks_oracle(system):
-    """extract_base_blocks by brute force: the blocks avoiding the extra
-    points in code order, each not yet seen developing its orbit B + t
-    with the group law."""
-    g, points = system.group, system.points
+    """`base_blocks` by brute force: the blocks avoiding the extra points
+    in code order, each not yet seen developing its orbit B + t with the
+    group law."""
+    g, points = system.group, point_view(system)
     index = {p: i for i, p in enumerate(points)}
 
     def key(labels):
@@ -167,7 +191,7 @@ def _base_blocks_oracle(system):
     seen, reps, short = set(), [], []
     for b in sorted({tuple(sorted(row)) for row in system.blocks.tolist()}):
         labels = [points[i] for i in b]
-        if b in seen or any(isinstance(p[0], str) for p in labels):
+        if b in seen or any(isinstance(p, str) for p in labels):
             continue
         orbit = {key([g.add(x, t) for x in labels]) for t in g.element_list}
         seen |= orbit
@@ -180,13 +204,13 @@ def _base_blocks_oracle(system):
 @pytest.mark.parametrize("v", [39, 57, 183, 195, 327, 369])
 def test_extract_base_blocks_matches_oracle(v):
     s = P.construct(v)
-    reps, short = V.extract_base_blocks(s)
+    reps, short = base_blocks(s)
     want_reps, want_short = _base_blocks_oracle(s)
     assert reps == want_reps
     assert [short] == want_short
     # a repeated block is one block of the orbit decomposition
     doubled = _with(s, blocks=np.vstack([s.blocks, s.blocks[::-1]]))
-    assert V.extract_base_blocks(doubled) == (reps, short)
+    assert base_blocks(doubled) == (reps, short)
 
 
 @pytest.mark.parametrize("v", [39, 183, 327, 369])
@@ -216,7 +240,7 @@ def test_check_base_blocks_reports_many_blocks_through_a_point(sys15):
     assert through > (v - 1) // 2
     rep = V.check_base_blocks(bad)
     assert rep["problems"] == [
-        f"{through} distinct blocks through {sys15.points[3]}, "
+        f"{through} distinct blocks through {file_labels(sys15)[3]}, "
         f"expected at most {(v - 1) // 2}"]
 
 
@@ -228,7 +252,7 @@ def test_check_base_blocks_reports_orbit_leaving_block_set(sys33):
     assert not rep["ok"]
     assert any(p.endswith("leaves the block set") for p in rep["problems"])
     with pytest.raises(ValueError, match="leaves the block set"):
-        V.extract_base_blocks(bad)
+        base_blocks(bad)
 
 
 @pytest.mark.parametrize("atoms", [(G.DAtom(), G.VAtom(5)), (G.GAtom(2),),
@@ -251,10 +275,9 @@ def test_differences_match_delta_family(atoms):
 def test_translations_agree_with_group_law(atoms):
     g = G.GroupDescriptor(atoms)
     rng = np.random.default_rng(11)
-    points = list(V.INF) + g.element_list
-    points = [points[i] for i in rng.permutation(len(points))]
-    index = {p: i for i, p in enumerate(points)}
-    system = types.SimpleNamespace(group=g, points=points)
+    system = types.SimpleNamespace(group=g, points=rng.permutation(
+        np.arange(-3, g.order, dtype=np.int32)))
+    index = {p: i for i, p in enumerate(point_view(system))}
     shift_ids = rng.integers(g.order, size=5)
     shifts = [g.element_list[i] for i in shift_ids]
     gi = G.GroupIndex(g)
@@ -268,7 +291,7 @@ def test_translations_agree_with_group_law(atoms):
             assert g.element_list[perm[i]] == g.add(x, t)
             assert rp[index[x]] == index[g.add(x, t)]
             assert lp[index[x]] == index[g.add(t, x)]
-        for p in V.INF:
+        for p in ("inf1", "inf2", "inf3"):
             assert rp[index[p]] == lp[index[p]] == index[p]
 
 
@@ -333,7 +356,7 @@ def _reordered(system, seed):
     order = np.random.default_rng(seed).permutation(len(system.points))
     new_id = np.empty_like(order)
     new_id[order] = np.arange(len(order))
-    return _with(system, points=[system.points[i] for i in order],
+    return _with(system, points=system.points[order],
                  blocks=new_id[system.blocks].astype(np.int32),
                  resolution=[new_id[c].astype(np.int32)
                              for c in system.resolution])
@@ -341,7 +364,7 @@ def _reordered(system, seed):
 
 def test_automorphisms_translations_reordered_points(sys15):
     moved = _reordered(sys15, 3)
-    assert moved.points[:3] != list(P.INF)
+    assert point_view(moved)[:3] != ["inf1", "inf2", "inf3"]
     assert V.verify_full(moved)["ok"]
     bound, gens = P.automorphism_lower_bound(moved)
     rep = V.verify_automorphisms(moved, gens)
@@ -389,7 +412,8 @@ def _complete(v):
     permutation preserves both."""
     blocks = np.array(list(itertools.combinations(range(v), 3)),
                       dtype=np.int32).reshape(-1, 3)
-    return P.KirkmanSystem(order=v, group=None, points=list(range(v)),
+    return P.KirkmanSystem(order=v, group=None,
+                           points=np.arange(v, dtype=np.int32),
                            blocks=blocks, resolution=[])
 
 
@@ -507,8 +531,9 @@ def test_checks_agree_with_oracle_on_corruptions(request, v, corrupt, seed):
     res = [c.copy() for c in system.resolution]
     corrupt(res, np.random.default_rng(seed))
     bad = _with(system, resolution=res, blocks=np.concatenate(res))
-    cover = naive_pair_cover(bad.points,
-                             [[bad.points[i] for i in b] for b in bad.blocks])
+    points = point_view(bad)
+    cover = naive_pair_cover(points, [[points[i] for i in b]
+                                      for b in bad.blocks])
     exact = len(cover) == v * (v - 1) // 2 and set(cover.values()) == {1}
     assert V.verify_sts(bad)["ok"] == exact
     assert not V.verify_resolution(bad)["ok"]
@@ -648,7 +673,8 @@ def test_pyramidal_catches_rewired_infinity_class(request, v):
     # every other class and the blocks agree with the development of C1,
     # but C∞ is no longer fixed by the translations
     s = request.getfixturevalue(f"sys{v}")
-    inf_ids = [s.points.index(p) for p in V.INF]
+    points = point_view(s)
+    inf_ids = [points.index(p) for p in ("inf1", "inf2", "inf3")]
     k, _ = _block_with(s, *inf_ids)
     res = list(s.resolution)
     res[k] = _rewired(res[k], inf_ids)
@@ -664,8 +690,9 @@ def test_pyramidal_catches_half_orbit_of_a_class_not_fixed_by_tau(request, v):
     # h(0) < h(y) are all there, but τ no longer maps C1 onto itself, so
     # the other half of the orbit is missing
     s = request.getfixturevalue(f"sys{v}")
-    inf_ids = [s.points.index(p) for p in V.INF]
-    zero = s.points.index(s.group.zero)
+    points = point_view(s)
+    inf_ids = [points.index(p) for p in ("inf1", "inf2", "inf3")]
+    zero = points.index(s.group.zero)
     k, through = _block_with(s, inf_ids[0], zero)
     y = next(p for p in through if p not in (inf_ids[0], zero))
     c1 = _rewired(s.resolution[k], through)
@@ -716,7 +743,7 @@ def test_sts_names_the_pairs_of_a_swapped_point(request, v):
     donor = next(i for i, b in enumerate(rows) if not set(b) & set(rows[0]))
     blocks[0, 0], blocks[donor, 0] = blocks[donor, 0], blocks[0, 0]
     bad = _with(system, blocks=blocks)
-    points = bad.points
+    points = file_labels(bad)
     cover = naive_pair_cover(points, [[points[i] for i in b] for b in blocks])
     index = {p: i for i, p in enumerate(points)}
     want = [f"{v * (v - 1) // 2 - len(cover)} pairs uncovered"] + [
@@ -764,7 +791,8 @@ def test_sts_bitmap_needs_the_full_block_count():
     # the v×v bitmap is built only when the blocks give v(v-1)/2 pairs, so
     # a file with many points and few blocks allocates no v² array
     v = 30_000
-    system = types.SimpleNamespace(order=v, points=list(range(v)),
+    system = types.SimpleNamespace(order=v,
+                                   points=np.arange(v, dtype=np.int32),
                                    blocks=np.array([[0, 1, 2], [0, 3, 4]],
                                                    dtype=np.int32))
     tracemalloc.start()
@@ -774,5 +802,5 @@ def test_sts_bitmap_needs_the_full_block_count():
     finally:
         tracemalloc.stop()
     assert rep["problems"] == [f"{v * (v - 1) // 2 - 6} pairs uncovered"]
-    # the set of the points is most of it; a bitmap would be v² = 900 MB
+    # the sorted points are most of it; a bitmap would be v² = 900 MB
     assert peak < v * v // 100
