@@ -115,13 +115,17 @@ class _SystemEncoder(json.JSONEncoder):
 def _id_rows(ids, rows):
     """Map a list of label triples to an int32 (k, 3) array of point ids in
     one pass; raises ValueError if an entry of `rows` is no list of 3
-    labels (a dict of 3 keys too), and KeyError for a label not in `ids`."""
+    labels (a dict of 3 keys too), and KeyError, carrying the label, for a
+    label not in `ids`."""
     if not set(map(len, rows)) <= {3}:
         raise ValueError("a block does not have 3 points")
     if not set(map(type, rows)) <= {list}:
         raise ValueError("a block is not a list of points")
     flat = map(ids.__getitem__, chain.from_iterable(rows))
     return np.fromiter(flat, np.int32, count=3 * len(rows)).reshape(-1, 3)
+
+
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 
 
 def system_from_json(data):
@@ -148,14 +152,22 @@ def system_from_json(data):
             raise ValueError(f"point {labels[points.index(None)]!r} is not "
                              f"a point label of {g!r}")
         points = np.array(points, dtype=np.int32)
-        ids = {s: i for i, s in enumerate(labels)}
-        blocks = _id_rows(ids, list(data["blocks"]))
-        classes = list(data["resolution"])
+        rows, classes = list(data["blocks"]), list(data["resolution"])
+    except _MALFORMED as exc:
+        raise ValueError(f"malformed system file: {exc}") from exc
+    # every KeyError from here on is a block or class label that is no
+    # listed point
+    ids = {s: i for i, s in enumerate(labels)}
+    try:
+        blocks = _id_rows(ids, rows)
         ends = list(accumulate(map(len, classes)))
         flat = _id_rows(ids, list(chain.from_iterable(classes)))
         resolution = np.split(flat, ends)[:-1]
-    except (KeyError, TypeError, ValueError, IndexError,
-            AttributeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed system file: a block or class names "
+                         f"{exc.args[0]!r}, which is not one of the file's "
+                         f"points") from exc
+    except _MALFORMED as exc:
         raise ValueError(f"malformed system file: {exc}") from exc
     return pipeline.KirkmanSystem(order=order, group=g, points=points,
                                   blocks=blocks, resolution=resolution)

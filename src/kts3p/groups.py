@@ -19,6 +19,7 @@ per atom.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import re
@@ -27,6 +28,11 @@ from functools import cache, cached_property
 import numpy as np
 
 from .finring import build_ring
+
+# blocks per chunk wherever the b blocks of a system are coded, decoded or
+# compared one piece at a time: every order below 443 fits in one chunk,
+# and at large orders a chunk's temporaries stay small beside the system
+BLOCK_CHUNK = 1 << 15
 
 
 class DAtom:
@@ -618,43 +624,82 @@ def id_sum(group, x, y, negate=False):
     return out
 
 
-def sorted_ids(rows, axis=-1):
-    """The three ids of each block in increasing order, as columns of the
-    input's dtype (int32 min/max run several times faster than int64);
+def sorted_ids(rows, v, axis=-1):
+    """The three ids of each block of an id array with entries below v, in
+    increasing order, as three int16 runs when v allows (int32 otherwise);
     `axis` is the one that holds each block's three ids: the last for
     (n, 3) rows, or the first or second for runs of ids laid out as (3, k)
-    or (n, 3, k)."""
-    a, b, c = rows.swapaxes(axis, 0)
-    a, b = np.minimum(a, b), np.maximum(a, b)
-    b, c = np.minimum(b, c), np.maximum(b, c)
-    a, b = np.minimum(a, b), np.maximum(a, b)
+    or (n, 3, k).  The ids are copied into three contiguous runs, where
+    min/max run several times faster than on rows of three, and sorted
+    there with one spare run."""
+    dtype = np.int16 if v <= 1 << 15 else np.int32
+    a, b, c = rows.swapaxes(axis, 0).astype(dtype, order="C")
+    spare = np.empty_like(a)
+    a, spare = _order(a, b, spare)
+    b, spare = _order(b, c, spare)
+    a, spare = _order(a, b, spare)
     return a, b, c
 
 
-def block_codes(rows, v, axis=-1):
-    """One int64 code per block of an id array with entries below v: its
-    sorted ids (a, b, c) give (a·v + b)·v + c, so equal codes mean equal
-    blocks (for v below 2^21).  `axis` is as in `sorted_ids`."""
-    return ordered_codes(*sorted_ids(rows, axis), v)
+def _order(x, y, spare):
+    """min(x, y) into the run `spare` and max(x, y) into y; returns the
+    run holding the min and the run now free."""
+    np.minimum(x, y, out=spare)
+    np.maximum(x, y, out=y)
+    return spare, x
 
 
-def ordered_codes(a, b, c, v):
+def int_dtype(n):
+    """int32 when every value below n fits in it, else int64: block codes
+    below v³ are int32 up to v = 1290."""
+    return np.int32 if n <= np.iinfo(np.int32).max + 1 else np.int64
+
+
+def block_codes(rows, v, axis=-1, out=None):
+    """One code per block of an id array with entries below v, of
+    `int_dtype(v ** 3)`: its sorted ids (a, b, c) give (a·v + b)·v + c, so
+    equal codes mean equal blocks (for v below 2^21).  `axis` is as in
+    `sorted_ids`; the codes go into `out` when it is given."""
+    return ordered_codes(*sorted_ids(rows, v, axis), v, out=out)
+
+
+def ordered_codes(a, b, c, v, out=None):
     """`block_codes` of blocks given as the columns of `sorted_ids`."""
-    code = a.astype(np.int64)
-    code *= v
+    code = np.multiply(a, v, out=out,
+                       dtype=int_dtype(v ** 3) if out is None else out.dtype)
     code += b
     code *= v
     code += c
     return code
 
 
-def code_rows(codes, v):
+def chunks(n):
+    """Slices of BLOCK_CHUNK entries that cover range(n) in order."""
+    size = BLOCK_CHUNK
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+
+def code_rows(codes, v, out=None):
     """The sorted id triples of block codes: an int32 array with one more
-    axis, of length 3, than `codes`."""
-    rows = np.empty(codes.shape + (3,), dtype=np.int32)
-    rows[..., 0], rest = np.divmod(codes, v * v)
-    rows[..., 1], rows[..., 2] = np.divmod(rest, v)
+    axis, of length 3, than `codes`, or `out`, C-contiguous, filled with
+    them.  They are decoded a chunk at a time into the columns, so only a
+    chunk of remainders is made."""
+    rows = np.empty(codes.shape + (3,), dtype=np.int32) if out is None else out
+    flat, ids = codes.reshape(-1), rows.reshape(-1, 3)
+    rest = np.empty(min(len(flat), BLOCK_CHUNK), dtype=codes.dtype)
+    for part in chunks(len(flat)):
+        r = rest[:len(flat[part])]
+        np.divmod(flat[part], v * v, out=(ids[part, 0], r))
+        np.divmod(r, v, out=(ids[part, 1], ids[part, 2]))
     return rows
+
+
+def increasing(codes):
+    """Whether the 1-D array `codes` strictly increases; compared a chunk at
+    a time, so no mask as long as `codes` is made."""
+    size = BLOCK_CHUNK
+    return all(np.all(part[1:] > part[:-1]) for part in (
+        codes[lo:lo + size + 1] for lo in range(0, len(codes) - 1, size)))
 
 
 def run_starts(codes):
@@ -725,6 +770,71 @@ def frontiers(seed, moves, key, chunk):
                     reached.append(moves.ravel().take(
                         part[r[first]] + (m[first] * moves.shape[1])[:, None]))
         level = reached
+
+
+def coset_rows(seed, moves, key, size):
+    """The row h[seed] of every element h of the group H that the
+    permutations `moves` generate, each once, yielded in pieces of at most
+    `size` rows (one row, if `size` is below 1).  Sound when H acts
+    semiregularly, so that h is known by the point h(seed[key]); the
+    caller checks that.
+
+    H is walked down the chain 1 = H_0 < H_1 < ... < H_k = H, where H_i is
+    generated by the first i moves.  H_i is the disjoint union of the
+    cosets t∘H_(i-1) over a transversal T_i, which a breadth-first search
+    on the cosets finds: t∘H_(i-1) moves seed[key] onto t(O), O being the
+    orbit of H_(i-1), so a coset is new when t(seed[key]) is not yet
+    marked.  Each h is one product t_k∘...∘t_1.  The rows of the first
+    H_j that fit in a piece are held, and T_(j+1) to T_(k-1); T_k is
+    searched as the pieces are yielded, so only its frontier is held."""
+    point = seed[key]
+    identity = np.arange(moves.shape[1], dtype=moves.dtype)
+    found = np.zeros(moves.shape[1], dtype=bool)
+    found[point] = True
+    orbit = np.array([point])
+
+    def transversal(gens):
+        # the cosets of the group whose orbit is `orbit`, in the group it
+        # and `gens` generate, each marked as it is found
+        queue = collections.deque([identity])
+        while queue:
+            t = queue.popleft()
+            yield t
+            for m in gens:
+                u = m[t]
+                if not found[u[point]]:
+                    found[u[orbit]] = True
+                    queue.append(u)
+
+    levels = []
+    for i in range(1, len(moves)):
+        levels.append(np.stack(list(transversal(moves[:i]))))
+        orbit = np.flatnonzero(found)
+    base = seed[None].astype(np.intp)
+    while levels and len(base) * len(levels[0]) <= size:
+        base = np.take(levels.pop(0), base, axis=1).reshape(-1, len(seed))
+    # t_k∘...∘t_(j+2) for each choice above T_(j+1), then T_(j+1) (or,
+    # when every stored level fits in the base, T_k) a piece at a time
+    step = max(1, size // len(base))
+    inner = levels.pop(0) if levels else None
+    tops = []
+    for top in transversal(moves):
+        if inner is None:
+            tops.append(top)
+            if len(tops) == step:
+                yield np.take(np.stack(tops), base, axis=1).reshape(
+                    -1, len(seed))
+                tops = []
+            continue
+        for ts in itertools.product(*levels[::-1]):
+            p = top
+            for t in ts:
+                p = p[t]
+            for lo in range(0, len(inner), step):
+                yield np.take(p[inner[lo:lo + step]], base, axis=1).reshape(
+                    -1, len(seed))
+    if tops:
+        yield np.take(np.stack(tops), base, axis=1).reshape(-1, len(seed))
 
 
 def translation_ids(group, ts, left=False):

@@ -550,14 +550,16 @@ class KirkmanSystem:
     trace: dict | None = None
 
 
-def _class_rows(classes, v):
+def _class_rows(classes, v, codes, rows):
     """Each class of a (c, v / 3, 3) id array as one row of its blocks,
-    sorted within and by code; a class that repeats a block raises."""
-    codes = G.block_codes(classes.reshape(-1, 3), v).reshape(len(classes), -1)
+    sorted within and by code: the codes go into `codes`, a (c, v / 3)
+    array of `groups.int_dtype(v ** 3)`, and the blocks they code into `rows`,
+    (c, v) int32; a class that repeats a block raises."""
+    G.block_codes(classes.reshape(-1, 3), v, out=codes.reshape(-1))
     codes.sort(axis=1)
     if np.any(np.diff(codes, axis=1) <= 0):
         raise AssertionError("a developed class repeats a block")
-    return G.code_rows(codes, v).reshape(len(classes), v)
+    G.code_rows(codes, v, out=rows)
 
 
 def build_kts(rdf, trace=None):
@@ -582,15 +584,17 @@ def build_kts(rdf, trace=None):
 
     # develop the spread and the moving class by right translation through
     # an index view, CHUNK translates at a time; each class becomes one row
-    # of its blocks, sorted within and by code.  Q0 + j = Q0, so t and j + t
-    # give the same class: develop the one of each pair with the lower id,
-    # and the spread from both S + t and (S + j) + t.
+    # of its blocks, sorted within and by code, and one row of `codes`, the
+    # codes of all b blocks.  Q0 + j = Q0, so t and j + t give the same
+    # class: develop the one of each pair with the lower id, and the spread
+    # from both S + t and (S + j) + t.
     gi = G.GroupIndex(g)
     spread = np.array(rdf.spread().order3)
     spread_ids = 3 + np.concatenate([spread, G.id_sum(g, spread, j)])
     by_j = G.translation_ids(g, [j], left=True)[0]
     reps = np.flatnonzero(by_j > np.arange(g.order))
     rows = np.empty((len(reps) + 1, v), dtype=np.int32)
+    codes = np.empty((len(reps) + 1, v // 3), dtype=G.int_dtype(v ** 3))
     cosets = np.empty((len(reps), 6), dtype=np.int32)
     for start in range(0, len(reps), CHUNK):
         ts = reps[start:start + CHUNK]
@@ -598,24 +602,28 @@ def build_kts(rdf, trace=None):
         pperm[:, :3] = np.arange(3)
         np.add(gi.translation(ts), 3, out=pperm[:, 3:])
         cosets[start:start + len(ts)] = pperm[:, spread_ids]
-        rows[start + 1:start + 1 + len(ts)] = _class_rows(pperm[:, q0_ids], v)
-    rows[0, :3] = np.arange(3)
-    rows[0, 3:] = G.code_rows(G.distinct_codes(
-        G.block_codes(cosets.reshape(-1, 3), v)), v).ravel()
+        at = slice(start + 1, start + 1 + len(ts))
+        _class_rows(pperm[:, q0_ids], v, codes[at], rows[at])
+    codes[0, :1] = G.block_codes(np.arange(3)[None], v)
+    codes[0, 1:] = G.distinct_codes(G.block_codes(cosets.reshape(-1, 3), v))
+    G.code_rows(codes[0], v, out=rows[0])
 
     # every row starts with its block through point 0: {0, 1, 2} for the
     # spread, then {0, t, j + t} with t before j + t in element_list.  So the
     # rows come out in increasing order of that block's code, which is the
     # sorted order of distinct rows; check it instead of sorting
-    if np.any(np.diff(G.block_codes(rows[:, :3], v)) <= 0):
+    if not G.increasing(codes[:, 0]):
         raise AssertionError("classes are not in increasing order of their "
                              "block through point 0")
     classes = rows.reshape(len(rows), v // 3, 3)
 
-    blocks = G.code_rows(G.distinct_codes(
-        G.block_codes(classes.reshape(-1, 3), v)), v)
-    if len(blocks) != v * (v - 1) // 6:
+    # the blocks are the classes' codes, sorted in place and decoded; a
+    # block in two classes shows as a repeat
+    codes = codes.reshape(-1)
+    codes.sort()
+    if len(codes) != v * (v - 1) // 6 or not G.increasing(codes):
         raise AssertionError("developed design has the wrong block count")
+    blocks = G.code_rows(codes, v)
     return KirkmanSystem(order=v, group=g, points=points, blocks=blocks,
                          resolution=list(classes), witness=rdf, trace=trace)
 

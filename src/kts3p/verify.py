@@ -19,9 +19,8 @@ from . import groups as G
 from .designkit import difference_counts
 
 MAX_PROBLEMS = 10
-# classes per gather when coding a resolution or checking its ids, and group
-# elements per gather when verify_3pyramidal develops the class through the
-# first extra point or verify_automorphisms sifts Schreier generators
+# classes per gather when checking a resolution's ids, and group elements
+# per gather when verify_automorphisms sifts Schreier generators
 CLASS_CHUNK = 32
 DEVELOP_CHUNK = 128
 
@@ -36,20 +35,13 @@ def _named(view, row):
     return "(" + ", ".join(view.labels[i] for i in row) + ")"
 
 
-def _sorted_codes(rows, v):
-    codes = G.block_codes(rows, v)
-    codes.sort()
-    return codes
-
-
 class SystemView:
     """The id-level data that the checks of one system share, each piece
-    computed at its first use and kept for the next check.  The pieces
-    that only feed another (each block's sorted ids, the class codes and
-    their sorted copy) are dropped by it, so between checks a view holds
-    the block codes, the class table, the point data and the verdict of
-    `verify_3pyramidal` at most.  A system's `points` hold element ids,
-    and −3 to −1 at the extra points.
+    computed at its first use and kept for the next check.  The blocks and
+    the classes are coded a chunk at a time (`groups.chunks`), so beside
+    the system a view holds the sorted block codes, the class table, the
+    point data, the verdict of `verify_3pyramidal` and one chunk at most.
+    A system's `points` hold element ids, and −3 to −1 at the extra points.
     `verify_full` and `kts3p verify` pass one view to every check they
     run; a check called without one makes its own."""
 
@@ -59,55 +51,79 @@ class SystemView:
         # the verdict of `verify_3pyramidal` on this view, once it has run
         self.invariant = None
 
-    @cached_property
-    def ids(self):
-        """`groups.sorted_ids` of the blocks, read by `verify_sts` and by
-        `blocks`, which drops them once it has coded them."""
-        return G.sorted_ids(self.system.blocks)
+    def sorted_ids(self):
+        """`groups.sorted_ids` of the blocks a chunk at a time, as (slice,
+        a, b, c).  A pass over all of them while `blocks` is not yet held
+        also codes them into it, so `verify_sts` reads them once."""
+        arr = self.system.blocks
+        codes = None if "blocks" in vars(self) else np.empty(
+            len(arr), dtype=G.int_dtype(self.v ** 3))
+        for part in G.chunks(len(arr)):
+            a, b, c = G.sorted_ids(arr[part], self.v)
+            if codes is not None:
+                G.ordered_codes(a, b, c, self.v, out=codes[part])
+            yield part, a, b, c
+        if codes is not None:
+            if not G.increasing(codes):
+                codes.sort()
+            self.blocks = codes
 
     @cached_property
     def blocks(self):
         """The block codes, sorted."""
-        codes = G.ordered_codes(*self.ids, self.v)
-        del self.ids
-        if not _increasing(codes):
-            codes.sort()
-        return codes
+        for _ in self.sorted_ids():
+            pass
+        return self.blocks
 
     @cached_property
     def class_sizes(self):
         return np.array([len(rows) for rows in self.system.resolution],
                         dtype=np.int64)
 
-    @cached_property
-    def class_codes(self):
-        """The codes of the classes' blocks, class after class, coded
-        CLASS_CHUNK classes at a time; `class_table` sorts them in place
-        and drops them."""
+    def class_codes(self, perm=None, out=None):
+        """The codes of the classes' blocks, class after class, or of their
+        images under the permutation `perm` of the point ids, coded a chunk
+        of classes at a time: (first class, last class + 1, codes), the
+        codes in their place in `out` when it is given."""
         classes = self.system.resolution
-        codes = np.empty(self.class_sizes.sum(), dtype=np.int64)
+        # a quarter chunk of blocks: coding takes a few copies of their ids
+        step = max(1, 3 * G.BLOCK_CHUNK // (4 * self.v))
         at = 0
-        for lo in range(0, len(classes), CLASS_CHUNK):
-            part = G.block_codes(np.concatenate(classes[lo:lo + CLASS_CHUNK]),
-                                 self.v)
-            codes[at:at + len(part)] = part
-            at += len(part)
-        return codes
+        for lo in range(0, len(classes), step):
+            ids = np.concatenate(classes[lo:lo + step])
+            if perm is not None:
+                ids = perm[ids]
+            into = None if out is None else out[at:at + len(ids)]
+            yield lo, min(lo + step, len(classes)), G.block_codes(
+                ids, self.v, out=into)
+            at += len(ids)
+
+    def class_array(self, out=None, perm=None):
+        """All of `class_codes` in one array, `out` when it is given."""
+        if out is None:
+            out = np.empty(self.class_sizes.sum(),
+                           dtype=G.int_dtype(self.v ** 3))
+        for _ in self.class_codes(perm, out):
+            pass
+        return out
 
     @cached_property
     def partitioned(self):
-        """Whether the blocks of the classes are the blocks, as multisets:
-        one sorted copy of the class codes, dropped once compared, equals
-        the sorted block codes."""
-        blocks = self.blocks
-        return np.array_equal(np.sort(self.class_codes), blocks)
+        """Whether the blocks of the classes are the blocks, as multisets.
+        When the blocks are distinct and the class table lists every class
+        once, its entries are compared with the block codes a chunk of
+        blocks at a time (`_same_entries`); otherwise a sorted copy of the
+        class codes is."""
+        blocks, table, sizes = self.blocks, self.class_table, self.class_sizes
+        if not (len(table) == len(sizes) and np.all(sizes == table.shape[1])
+                and G.increasing(blocks)):
+            return np.array_equal(np.sort(self.class_array()), blocks)
+        return table.size == len(blocks) and _same_entries(table, blocks)
 
     @cached_property
     def class_table(self):
         """`_class_set` of the classes."""
-        table = _class_set(self.class_codes, self.class_sizes)
-        del self.class_codes
-        return table
+        return _class_set(self.class_array(), self.class_sizes)
 
     @cached_property
     def point_problems(self):
@@ -136,12 +152,76 @@ class SystemView:
                              self.system.group.generators())
 
 
+def _row_bounds(table, xs, lo):
+    """For each row of `table`, sorted, and each of the increasing values
+    `xs`, the number of the row's entries below it, given that `lo` of
+    each row's are below the first: one binary search over all at once."""
+    rows = np.arange(len(table))[:, None]
+    lo = np.repeat(lo[:, None], len(xs), axis=1)
+    hi = np.full_like(lo, table.shape[1])
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        less = table[rows, np.minimum(mid, table.shape[1] - 1)] < xs
+        lo, hi = np.where(less & (lo < hi), mid + 1, lo), np.where(less, hi,
+                                                                     mid)
+    return lo
+
+
+def _same_entries(table, codes):
+    """Whether the entries of `table`, each row sorted, are the strictly
+    increasing `codes` as multisets.  The codes are cut into chunks; each
+    row's entries that fall between the first codes of two chunks are one
+    run of it, found by `_row_bounds` for as many chunks at once as keep
+    its arrays within a chunk, and the runs of all rows are gathered,
+    sorted and compared with the chunk.  The entries below the first code
+    or above the last count in the first or last chunk."""
+    flat, width = table.reshape(-1), table.shape[1]
+    parts = G.chunks(len(codes))
+    if len(parts) == 1:
+        return np.array_equal(np.sort(flat), codes)
+    group = max(1, G.BLOCK_CHUNK // (2 * max(len(table), 1)))
+    below = np.zeros(len(table), dtype=np.int64)
+    for g in range(0, len(parts), group):
+        stops = [p.stop for p in parts[g:g + group] if p.stop < len(codes)]
+        bounds = _row_bounds(table, codes[stops], below)
+        for j, part in enumerate(parts[g:g + group]):
+            upto = bounds[:, j] if j < len(stops) else np.full(len(table),
+                                                               width)
+            counts = upto - below
+            n = int(counts.sum())
+            if n != len(codes[part]):
+                return False
+            # the flat index of each entry of the runs, as a running sum of
+            # steps: 1 within a run, and from the last entry of one run to
+            # the first of the next
+            full = counts > 0
+            firsts, sizes = (np.arange(0, table.size, width) + below)[full], \
+                counts[full]
+            at = np.ones(n, dtype=G.int_dtype(table.size))
+            at[(np.cumsum(counts) - counts)[full]] = firsts - np.append(
+                0, firsts[:-1] + sizes[:-1] - 1)
+            entries = flat[np.cumsum(at, out=at)]
+            entries.sort()
+            if not np.array_equal(entries, codes[part]):
+                return False
+            below = upto
+    return True
+
+
+def _rows_sorted(table):
+    """Whether no row of `table` decreases, compared a chunk at a time."""
+    step = max(1, G.BLOCK_CHUNK // max(table.shape[1], 1))
+    return all(np.all(rows[:, 1:] >= rows[:, :-1]) for rows in (
+        table[lo:lo + step] for lo in range(0, len(table), step)))
+
+
 def _pair_problems(view, pairs):
     """Messages for sorted pair codes that are not each unordered pair
     i < j of points exactly once."""
     v = view.v
-    codes, counts = np.unique(pairs, return_counts=True)
-    first, second = np.divmod(codes, v)
+    starts = np.flatnonzero(G.run_starts(pairs))
+    counts = np.diff(starts, append=len(pairs))
+    first, second = np.divmod(pairs[starts], v)
     off = first < second
     problems = []
     missing = v * (v - 1) // 2 - int(off.sum())
@@ -153,11 +233,19 @@ def _pair_problems(view, pairs):
     return problems
 
 
+def _pair_code(first, second, v, out):
+    """The codes i·v + j of the pairs (first[i], second[i]), into `out`."""
+    np.multiply(first, v, out=out, dtype=out.dtype)
+    out += second
+    return out
+
+
 def verify_sts(system, view=None):
     """Every unordered pair of distinct points lies in exactly one block:
     the blocks give v(v-1)/2 pair codes i·v + j (i < j), and they mark as
-    many cells of a v×v bitmap.  The codes are sorted only to name the
-    pairs at fault."""
+    many cells of a v×v bitmap, a chunk of blocks at a time while the
+    view codes them.  The codes are sorted only to name the pairs at
+    fault."""
     view = view or SystemView(system)
     v = view.v
     problems = []
@@ -166,34 +254,33 @@ def verify_sts(system, view=None):
     if not G.run_starts(np.sort(system.points)).all():
         problems.append("points are not distinct")
     arr = system.blocks
-    stray = sorted(set(arr[(arr < 0) | (arr >= v)].tolist()))
-    if stray:
+    if arr.size and (arr.min() < 0 or arr.max() >= v):
+        stray = sorted(set(arr[(arr < 0) | (arr >= v)].tolist()))
         problems.append(f"blocks mention unknown point ids: {stray[:3]}")
         return _report(problems, v=v, blocks=len(arr))
-    a, b, c = view.ids
-    for row in arr[(a == b) | (b == c)][:MAX_PROBLEMS]:
-        problems.append(f"degenerate block {_named(view, row)}")
-    # the codes of pairs ab, ac and bc, marked one column at a time when
-    # there are as many as pairs of points (the bitmap is then smaller than
-    # the blocks); all of them, sorted, only to name the pairs at fault
-    columns = ((a, b), (a, c), (b, c))
+    # the bitmap only when there are as many pair codes as pairs of points
+    # (it is then smaller than the blocks); all of them, sorted, only to
+    # name the pairs at fault
     want = v * (v - 1) // 2
-    if 3 * len(arr) == want:
-        seen = np.zeros(v * v, dtype=bool)
-        code = np.empty(len(arr), dtype=np.int64)
-        for first, second in columns:
-            code[:] = first
-            code *= v
-            code += second
-            seen[code] = True
+    seen = np.zeros(v * v, dtype=bool) if 3 * len(arr) == want else None
+    degenerate = []
+    if seen is not None:
+        code = np.empty(min(len(arr), G.BLOCK_CHUNK), dtype=G.int_dtype(v * v))
+    for part, a, b, c in view.sorted_ids():
+        degenerate += arr[part][(a == b) | (b == c)][:MAX_PROBLEMS].tolist()
+        if seen is not None:
+            for first, second in ((a, b), (a, c), (b, c)):
+                seen[_pair_code(first, second, v, code[:len(a)])] = True
+    problems += [f"degenerate block {_named(view, row)}"
+                 for row in degenerate[:MAX_PROBLEMS]]
+    if seen is not None:
         if np.count_nonzero(seen) == want:
             return _report(problems, v=v, blocks=len(arr))
         del seen, code
-    pairs = np.empty((3, len(arr)), dtype=np.int64)
-    for row, (first, second) in zip(pairs, columns):
-        row[:] = first
-        row *= v
-        row += second
+    pairs = np.empty((3, len(arr)), dtype=G.int_dtype(v * v))
+    for part, a, b, c in view.sorted_ids():
+        for row, (first, second) in zip(pairs, ((a, b), (a, c), (b, c))):
+            _pair_code(first, second, v, row[part])
     pairs = pairs.ravel()
     pairs.sort()
     problems += _pair_problems(view, pairs)
@@ -230,9 +317,11 @@ def verify_resolution(system, view=None):
 def _class_set(codes, sizes):
     """The set of classes, given the codes of their blocks class after class,
     as one canonical table: each class is a row of its sorted codes, padded
-    to the largest class with int64's maximum.  The rows come in order of
-    their lowest code when no two share it (disjoint classes never do);
-    otherwise they are sorted and deduped as raw bytes.  Either form lists
+    to the largest class with the largest value of the codes' dtype.  The
+    rows come in order of their lowest code when no two share it (disjoint
+    classes never do); otherwise they are sorted and deduped as raw bytes.
+    Rows already sorted and in order, as a built system's are, are kept
+    where they lie.  Either form lists
     each distinct class once, so equal tables mean equal sets.  A
     permutation of the points that maps the classes onto the same set maps
     repeated classes to repeated ones, so the resolution and its image share
@@ -243,33 +332,60 @@ def _class_set(codes, sizes):
     else:
         cls = np.repeat(np.arange(len(sizes)), sizes)
         col = np.arange(len(codes)) - (sizes.cumsum() - sizes)[cls]
-        table = np.full((len(sizes), width), np.iinfo(np.int64).max)
+        table = np.full((len(sizes), width), np.iinfo(codes.dtype).max,
+                        dtype=codes.dtype)
         table[cls, col] = codes
-    table.sort(axis=1)
+    if not _rows_sorted(table):
+        table.sort(axis=1)
+    if G.increasing(table[:, 0]):
+        return table
     lowest = np.sort(table[:, 0])
     if np.all(lowest[1:] != lowest[:-1]):
         return table[np.argsort(table[:, 0])]
-    rows = table.view(f"V{8 * width}").ravel()
+    rows = table.view(f"V{table.itemsize * width}").ravel()
     rows.sort()
-    return rows[G.run_starts(rows)].view(np.int64).reshape(-1, width)
+    return rows[G.run_starts(rows)].view(table.dtype).reshape(-1, width)
 
 
 def _preservation(view):
     """A function telling, for a permutation of the point ids, whether it
-    preserves the blocks (compared as sorted code arrays) and whether it
-    preserves the classes (compared by `_class_set`), given the system's
-    `SystemView`."""
+    preserves the blocks and whether it preserves the classes, given the
+    system's `SystemView`.  The images of the blocks are coded into one
+    array, reused for every permutation, sorted and compared with the
+    block codes.  The images of the classes are coded a chunk at a time
+    and looked up in the class table by their lowest code, when the table
+    lists every class once in that order (disjoint classes always do):
+    the images are then the classes when each is a row of the table and
+    every row is met.  Otherwise they are coded into the same array and
+    compared by `_class_set`."""
     system, v = view.system, view.v
-    classes = [np.empty((0, 3), np.int32), *system.resolution]
     sizes = view.class_sizes
-    base_blocks = view.blocks
-    base_classes = view.class_table
+    base_blocks, table = view.blocks, view.class_table
+    lowest = table[:, 0]
+    by_lowest = (len(table) == len(sizes) and np.all(sizes == table.shape[1])
+                 and G.increasing(lowest))
+    codes = np.empty(max(len(system.blocks), sizes.sum()),
+                     dtype=G.int_dtype(v ** 3))
 
     def preserves(perm):
-        return (np.array_equal(_sorted_codes(perm[system.blocks], v),
-                               base_blocks),
-                np.array_equal(_class_set(G.block_codes(
-                    perm[np.concatenate(classes)], v), sizes), base_classes))
+        images = codes[:len(system.blocks)]
+        for part in G.chunks(len(images)):
+            G.block_codes(perm[system.blocks[part]], v, out=images[part])
+        images.sort()
+        blocks_kept = np.array_equal(images, base_blocks)
+        if not by_lowest:
+            return blocks_kept, np.array_equal(_class_set(view.class_array(
+                codes[:sizes.sum()], perm), sizes), table)
+        met = np.zeros(len(table), dtype=bool)
+        for lo, hi, part in view.class_codes(perm):
+            rows = part.reshape(hi - lo, -1)
+            rows.sort(axis=1)
+            at = np.minimum(np.searchsorted(lowest, rows[:, 0]),
+                            len(table) - 1)
+            if not np.array_equal(table[at], rows):
+                return blocks_kept, False
+            met[at] = True
+        return blocks_kept, bool(met.all())
     return preserves
 
 
@@ -301,19 +417,6 @@ def _translations(system, points, shifts, left=False):
     tables (`groups.translation_ids`)."""
     return point_perms(system, G.translation_ids(system.group, shifts, left),
                        points)
-
-
-def _batched(parts, n):
-    """The row arrays `parts` regrouped into arrays of at least n rows (the
-    last may hold fewer), so that small frontiers share one pass."""
-    held = []
-    for part in parts:
-        held.append(part)
-        if sum(map(len, held)) >= n:
-            yield np.concatenate(held)
-            held = []
-    if held:
-        yield np.concatenate(held)
 
 
 def _regularity_problems(right, left, start, size):
@@ -364,8 +467,10 @@ def _point_problems(system):
     return []
 
 
-def _increasing(codes):
-    return bool(np.all(codes[1:] > codes[:-1]))
+def _in_sorted(codes, keys):
+    """Whether each of `keys` is in the sorted array `codes`."""
+    return codes[np.minimum(np.searchsorted(codes, keys), len(codes) - 1)] \
+        == keys
 
 
 def _develops(view, right, inf_ids, zero):
@@ -396,27 +501,29 @@ def _develops(view, right, inf_ids, zero):
     if np.any(moves[:, inf_ids] != inf_ids):
         return False
     blocks = view.blocks
-    if not (len(blocks) and _increasing(blocks) and view.partitioned):
+    if not (len(blocks) and G.increasing(blocks) and view.partitioned):
         return False
     # classes of equal size give a table without padding, whose rows come
     # in order of their lowest code when no two share it
     table = view.class_table
     lowest = table[:, 0].copy()
-    if not _increasing(lowest):
+    if not G.increasing(lowest):
         return False
 
     # y, C1 and C∞; every block code is in some row of the table
     through = G.block_codes(np.stack(np.broadcast_arrays(
         inf_ids[0], zero, np.arange(v, dtype=np.int32)), axis=1), v)
-    present = blocks[np.minimum(np.searchsorted(blocks, through),
-                                len(blocks) - 1)] == through
+    present = _in_sorted(blocks, through)
     present[[inf_ids[0], zero]] = False
-    inf_code = G.block_codes(np.array([inf_ids]), v)[0]
-    if not (present.any() and inf_code in blocks):
+    inf_code = G.block_codes(np.array([inf_ids]), v)
+    if not (present.any() and _in_sorted(blocks, inf_code)[0]):
         return False
     y = int(np.argmax(present))
-    at1, at_inf = (int(np.argmax(table == code)) // k
-                   for code in (through[y], inf_code))
+    # the first row holding each code: one search of every row at once
+    sought = np.concatenate((through[y:y + 1], inf_code))
+    at = _row_bounds(table, sought, np.zeros(len(table), dtype=np.int64))
+    at1, at_inf = np.argmax(np.take_along_axis(
+        table, np.minimum(at, k - 1), axis=1) == sought, axis=0).tolist()
     c_inf = G.code_rows(table[at_inf], v)
     images = np.sort(G.block_codes(moves[:, c_inf].reshape(-1, 3), v).reshape(
         len(moves), k), axis=1)
@@ -430,8 +537,9 @@ def _develops(view, right, inf_ids, zero):
     hit = np.zeros(len(table), dtype=bool)
     hit[at_inf] = True
     tau_ok = False
-    for part in _batched(G.frontiers(seed[None], moves, pos0, DEVELOP_CHUNK),
-                         DEVELOP_CHUNK):
+    # pieces of about a third of a chunk of blocks, and at least 16 rows, so
+    # that large orders do not pay numpy's per-call cost on a few rows
+    for part in G.coset_rows(seed, moves, pos0, max(16, G.BLOCK_CHUNK // v)):
         tau = part[part[:, pos0] == y]
         if len(tau):
             tau_ok = bool(tau[0, posy] == zero) and np.array_equal(
@@ -620,7 +728,8 @@ def _orbits(view):
     ids = view.point_codes[0]
     p = int(ids[0])
     blocks = view.blocks
-    lo, hi = np.searchsorted(blocks, [p * v * v, (p + 1) * v * v])
+    lo, hi = np.searchsorted(blocks, np.array([p, p + 1], dtype=blocks.dtype)
+                             * v * v)
     through = blocks[lo:hi][G.run_starts(blocks[lo:hi])]
     if len(through) > (v - 1) // 2:
         return [], [], [f"{len(through)} distinct blocks through "

@@ -289,12 +289,12 @@ def _oracle_preservation(system):
     v = len(system.points)
     classes = [np.empty((0, 3), np.int32), *system.resolution]
     sizes = np.array([len(rows) for rows in system.resolution], dtype=np.int64)
-    base_blocks = V._sorted_codes(system.blocks, v)
+    base_blocks = np.sort(G.block_codes(system.blocks, v))
     base_classes = V._class_set(G.block_codes(np.concatenate(classes), v),
                                 sizes)
 
     def preserves(perm):
-        return (np.array_equal(V._sorted_codes(perm[system.blocks], v),
+        return (np.array_equal(np.sort(G.block_codes(perm[system.blocks], v)),
                                base_blocks),
                 np.array_equal(V._class_set(G.block_codes(
                     perm[np.concatenate(classes)], v), sizes), base_classes))

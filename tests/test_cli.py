@@ -598,6 +598,21 @@ def test_verify_restores_gc_state(kts183_text, tmp_path, capsys, collector,
     assert ("cannot read system" in err) == (want == 3)
 
 
+def test_verify_names_unlisted_label(kts183_text, tmp_path, capsys):
+    # points[5] overwritten by points[4]: the blocks and classes still name
+    # the old points[5], which the file no longer lists
+    data = json.loads(kts183_text)
+    gone = data["points"][5]
+    data["points"][5] = data["points"][4]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--input", str(path))
+    assert code == 3 and not out
+    assert err.strip() == (
+        f"cannot read system: malformed system file: a block or class "
+        f"names {gone!r}, which is not one of the file's points")
+
+
 def test_system_from_json_leaves_gc_alone(collector):
     cli.system_from_json(_system15())
     assert gc.isenabled() is collector

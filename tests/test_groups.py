@@ -481,3 +481,79 @@ def test_axioms_random(g, data):
     assert g.add(g.add(x, y), z) == g.add(x, g.add(y, z))
     assert g.sub(x, y) == g.add(x, g.neg(y))
     assert g.conj(z, g.zero) == g.zero
+
+
+def test_block_codes_hold_every_code():
+    # codes run up to v³ − 1: int32 while that fits, int64 from v = 1291
+    assert G.int_dtype(1290 ** 3) == np.int32
+    assert G.int_dtype(1291 ** 3) == np.int64
+    for v in (1290, 1291):
+        top = np.full((1, 3), v - 1, dtype=np.int32)
+        code = G.block_codes(top, v)
+        assert code.dtype == G.int_dtype(v ** 3) and int(code[0]) == v ** 3 - 1
+        assert G.code_rows(code, v).tolist() == top.tolist()
+
+
+@pytest.mark.parametrize("v", [819, 40_000])
+def test_sorted_ids_runs(v):
+    # int16 runs up to v = 2^15, int32 above; the input is left as it is
+    rows = np.random.default_rng(6).integers(v, size=(500, 3),
+                                             dtype=np.int32)
+    before = rows.copy()
+    a, b, c = G.sorted_ids(rows, v)
+    assert a.dtype == (np.int16 if v <= 1 << 15 else np.int32)
+    assert np.array_equal(np.stack([a, b, c], axis=1), np.sort(rows, axis=1))
+    assert np.array_equal(rows, before)
+
+
+def test_chunked_code_helpers_match_whole_arrays(monkeypatch):
+    # chunks of 7 codes: whole chunks and a partial last one, with every
+    # boundary inside the data
+    v = 183
+    rows = np.random.default_rng(7).integers(v, size=(60, 3), dtype=np.int32)
+    codes = np.sort(G.block_codes(rows, v))
+    monkeypatch.setattr(G, "BLOCK_CHUNK", 7)
+    assert [s.start for s in G.chunks(23)] == [0, 7, 14, 21]
+    assert np.array_equal(G.code_rows(codes, v), np.sort(rows, axis=1)[
+        np.argsort(G.block_codes(rows, v), kind="stable")])
+    out = np.empty((60, 3), dtype=np.int32)
+    assert G.code_rows(codes, v, out=out) is out
+    into = np.empty(60, dtype=G.int_dtype(v ** 3))
+    assert G.block_codes(rows, v, out=into) is into
+    assert np.array_equal(np.sort(into), codes)
+    distinct = G.distinct_codes(codes.copy())
+    assert G.increasing(distinct)
+    for at in (0, 6, 7, 13, 14, len(distinct) - 1):
+        bad = distinct.copy()
+        bad[at] = bad[at - 1] if at else bad[1]
+        assert not G.increasing(bad)
+    assert G.increasing(distinct[:1]) and G.increasing(distinct[:0])
+
+
+def _whole_group(moves):
+    """Every element of the group the permutations `moves` generate, as
+    its permutation, by closing the identity under them."""
+    found = {tuple(range(moves.shape[1]))}
+    level = list(found)
+    while level:
+        nxt = {tuple(np.asarray(m)[list(p)]) for p in level for m in moves}
+        level = list(nxt - found)
+        found |= nxt
+    return found
+
+
+@pytest.mark.parametrize("atoms,size", [
+    ([G.GAtom(1)], 5), ([G.GAtom(1), G.VAtom(5)], 7),
+    ([G.DAtom(), G.VAtom(7)], 1), ([G.GAtom(1), G.VAtom(3)], 1000)])
+def test_coset_rows_give_each_element_once(atoms, size):
+    g = G.GroupDescriptor(atoms)
+    moves = G.translation_ids(g, g.generators()).astype(np.int32)
+    seed = np.random.default_rng(8).permutation(g.order).astype(np.int32)
+    key = int(np.flatnonzero(seed == 0)[0])
+    pieces = list(G.coset_rows(seed, moves, key, size))
+    rows = np.concatenate(pieces)
+    assert all(len(p) <= size for p in pieces)
+    assert len(rows) == g.order
+    assert len(set(rows[:, key].tolist())) == g.order
+    want = {tuple(np.asarray(p)[seed]) for p in _whole_group(moves)}
+    assert set(map(tuple, rows.tolist())) == want

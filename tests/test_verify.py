@@ -7,7 +7,8 @@ import types
 
 import numpy as np
 import pytest
-from conftest import (base_blocks, file_labels, naive_pair_cover,
+from conftest import (_oracle_preservation, base_blocks, file_labels,
+                      naive_pair_cover,
                       oracle_automorphism_lower_bound, oracle_closure_order,
                       oracle_verify_3pyramidal, point_view)
 
@@ -804,3 +805,128 @@ def test_sts_bitmap_needs_the_full_block_count():
     assert rep["problems"] == [f"{v * (v - 1) // 2 - 6} pairs uncovered"]
     # the sorted points are most of it; a bitmap would be v² = 900 MB
     assert peak < v * v // 100
+
+
+# ---------------------------------------------------------------------------
+# memory: the build and the checks hold the system, its codes and one chunk
+
+def _system_bytes(system):
+    return (system.points.nbytes + system.blocks.nbytes
+            + sum(rows.nbytes for rows in system.resolution))
+
+
+@pytest.fixture(scope="module")
+def sys1971():
+    return P.construct(1971)
+
+
+def test_build_kts_peak_within_half_again_the_system(sys1971):
+    # the class codes are sorted in place and decoded a chunk at a time into
+    # the blocks: no deduped copy of them and no full-length temporaries
+    tracemalloc.start()
+    try:
+        system = P.build_kts(sys1971.witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(system.blocks, sys1971.blocks)
+    assert peak <= 1.5 * _system_bytes(system), peak / _system_bytes(system)
+
+
+def test_verify_full_peak_within_three_quarters_of_the_system(sys1971):
+    # the view holds the block codes and the class table, a third of the
+    # system each, and the checks one chunk beside them
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert V.verify_full(sys1971)["ok"]
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * _system_bytes(sys1971), \
+        peak / _system_bytes(sys1971)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("corrupt", (_swap, _double))
+@pytest.mark.parametrize("v", (15, 33, 39))
+def test_pair_problems_count_runs_as_unique_did(request, v, corrupt, seed):
+    system = request.getfixturevalue(f"sys{v}")
+    res = [c.copy() for c in system.resolution]
+    corrupt(res, np.random.default_rng(seed))
+    bad = _with(system, resolution=res, blocks=np.concatenate(res))
+    rows = np.sort(bad.blocks, axis=1).astype(np.int64)
+    pairs = np.sort(np.concatenate([rows[:, i] * v + rows[:, j]
+                                    for i, j in ((0, 1), (0, 2), (1, 2))]))
+    codes, counts = np.unique(pairs, return_counts=True)
+    first, second = np.divmod(codes, v)
+    off = first < second
+    view = V.SystemView(bad)
+    want = [f"{v * (v - 1) // 2 - int(off.sum())} pairs uncovered"] * (
+        v * (v - 1) // 2 != int(off.sum())) + [
+        f"pair {V._named(view, (first[k], second[k]))} covered {counts[k]} "
+        f"times" for k in np.flatnonzero(off & (counts != 1))[
+            :V.MAX_PROBLEMS]]
+    # a swap between classes keeps the blocks; a doubled block breaks them
+    assert bool(want) == (corrupt is _double)
+    assert V._pair_problems(view, pairs) == want
+    assert V.verify_sts(bad)["problems"] == want
+
+
+@pytest.mark.parametrize("corrupt", (None, _swap, _double, _stray,
+                                     _swap_point) + UNEVEN)
+def test_small_chunks_change_no_report(sys39, monkeypatch, corrupt):
+    # every pass over the blocks and the classes cut at odd places
+    res = [c.copy() for c in sys39.resolution]
+    if corrupt:
+        corrupt(res, np.random.default_rng(39))
+    bad = _with(sys39, resolution=res, blocks=np.concatenate(res))
+    want = V.verify_full(bad)
+    monkeypatch.setattr(G, "BLOCK_CHUNK", 11)
+    assert V.verify_full(bad) == want
+    assert want["ok"] == (corrupt is None)
+    if corrupt is None:
+        built = P.build_kts(sys39.witness)
+        assert np.array_equal(built.blocks, sys39.blocks)
+        assert all(np.array_equal(x, y) for x, y in zip(built.resolution,
+                                                         sys39.resolution))
+
+
+@pytest.mark.parametrize("chunk", (5, 64, 1 << 15))
+def test_same_entries_is_a_multiset_comparison(chunk, monkeypatch):
+    monkeypatch.setattr(G, "BLOCK_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    codes = np.unique(rng.integers(1 << 30, size=300))
+    for trial in range(20):
+        table = rng.permutation(codes)[:len(codes) // 6 * 6].reshape(-1, 6)
+        want = codes[:len(codes) // 6 * 6]
+        if trial % 4 == 1:
+            table[rng.integers(len(table)), rng.integers(6)] = \
+                table[rng.integers(len(table)), rng.integers(6)]
+        elif trial % 4 == 2:
+            table[rng.integers(len(table)), rng.integers(6)] = rng.integers(
+                1 << 30)
+        elif trial % 4 == 3:
+            want = np.sort(rng.permutation(codes)[:len(want)])
+        table.sort(axis=1)
+        assert V._same_entries(table, want) == np.array_equal(
+            np.sort(table.ravel()), want)
+
+
+def test_preservation_matches_oracle_on_any_permutation(sys33):
+    # the class lookup by lowest code, and the `_class_set` comparison it
+    # falls back to when a class is listed twice
+    rng = np.random.default_rng(33)
+    twice = _with(sys33, resolution=list(sys33.resolution)
+                  + [sys33.resolution[3]])
+    perms = [*V.SystemView(sys33).right, np.arange(33, dtype=np.int32)]
+    perms += [rng.permutation(33).astype(np.int32) for _ in range(4)]
+    swap = np.arange(33, dtype=np.int32)
+    swap[[5, 9]] = swap[[9, 5]]
+    perms.append(swap)
+    for system in (sys33, twice):
+        preserves = V._preservation(V.SystemView(system))
+        oracle = _oracle_preservation(system)
+        got = [preserves(perm) for perm in perms]
+        assert got == [oracle(perm) for perm in perms]
+        assert (True, True) in got and (False, False) in got
