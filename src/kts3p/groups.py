@@ -30,7 +30,7 @@ import numpy as np
 from .finring import build_ring
 
 # blocks per chunk wherever the b blocks of a system are coded, decoded or
-# compared one piece at a time: every order below 443 fits in one chunk,
+# compared one piece at a time: every order up to 443 fits in one chunk,
 # and at large orders a chunk's temporaries stay small beside the system
 BLOCK_CHUNK = 1 << 15
 
