@@ -5,6 +5,25 @@ partitioning of the resolution, the group action through its generators, and
 (for systems that still carry their witness) re-derivation of the base blocks
 from the blocks through one point.  Nothing trusts the construction
 bookkeeping.
+
+`verify_full` and the `pyramidal` and `full` levels of `kts3p verify` run
+`verify_3pyramidal` first.  When it proves by one development that the group
+H, regular on the group points and fixing ∞1 to ∞3, preserves the classes,
+and there are (v − 1)/2 classes, every class is C∞ or h[C1] for h in H.  If
+C1 and C∞ partition the points, then so does every class, and the pair and
+partition checks need only orbit representatives:
+
+- each class is a partition, because h permutes the points;
+- each point lies in one block of each class, so in (v − 1)/2 blocks;
+- the blocks through p, the lowest group-point id, hold every other point
+  once; H preserves the blocks and moves p to every group point, so each
+  pair with a group point lies in exactly one block;
+- ∞i then meets its v − 3 group partners once each, and its two blocks per
+  class give v − 1 partners in all, so c_ij + c_ik = 2 for the counts c of
+  the pairs of extra points: c12 = c13 = c23 = 1.
+
+A reduced check only confirms success; when it fails, or without the proof,
+the full check runs, so every report is the same either way.
 """
 
 from __future__ import annotations
@@ -48,8 +67,11 @@ class SystemView:
     def __init__(self, system):
         self.system = system
         self.v = len(system.points)
-        # the verdict of `verify_3pyramidal` on this view, once it has run
+        # the verdict of `verify_3pyramidal` on this view, once it has run,
+        # and the class-table rows of C1 and C∞ when it proved the action
+        # by development and there are (v − 1)/2 classes
         self.invariant = None
+        self.development = None
 
     def sorted_ids(self):
         """`groups.sorted_ids` of the blocks a chunk at a time, as (slice,
@@ -245,7 +267,11 @@ def verify_sts(system, view=None):
     the blocks give v(v-1)/2 pair codes i·v + j (i < j), and they mark as
     many cells of a v×v bitmap, a chunk of blocks at a time while the
     view codes them.  The codes are sorted only to name the pairs at
-    fault."""
+    fault.  When `verify_3pyramidal` has proved on the view that every
+    class is C∞ or h[C1] and both partition the points, the blocks through
+    p alone decide it (`_covers_through`; the orbit argument and the count
+    of the pairs of extra points are in the module notes); if they fail,
+    the bitmap runs as before."""
     view = view or SystemView(system)
     v = view.v
     problems = []
@@ -254,6 +280,8 @@ def verify_sts(system, view=None):
     if not G.run_starts(np.sort(system.points)).all():
         problems.append("points are not distinct")
     arr = system.blocks
+    if _developed(view) and _covers_through(view):
+        return _report(problems, v=v, blocks=len(arr))
     if arr.size and (arr.min() < 0 or arr.max() >= v):
         stray = sorted(set(arr[(arr < 0) | (arr >= v)].tolist()))
         problems.append(f"blocks mention unknown point ids: {stray[:3]}")
@@ -288,7 +316,11 @@ def verify_sts(system, view=None):
 
 
 def verify_resolution(system, view=None):
-    """The classes partition the blocks; each class partitions the points."""
+    """The classes partition the blocks; each class partitions the points.
+    The blocks must hold point ids only, or their codes could alias those
+    of other blocks.  When `verify_3pyramidal` has proved on the view that
+    every class is C∞ or h[C1] for a permutation h, and both partition the
+    points (`_developed`), so does every class, and no class is sorted."""
     view = view or SystemView(system)
     v = view.v
     problems = []
@@ -296,22 +328,32 @@ def verify_resolution(system, view=None):
     if len(system.resolution) != want:
         problems.append(
             f"{len(system.resolution)} classes, expected {want}")
+    # the proof has found every id a point id
+    developed, arr = _developed(view), system.blocks
+    if not developed and arr.size and (arr.min() < 0 or arr.max() >= v):
+        problems.append("blocks or classes mention unknown point ids")
+        return _report(problems, classes=len(system.resolution))
     if not system.resolution:
         return _report(problems, classes=0)
     if not view.partitioned:
         problems.append("classes do not partition the block set")
-    # a class of v / 3 blocks partitions the points when its ids, sorted,
-    # are 0, 1, ..., v - 1
     bad = 3 * view.class_sizes != v
-    full = np.flatnonzero(~bad)
-    for lo in range(0, len(full), CLASS_CHUNK):
-        part = full[lo:lo + CLASS_CHUNK]
-        ids = np.stack([system.resolution[k].ravel() for k in part])
-        ids.sort(axis=1)
-        bad[part] = np.any(ids != np.arange(v), axis=1)
+    if not developed:
+        _flag_non_partitions(system.resolution, bad)
     for k in np.flatnonzero(bad)[:MAX_PROBLEMS]:
         problems.append(f"class {k} is not a partition of the points")
     return _report(problems, classes=len(system.resolution))
+
+
+def _flag_non_partitions(classes, bad):
+    """Sets `bad` at each class of v / 3 blocks that is not a partition of
+    the points: its ids, sorted, are not 0, 1, ..., v − 1."""
+    full = np.flatnonzero(~bad)
+    for lo in range(0, len(full), CLASS_CHUNK):
+        part = full[lo:lo + CLASS_CHUNK]
+        ids = np.stack([classes[k].ravel() for k in part])
+        ids.sort(axis=1)
+        bad[part] = np.any(ids != np.arange(ids.shape[1]), axis=1)
 
 
 def _class_set(codes, sizes):
@@ -552,7 +594,37 @@ def _develops(view, right, inf_ids, zero):
         if not np.array_equal(table[at], codes):
             return False
         hit[at] = True
-    return tau_ok and bool(hit.all())
+    if not (tau_ok and hit.all()):
+        return False
+    if len(table) == (v - 1) // 2:
+        view.development = table[at1], table[at_inf]
+    return True
+
+
+def _developed(view):
+    """Whether `_develops` recorded C1 and C∞ on the view and both
+    partition the points: then every class does (see the module notes)."""
+    v = view.v
+    return view.development is not None and all(
+        np.array_equal(np.sort(G.code_rows(row, v), axis=None), np.arange(v))
+        for row in view.development)
+
+
+def _covers_through(view):
+    """Whether the blocks through p, the lowest group-point id, hold every
+    other point once.  The ids below p are extra points, so these blocks
+    are at most 7 slices of the sorted codes: a = p, (a, b) = (∞, p) and
+    (a, b, c) = (∞, ∞′, p)."""
+    v, blocks = view.v, view.blocks
+    p = int(view.point_codes[0][0])
+    lows = [(p * v * v, v * v)] + [((a * v + p) * v, v) for a in range(p)] + [
+        ((a * v + b) * v + p, 1) for a in range(p) for b in range(a + 1, p)]
+    keys = np.array([[lo, lo + n] for lo, n in lows], dtype=blocks.dtype)
+    lo, hi = np.searchsorted(blocks, keys.T)
+    rows = G.code_rows(np.concatenate([blocks[i:j] for i, j in zip(lo, hi)]),
+                       v)
+    return np.array_equal(np.sort(rows[rows != p]),
+                          np.delete(np.arange(v), p))
 
 
 def verify_3pyramidal(system, view=None):
@@ -801,13 +873,16 @@ def check_base_blocks(system, view=None):
 def verify_full(system):
     """Aggregate report: pair coverage, resolution, the group action and,
     when the system carries its witness, the base blocks re-derived from
-    the blocks through one point.  The checks share one `SystemView`, so
-    the base-block check reads the verdict of `verify_3pyramidal` off it."""
+    the blocks through one point.  The checks share one `SystemView`, and
+    `verify_3pyramidal` runs first, so that the pair and partition checks
+    and the base-block check read its proof off the view; the report keeps
+    its order."""
     view = SystemView(system)
+    pyramidal = verify_3pyramidal(system, view)
     parts = {
         "sts": verify_sts(system, view),
         "resolution": verify_resolution(system, view),
-        "pyramidal": verify_3pyramidal(system, view),
+        "pyramidal": pyramidal,
     }
     if system.witness is not None:
         parts["base_blocks"] = check_base_blocks(system, view)

@@ -620,21 +620,22 @@ def _block_with(system, *ids):
                 return k, row
 
 
-def _spy_preservation(monkeypatch):
+def _spy(monkeypatch, name):
+    """The calls of `verify`'s function `name`, recorded as it runs."""
     calls = []
-    real = V._preservation
+    real = getattr(V, name)
 
-    def spy(system):
-        calls.append(system)
-        return real(system)
-    monkeypatch.setattr(V, "_preservation", spy)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(V, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("v", [15, 33, 39, 147, 183, 819])
 def test_pyramidal_matches_oracle_on_built_systems(v, monkeypatch):
     s = P.construct(v)
-    calls = _spy_preservation(monkeypatch)
+    calls = _spy(monkeypatch, "_preservation")
     for system in (s, _reordered(s, v)):
         rep = V.verify_3pyramidal(system)
         assert rep["ok"]
@@ -662,7 +663,7 @@ def test_pyramidal_invariant_extra_orbit_takes_diagnosis(sys33, monkeypatch):
     res = list(sys33.resolution) + [perm[extra]
                                     for perm in _all_translations(sys33)]
     bad = _with(sys33, resolution=res)
-    calls = _spy_preservation(monkeypatch)
+    calls = _spy(monkeypatch, "_preservation")
     rep = V.verify_3pyramidal(bad)
     assert calls
     assert rep["ok"]
@@ -718,14 +719,59 @@ def _swap_point(res, rng):
     res[i][p, 0], res[j][q, 0] = res[j][q, 0], res[i][p, 0]
 
 
+def _tau_edited(system, rewire):
+    """The classes C∞ and h[C1'] with h(0) < h(y), the half-orbit that
+    `build_kts` develops, where C1' is C1 with two τ-pairs of its blocks
+    B, τB and B2, τB2 edited so that τ[C1'] = C1' still: the first point
+    of B swapped with that of B2 (`rewire`, a partition again), or
+    replaced by it (a point twice, so no partition)."""
+    points = point_view(system)
+    inf_ids = [points.index(p) for p in ("inf1", "inf2", "inf3")]
+    zero = points.index(system.group.zero)
+    k, through = _block_with(system, inf_ids[0], zero)
+    y = next(p for p in through if p not in (inf_ids[0], zero))
+    perms = _all_translations(system)
+    tau = next(perm for perm in perms if perm[zero] == y)
+    c1 = system.resolution[k].copy()
+    rows = [sorted(row) for row in c1.tolist()]
+    partner = [rows.index(sorted(tau[row].tolist())) for row in c1]
+    apart = [r for r, row in enumerate(rows) if not set(row) & set(inf_ids)]
+    i = apart[0]
+    i2 = next(r for r in apart if r not in (i, partner[i]))
+    if rewire:
+        c1[i, 0], c1[i2, 0] = c1[i2, 0], c1[i, 0]
+    else:
+        c1[i, 0] = c1[i2, 0]
+    c1[partner[i]], c1[partner[i2]] = tau[c1[i]], tau[c1[i2]]
+    return [system.resolution[_block_with(system, *inf_ids)[0]].copy()] + [
+        perm[c1] for perm in perms if perm[zero] < perm[y]]
+
+
+def _c1_off_partition(system):
+    return _tau_edited(system, rewire=False)
+
+
+def _c1_rewired(system):
+    return _tau_edited(system, rewire=True)
+
+
+# corruptions that keep the classes C∞ and the orbit of C1, so that with
+# their blocks the group action is proved and the reduced checks run
+ON_ORBIT = (_c1_off_partition, _c1_rewired)
+
+
 @pytest.mark.parametrize("with_blocks", (False, True))
-@pytest.mark.parametrize("corrupt", (_swap, _double, _stray, _swap_point)
-                         + UNEVEN)
-@pytest.mark.parametrize("v", (15, 33, 39))
+@pytest.mark.parametrize("v, corrupt", [
+    *itertools.product((15, 33, 39),
+                       (_swap, _double, _stray, _swap_point) + UNEVEN),
+    *itertools.product((33, 39), ON_ORBIT)])
 def test_shared_view_changes_no_report(request, v, corrupt, with_blocks):
     system = request.getfixturevalue(f"sys{v}")
-    res = [c.copy() for c in system.resolution]
-    corrupt(res, np.random.default_rng(v))
+    if corrupt in ON_ORBIT:
+        res = corrupt(system)
+    else:
+        res = [c.copy() for c in system.resolution]
+        corrupt(res, np.random.default_rng(v))
     bad = _with(system, resolution=res,
                 **({"blocks": np.concatenate(res)} if with_blocks else {}))
     full = V.verify_full(bad)
@@ -734,6 +780,46 @@ def test_shared_view_changes_no_report(request, v, corrupt, with_blocks):
     assert full["resolution"] == V.verify_resolution(bad)
     assert full["pyramidal"] == V.verify_3pyramidal(bad)
     assert full["base_blocks"] == V.check_base_blocks(bad)
+    if corrupt in ON_ORBIT and with_blocks:
+        # the action is proved by development, and C1 and C∞ recorded
+        view = V.SystemView(bad)
+        assert V.verify_3pyramidal(bad, view)["ok"]
+        assert view.development is not None
+        assert V._developed(view) == (corrupt is _c1_rewired)
+        assert full["resolution"]["ok"] == (corrupt is _c1_rewired)
+        assert not full["sts"]["ok"]
+
+
+@pytest.mark.parametrize("v, shuffled", [
+    *((v, False) for v in (51, 87, 159, 195, 243, 255, 327, 369, 399, 819)),
+    (183, True)])
+def test_orbit_shortcut_changes_no_report(v, shuffled, monkeypatch):
+    # on a built system the pair and partition checks of verify_full read
+    # the proof of verify_3pyramidal: no pair bitmap and no class sorted
+    system = P.construct(v)
+    if shuffled:
+        system = _reordered(system, v)
+    want = {"sts": V.verify_sts(system),
+            "resolution": V.verify_resolution(system),
+            "pyramidal": V.verify_3pyramidal(system),
+            "base_blocks": V.check_base_blocks(system)}
+    bitmap = _spy(monkeypatch, "_pair_code")
+    sort = _spy(monkeypatch, "_flag_non_partitions")
+    full = V.verify_full(system)
+    assert full == {"ok": True, **want}
+    assert list(full) == ["ok", "sts", "resolution", "pyramidal",
+                          "base_blocks"]
+    assert not bitmap and not sort
+
+
+def test_resolution_rejects_ids_that_alias_a_block(sys15):
+    # (a·v + b)·v + c codes [0, 0, 17] as [0, 1, 2] at v = 15
+    blocks = sys15.blocks.copy()
+    at = blocks.tolist().index([0, 1, 2])
+    blocks[at] = [0, 0, 17]
+    rep = V.verify_resolution(_with(sys15, blocks=blocks))
+    assert rep == {"ok": False, "classes": 7, "problems": [
+        "blocks or classes mention unknown point ids"]}
 
 
 @pytest.mark.parametrize("v", (15, 33, 39))
